@@ -10,6 +10,8 @@ grammar.
 
 from __future__ import annotations
 
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +82,18 @@ def _parse_row(rest: str, dim: int, n: int, what: str, lineno: int) -> tuple[int
         row = np.array([float(v) for v in values], dtype=np.float64)
     except ValueError:
         raise ModelFormatError(f"line {lineno}: malformed float in {what} row") from None
+    if not np.isfinite(row).all():
+        raise ModelFormatError(f"line {lineno}: non-finite value in {what} row")
     return idx, row
+
+
+def _rows(section, what: str, dim: int, n: int):
+    """Parse the (index, row) pairs of a ball's w or v rows, one line at a time."""
+    for lineno, body in section:
+        kind, _, tail = body.partition(" ")
+        if kind != what:
+            raise ModelFormatError(f"line {lineno}: expected {what} row, got {kind!r}")
+        yield _parse_row(tail, dim, n, what, lineno)
 
 
 def _where(lineno: int) -> str:
@@ -96,9 +109,12 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
 
 def _parse_float(text: str, lineno: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ModelFormatError(f"{_where(lineno)}{what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{_where(lineno)}{what} {text!r} is not finite")
+    return value
 
 
 def loads(text: str) -> MemorySystem:
@@ -194,19 +210,14 @@ def loads(text: str) -> MemorySystem:
             labels[idx] = label_text
         if ball_id in system.balls:
             raise ModelFormatError(f"duplicate ball section {ball_id!r}")
+        w_rows = _rows(section[n : 2 * n], "w", config.dim, n)
+        # the first row is checked against the header dim before (n, dim) arrays exist
+        first = next(w_rows)
         ball = system.add_ball(ball_id, labels)
         bank = system.banks[ball_id]
-        for lno, rbody in section[n : 2 * n]:
-            kind, _, rtail = rbody.partition(" ")
-            if kind != "w":
-                raise ModelFormatError(f"line {lno}: expected w row, got {kind!r}")
-            idx, row = _parse_row(rtail, config.dim, n, "w", lno)
+        for idx, row in itertools.chain([first], w_rows):
             bank.w[idx] = row
-        for lno, rbody in section[2 * n : 3 * n]:
-            kind, _, rtail = rbody.partition(" ")
-            if kind != "v":
-                raise ModelFormatError(f"line {lno}: expected v row, got {kind!r}")
-            idx, row = _parse_row(rtail, config.dim, n, "v", lno)
+        for idx, row in _rows(section[2 * n : 3 * n], "v", config.dim, n):
             ball.v[idx] = row
         i += 1 + 3 * n
     if not ended:

@@ -272,6 +272,23 @@ class TestRecall:
                          "--pattern", probe)
         assert code == 3
 
+    @pytest.mark.parametrize("edit", [
+        ("v 0 ", lambda line: " ".join(["v", "0", "nan", "inf", *line.split()[4:]])),
+        ("dim ", lambda line: "dim 1000000000000000"),  # needs petabytes if allocated
+    ])
+    def test_corrupt_model_is_one_line_runtime_error(self, capsys, tmp_path, edit):
+        prefix, change = edit
+        path = toy_model(tmp_path)
+        lines = path.read_text().splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+        lines[idx] = change(lines[idx])
+        path.write_text("\n".join(lines) + "\n")
+        probe = write_pbm(tmp_path / "probe.pbm", np.array([[1, 0], [0, 0]], dtype=np.uint8))
+        code, _, stderr = run(capsys, "recall", "--model", path, "--ball", "A", "--pattern", probe)
+        assert code == 3
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
     def test_unknown_ball_is_usage_error(self, capsys, model_path, red_pbm):
         code, _, _ = run(capsys, "recall", "--model", model_path, "--ball", "flavor",
                          "--pattern", red_pbm)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbrn import qr
+from cbrn import patterns, qr
 from cbrn.errors import EmptyLabel, LabelTooLong
 from cbrn.galois import syndromes
 
@@ -222,6 +222,28 @@ class TestPenalty:
     @settings(max_examples=40)
     def test_matches_line_oracle(self, grid):
         assert qr.penalty(grid) == penalty_oracle(grid)
+
+    @given(arrays(np.uint8, (29, 29), elements=st.integers(0, 1)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_line_oracle_at_symbol_size(self, grid):
+        assert qr.penalty(grid) == penalty_oracle(grid)
+
+    @given(st.integers(1, 34).flatmap(
+        lambda n: arrays(np.uint8, (3, n, n), elements=st.integers(0, 1))))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_scores_equal_per_grid_scores(self, stack):
+        scores = qr.penalties(stack)
+        assert scores.shape == (3,)
+        assert list(scores) == [qr.penalty(grid) for grid in stack]
+        assert list(scores) == [penalty_oracle(grid) for grid in stack]
+
+    def test_mask_choice_matches_oracle(self):
+        labels = [label for group in patterns.default_catalog() for label in group.labels]
+        assert len(labels) == 21
+        # no bundled label has a tied minimum; these two do (masks 1 and 6, 0 and 1)
+        for label in labels + ["label 8", "label 38"]:
+            scores = [penalty_oracle(qr.encode_label(label, mask=m).modules) for m in range(8)]
+            assert qr.encode_label(label).mask == scores.index(min(scores)), label
 
 
 class TestRender:

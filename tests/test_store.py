@@ -122,6 +122,31 @@ class TestRejects:
         with pytest.raises(DimensionMismatch):
             store.loads("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("kind", ["w", "v"])
+    def test_non_finite_row_value(self, kind):
+        text = store.dumps(toy())
+        lines = text.splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith(f"{kind} 0 "))
+        values = lines[idx].split()[2:]
+        lines[idx] = " ".join([kind, "0", "nan", "inf", *values[2:]])
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            store.loads("\n".join(lines) + "\n")
+
+    def test_non_finite_link_weight(self):
+        text = store.dumps(toy())
+        lines = text.splitlines()
+        idx = next(i for i, l in enumerate(lines) if l.startswith("link "))
+        lines[idx] = lines[idx].rsplit(" ", 1)[0] + " -inf"
+        with pytest.raises(ModelFormatError, match="not finite"):
+            store.loads("\n".join(lines) + "\n")
+
+    def test_huge_dim_refused_before_allocation(self):
+        # (n, dim) float arrays for this dim would need petabytes: the
+        # mismatch with the first w row must be found before any is made
+        text = store.dumps(toy()).replace("dim 6\n", "dim 1000000000000000\n")
+        with pytest.raises(DimensionMismatch, match="header dim is 1000000000000000"):
+            store.loads(text)
+
     def test_link_to_unknown_ball(self):
         text = store.dumps(toy())
         lines = text.splitlines()
