@@ -26,13 +26,11 @@ from .errors import (
 from .galois import Codeword, rs_encode, syndromes
 from .memory import (
     AssociationResult,
-    CueBall,
+    Ball,
     CueResponse,
     MemorySystem,
-    RecallBank,
     SystemConfig,
     UpdateReport,
-    cross_error,
     cue_error,
     recall_error,
 )
@@ -59,11 +57,11 @@ __all__ = [
     "AssociationResult",
     "AttributeCatalog",
     "AttributeGroup",
+    "Ball",
     "BinaryPattern",
     "CatalogError",
     "CbrnError",
     "Codeword",
-    "CueBall",
     "CueResponse",
     "DegeneratePattern",
     "DimensionMismatch",
@@ -78,12 +76,10 @@ __all__ = [
     "NoRecognition",
     "PbmFormatError",
     "QrMatrix",
-    "RecallBank",
     "SystemConfig",
     "UnknownBall",
     "UnsupportedVersion",
     "UpdateReport",
-    "cross_error",
     "cue_error",
     "default_catalog",
     "dumps",

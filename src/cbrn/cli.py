@@ -224,17 +224,17 @@ def cmd_pair(args) -> int:
         a = system.resolve_ball(ball_a)
         b = system.resolve_ball(ball_b)
         forward, backward = system.learn_cross_weights(a, k, b, l)
-        for tag, report, key in (
-            (f"{a}:{k} -> {b}:{l}", forward, (a, k, b, l)),
-            (f"{b}:{l} -> {a}:{k}", backward, (b, l, a, k)),
+        for tag, report, u in (
+            (f"{a}:{k} -> {b}:{l}", forward, system.links[a, b][k, l]),
+            (f"{b}:{l} -> {a}:{k}", backward, system.links[b, a][l, k]),
         ):
             print(
                 f"{tag:<24} {report.errors[0]:>12.6g} {report.final_error:>12.6g}"
-                f" {system.links[key]:>10.4f}"
+                f" {u:>10.4f}"
             )
     out = args.out or args.model
     store.save(system, out)
-    print(f"{len(system.links)} directed links -> {out}")
+    print(f"{len(system.trained_links())} directed links -> {out}")
     return 0
 
 
@@ -245,23 +245,16 @@ def cmd_recall(args) -> int:
     probe = _load_probe(system, args.pattern)
     threshold = opts.get("threshold", None, float)
     response = system.cue_response(ball_id, probe, threshold)
-    ball = system.balls[ball_id]
 
     fmt = opts.get("format", "table")
     if fmt == "csv":
         print("ball,neuron,label,q,fired")
-        for i, value in enumerate(response.q):
-            print(f"{ball_id},{i},{ball.labels[i]},{float(value)!r},{int(i in response.fired)}")
-    elif fmt == "table":
-        print(f"ball {ball_id}, threshold {response.threshold}")
-        print(f"{'neuron':>6} {'label':<14} {'q':>14} fired")
-        for i, value in enumerate(response.q):
-            marks = "*" if i in response.fired else ""
-            argmax = "  <- argmax" if i == response.argmax else ""
-            print(f"{i:>6} {ball.labels[i]:<14} {value:>14.6f} {marks:<5}{argmax}")
-        print(f"fired: {list(response.fired)}  argmax: {response.argmax}")
-    else:
+    elif fmt != "table":
         raise UsageError(f"unknown format {fmt!r}")
+    title = f"ball {ball_id}, threshold {response.threshold}"
+    _print_q(system.balls[ball_id], response, fmt, f"{ball_id},", title)
+    if fmt == "table":
+        print(f"fired: {list(response.fired)}  argmax: {response.argmax}")
 
     if args.out:
         if not response.fired:
@@ -304,6 +297,24 @@ def cmd_associate(args) -> int:
     return 0
 
 
+def _print_q(ball, response, fmt: str, csv_prefix: str, title: str) -> None:
+    """One line per neuron of a ball: label, q and whether it fired.
+
+    CSV lines start with `csv_prefix`; a table starts with `title` and a
+    column header.
+    """
+    if fmt == "csv":
+        for i, value in enumerate(response.q):
+            print(f"{csv_prefix}{i},{ball.labels[i]},{float(value)!r},{int(i in response.fired)}")
+        return
+    print(title)
+    print(f"{'neuron':>6} {'label':<14} {'q':>14} fired")
+    for i, value in enumerate(response.q):
+        marks = "*" if i in response.fired else ""
+        argmax = "  <- argmax" if i == response.argmax else ""
+        print(f"{i:>6} {ball.labels[i]:<14} {value:>14.6f} {marks:<5}{argmax}")
+
+
 def _report_probes(system: MemorySystem, probe_specs) -> list[tuple[str, int]]:
     if probe_specs:
         out = []
@@ -336,19 +347,9 @@ def cmd_report(args) -> int:
             probe = system.recall_forward(ball_id, index)
             response = system.cue_response(ball_id, probe)
             ball = system.balls[ball_id]
-            if fmt == "csv":
-                for i, value in enumerate(response.q):
-                    print(
-                        f"{ball_id},{index},{i},{ball.labels[i]},{float(value)!r},"
-                        f"{int(i in response.fired)}"
-                    )
-            else:
-                print(f"ball {ball_id}, probing stored pattern {index} ({ball.labels[index]})")
-                print(f"{'neuron':>6} {'label':<14} {'q':>14} fired")
-                for i, value in enumerate(response.q):
-                    marks = "*" if i in response.fired else ""
-                    argmax = "  <- argmax" if i == response.argmax else ""
-                    print(f"{i:>6} {ball.labels[i]:<14} {value:>14.6f} {marks:<5}{argmax}")
+            title = f"ball {ball_id}, probing stored pattern {index} ({ball.labels[index]})"
+            _print_q(ball, response, fmt, f"{ball_id},{index},", title)
+            if fmt == "table":
                 print()
         return 0
 

@@ -1,13 +1,19 @@
 """One-shot delta-rule learning and recall between Cue Balls and a Recall Net.
 
-Each Cue Ball is a group of cue neurons, one per stored pattern.  Recall
-weights (cue to recall) hold the presentation vector a neuron replays into
-the Recall Net; cue weights (recall to cue) drive the matching neuron's
-pre-threshold output to the learning value theta; cross weights couple cue
-neurons across balls so a recognized pattern in one ball recalls its linked
-pattern in another.  With zero-initialized weights and unit learning rates,
-every learning rule reaches its target in a single update and is a strict
-no-op afterwards.
+Each Cue Ball (`Ball`) is a group of cue neurons, one per stored pattern,
+with two weight rows per neuron.  Recall weights `w` (cue to recall) hold
+the presentation vector a neuron replays into the Recall Net; cue weights
+`v` (recall to cue) drive the matching neuron's pre-threshold output to the
+learning value theta.  Cross weights couple cue neurons across balls, one
+dense array per ordered ball pair, so a recognized pattern in one ball
+recalls its linked pattern in another.
+
+All three learning rules are one Widrow-Hoff step,
+`delta = rate * (target - output) * input`: the recall rule targets the
+pattern with input 1, the cue rule targets theta with the recalled pattern
+as input, and the cross rule targets theta with input 1.  With
+zero-initialized weights and unit learning rates, every rule reaches its
+target in a single update and is a strict no-op afterwards.
 
 A system instance is single-writer while learning.  Response and recall
 calls never mutate state, so a trained system may be queried concurrently.
@@ -56,25 +62,20 @@ class SystemConfig:
             raise ValueError("epochs must be at least 1")
 
 
-class CueBall:
-    """Cue weights of one attribute group; one neuron per stored pattern."""
+class Ball:
+    """One Cue Ball: a cue neuron per stored pattern and its two weight rows.
+
+    Row i of `w` (recall weights) is the pattern neuron i replays into the
+    Recall Net; row i of `v` (cue weights) maps the Recall Net onto neuron
+    i's pre-threshold output.
+    """
 
     def __init__(self, ball_id: str, labels, dim: int) -> None:
         self.id = ball_id
         self.labels = list(labels)
-        self.v = np.zeros((len(self.labels), dim))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-class RecallBank:
-    """Recall weights of one ball: row i is what neuron i replays into the net."""
-
-    def __init__(self, ball_id: str, n: int, dim: int) -> None:
-        self.id = ball_id
-        self.w = np.zeros((n, dim))
+        self.n = len(self.labels)
+        self.w = np.zeros((self.n, dim))
+        self.v = np.zeros((self.n, dim))
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,13 @@ def cue_error(theta: float, q) -> float:
     return 0.5 * float(np.sum((theta - np.asarray(q, dtype=np.float64)) ** 2))
 
 
-def cross_error(theta: float, q) -> float:
-    """Same diagnostic as `cue_error`, for cross-ball responses."""
-    return cue_error(theta, q)
+# a learning step's error and update term are floats or arrays
+def _half_square(err) -> float:
+    return 0.5 * (float(np.sum(err ** 2)) if isinstance(err, np.ndarray) else err ** 2)
+
+
+def _max_abs(delta) -> float:
+    return float(np.abs(delta).max()) if isinstance(delta, np.ndarray) else abs(delta)
 
 
 class MemorySystem:
@@ -141,10 +146,11 @@ class MemorySystem:
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         self.config = config or SystemConfig()
-        self.balls: dict[str, CueBall] = {}
-        self.banks: dict[str, RecallBank] = {}
-        # directed cross weights keyed by (from_ball, from_neuron, to_ball, to_neuron)
-        self.links: dict[tuple[str, int, str, int], float] = {}
+        self.balls: dict[str, Ball] = {}
+        # links[a, b][k, l]: cross weight from neuron k of ball a to neuron l
+        # of ball b; one dense array per ordered pair of distinct balls, and
+        # a zero entry is no link
+        self.links: dict[tuple[str, str], np.ndarray] = {}
 
     @classmethod
     def from_catalog(cls, catalog: AttributeCatalog, config: SystemConfig | None = None):
@@ -153,26 +159,24 @@ class MemorySystem:
             system.add_ball(group.name, group.labels)
         return system
 
-    def add_ball(self, ball_id: str, labels) -> CueBall:
+    def add_ball(self, ball_id: str, labels) -> Ball:
         if ball_id in self.balls:
             raise ValueError(f"ball {ball_id!r} already exists")
         labels = list(labels)
         if not labels:
             raise ValueError(f"ball {ball_id!r} needs at least one neuron")
-        ball = CueBall(ball_id, labels, self.config.dim)
+        ball = Ball(ball_id, labels, self.config.dim)
+        for other in self.balls.values():
+            self.links[other.id, ball_id] = np.zeros((other.n, ball.n))
+            self.links[ball_id, other.id] = np.zeros((ball.n, other.n))
         self.balls[ball_id] = ball
-        self.banks[ball_id] = RecallBank(ball_id, ball.n, self.config.dim)
         return ball
 
-    def ball(self, ball_id: str) -> CueBall:
+    def ball(self, ball_id: str) -> Ball:
         try:
             return self.balls[ball_id]
         except KeyError:
             raise UnknownBall(f"unknown ball {ball_id!r}; have {sorted(self.balls)}") from None
-
-    def bank(self, ball_id: str) -> RecallBank:
-        self.ball(ball_id)
-        return self.banks[ball_id]
 
     def resolve_ball(self, name: str) -> str:
         """Map a user-supplied ball name to a stored id, case-insensitively."""
@@ -183,7 +187,15 @@ class MemorySystem:
             return folded[name.casefold()]
         raise UnknownBall(f"unknown ball {name!r}; have {sorted(self.balls)}")
 
-    def _check_neuron(self, ball: CueBall, neuron: int) -> None:
+    def trained_links(self) -> list[tuple[str, int, str, int, float]]:
+        """Nonzero cross weights as (from_ball, k, to_ball, l, u), sorted."""
+        return sorted(
+            (a, int(k), b, int(l), float(u[k, l]))
+            for (a, b), u in self.links.items()
+            for k, l in zip(*np.nonzero(u))
+        )
+
+    def _check_neuron(self, ball: Ball, neuron: int) -> None:
         if not 0 <= neuron < ball.n:
             raise NeuronIndexError(
                 f"neuron {neuron} out of range for ball {ball.id!r} (n={ball.n})"
@@ -197,6 +209,22 @@ class MemorySystem:
             )
         return v
 
+    def _delta_rule(self, weight, rate: float, target, output=lambda w: w, x=1.0):
+        """Widrow-Hoff steps `weight += rate * (target - output(weight)) * x`.
+
+        `weight` is a row, updated in place, or a float.  Returns the final
+        weight and the report: the half squared error before each step and
+        after the last, and each step's largest term.
+        """
+        errors, deltas = [], []
+        for _ in range(self.config.epochs):
+            err = target - output(weight)
+            errors.append(_half_square(err))
+            delta = rate * err * x
+            deltas.append(_max_abs(delta))
+            weight += delta
+        return weight, UpdateReport(tuple(errors), _half_square(target - output(weight)), tuple(deltas))
+
     # -- recall path --------------------------------------------------------
 
     def recall_forward(self, ball_id: str, neuron: int) -> np.ndarray:
@@ -205,9 +233,9 @@ class MemorySystem:
         Only that neuron's own weight row contributes; there is no summation
         over the other cue neurons.
         """
-        bank = self.bank(ball_id)
-        self._check_neuron(self.ball(ball_id), neuron)
-        return bank.w[neuron].copy()
+        ball = self.ball(ball_id)
+        self._check_neuron(ball, neuron)
+        return ball.w[neuron].copy()
 
     def learn_recall_weights(self, ball_id: str, neuron: int, target) -> UpdateReport:
         """Delta-rule update of a neuron's recall row toward the target vector.
@@ -216,17 +244,10 @@ class MemorySystem:
         eps_w * (target - row).  From zero weights with eps_w = 1 one step
         stores the target exactly and a repeat is a no-op.
         """
-        bank = self.bank(ball_id)
-        self._check_neuron(self.ball(ball_id), neuron)
+        ball = self.ball(ball_id)
+        self._check_neuron(ball, neuron)
         t = self._check_vector(target)
-        row = bank.w[neuron]
-        errors, deltas = [], []
-        for _ in range(self.config.epochs):
-            errors.append(recall_error(t, row))
-            delta = self.config.eps_w * (t - row)
-            deltas.append(float(np.abs(delta).max()))
-            row += delta
-        return UpdateReport(tuple(errors), recall_error(t, row), tuple(deltas))
+        return self._delta_rule(ball.w[neuron], self.config.eps_w, t)[1]
 
     # -- cue path -----------------------------------------------------------
 
@@ -249,21 +270,9 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
-        if y is None:
-            y = self.recall_forward(ball_id, neuron)
-        yv = self._check_vector(y)
-        theta = self.config.theta
-        row = ball.v[neuron]
-        errors, deltas = [], []
-        for _ in range(self.config.epochs):
-            q = float(row @ yv)
-            errors.append(0.5 * (theta - q) ** 2)
-            delta = self.config.eps_v * (theta - q) * yv
-            deltas.append(float(np.abs(delta).max()))
-            row += delta
-        return UpdateReport(
-            tuple(errors), 0.5 * (theta - float(row @ yv)) ** 2, tuple(deltas)
-        )
+        yv = self._check_vector(ball.w[neuron] if y is None else y)
+        cfg = self.config
+        return self._delta_rule(ball.v[neuron], cfg.eps_v, cfg.theta, lambda row: float(row @ yv), yv)[1]
 
     # -- cross path ---------------------------------------------------------
 
@@ -277,34 +286,19 @@ class MemorySystem:
             raise IntraBallLink("cue neurons within one ball are not connected")
         self._check_neuron(src, from_neuron)
         thr = self.config.threshold if threshold is None else float(threshold)
-        q = np.array(
-            [self.links.get((src.id, from_neuron, dst.id, l), 0.0) for l in range(dst.n)]
-        )
+        q = self.links[src.id, dst.id][from_neuron].copy()
         fired = tuple(int(i) for i in np.flatnonzero(q >= thr))
         return CueResponse(q=q, fired=fired, argmax=int(np.argmax(q)), threshold=thr)
-
-    def _learn_link(self, from_ball: str, k: int, to_ball: str, l: int) -> UpdateReport:
-        key = (from_ball, k, to_ball, l)
-        u = self.links.get(key, 0.0)
-        theta = self.config.theta
-        errors, deltas = [], []
-        for _ in range(self.config.epochs):
-            q = u  # source output is 1
-            errors.append(0.5 * (theta - q) ** 2)
-            delta = self.config.lambda_cb * (theta - q)
-            deltas.append(abs(delta))
-            u += delta
-        self.links[key] = u
-        return UpdateReport(tuple(errors), 0.5 * (theta - u) ** 2, tuple(deltas))
 
     def learn_cross_weights(
         self, ball_a: str, k: int, ball_b: str, l: int
     ) -> tuple[UpdateReport, UpdateReport]:
         """Train the (a,k) <-> (b,l) cross pair, both directions.
 
-        Each direction starts from zero and reaches theta in one step with
-        lambda_cb = 1; the reverse direction is trained by swapping the roles
-        of the two balls.
+        The source neuron's output is 1, so a link responds with its own
+        weight.  Each direction starts from zero and reaches theta in one
+        step with lambda_cb = 1; the reverse direction is trained by swapping
+        the roles of the two balls.
         """
         a = self.ball(ball_a)
         b = self.ball(ball_b)
@@ -314,9 +308,11 @@ class MemorySystem:
             )
         self._check_neuron(a, k)
         self._check_neuron(b, l)
-        forward = self._learn_link(a.id, k, b.id, l)
-        backward = self._learn_link(b.id, l, a.id, k)
-        return forward, backward
+        rate, theta = self.config.lambda_cb, self.config.theta
+        forward, backward = self.links[a.id, b.id], self.links[b.id, a.id]
+        forward[k, l], forward_report = self._delta_rule(forward.item(k, l), rate, theta)
+        backward[l, k], backward_report = self._delta_rule(backward.item(l, k), rate, theta)
+        return forward_report, backward_report
 
     # -- composite operations -----------------------------------------------
 

@@ -45,18 +45,17 @@ def dumps(system: MemorySystem) -> str:
     lines.append(f"epochs {cfg.epochs}")
     lines.append(f"normalized {'true' if cfg.normalized else 'false'}")
     for ball in system.balls.values():
-        bank = system.banks[ball.id]
         lines.append(f"ball {ball.id} {ball.n}")
         for i, label in enumerate(ball.labels):
             if "#" in label or "\n" in label:
                 raise ValueError(f"label {label!r} cannot contain '#' or newlines")
             lines.append(f"label {i} {label}")
         for i in range(ball.n):
-            lines.append("w " + str(i) + " " + " ".join(_fmt(x) for x in bank.w[i]))
+            lines.append("w " + str(i) + " " + " ".join(_fmt(x) for x in ball.w[i]))
         for i in range(ball.n):
             lines.append("v " + str(i) + " " + " ".join(_fmt(x) for x in ball.v[i]))
-    for (a, k, b, l) in sorted(system.links):
-        lines.append(f"link {a} {k} {b} {l} {_fmt(system.links[(a, k, b, l)])}")
+    for a, k, b, l, u in system.trained_links():
+        lines.append(f"link {a} {k} {b} {l} {_fmt(u)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -183,7 +182,12 @@ def loads(text: str) -> MemorySystem:
             for bid, idx in ((a, k), (b, l)):
                 if not 0 <= idx < system.balls[bid].n:
                     raise ModelFormatError(f"line {lineno}: link index {idx} out of range for {bid!r}")
-            system.links[(a, k, b, l)] = u
+            if u == 0.0:
+                raise ModelFormatError(f"line {lineno}: zero link weight; a zero weight is no link")
+            weights = system.links[a, b]
+            if weights[k, l] != 0.0:
+                raise ModelFormatError(f"line {lineno}: duplicate link {a} {k} {b} {l}")
+            weights[k, l] = u
             i += 1
             continue
         if op != "ball":
@@ -214,9 +218,8 @@ def loads(text: str) -> MemorySystem:
         # the first row is checked against the header dim before (n, dim) arrays exist
         first = next(w_rows)
         ball = system.add_ball(ball_id, labels)
-        bank = system.banks[ball_id]
         for idx, row in itertools.chain([first], w_rows):
-            bank.w[idx] = row
+            ball.w[idx] = row
         for idx, row in _rows(section[2 * n : 3 * n], "v", config.dim, n):
             ball.v[idx] = row
         i += 1 + 3 * n

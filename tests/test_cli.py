@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,8 +150,8 @@ class TestPair:
         assert code == 0
         assert "A:1 -> B:2" in stdout and "B:2 -> A:1" in stdout
         system = store.load(model)
-        assert system.links[("A", 1, "B", 2)] == 100.0
-        assert system.links[("B", 2, "A", 1)] == 100.0
+        assert system.links["A", "B"][1, 2] == 100.0
+        assert system.links["B", "A"][2, 1] == 100.0
 
     def test_repair_reports_zero_delta(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -183,7 +185,7 @@ class TestPair:
         out = tmp_path / "paired.cbrn"
         run(capsys, "pair", "--model", model, "--pair", "A:2=B:1", "--out", out)
         assert model.read_bytes() == before
-        assert ("A", 2, "B", 1) in store.load(out).links
+        assert store.load(out).links["A", "B"][2, 1] != 0.0
 
     def test_pairs_from_config_file(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -192,18 +194,30 @@ class TestPair:
         code, _, _ = run(capsys, "pair", "--model", model, "--config", cfg)
         assert code == 0
         links = store.load(model).links
-        assert ("A", 1, "B", 2) in links and ("B", 0, "A", 2) in links
+        assert links["A", "B"][1, 2] != 0.0 and links["B", "A"][0, 2] != 0.0
 
     def test_pairs_from_environment(self, capsys, tmp_path, monkeypatch):
         model = toy_model(tmp_path)
         monkeypatch.setenv("CBRN_PAIRS", "A:3=B:1")
         code, _, _ = run(capsys, "pair", "--model", model)
         assert code == 0
-        assert ("A", 3, "B", 1) in store.load(model).links
+        assert store.load(model).links["A", "B"][3, 1] != 0.0
 
     def test_no_pairs_anywhere_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
         assert run(capsys, "pair", "--model", model)[0] == 2
+
+    def test_pair_that_trains_to_zero_writes_no_link(self, capsys, tmp_path):
+        # at lambda_cb 2 the second of two steps overshoots back to exactly 0
+        model = tmp_path / "m.cbrn"
+        args = ("--provider", "random", "--lambda-cb", "2", "--epochs", "2")
+        assert run(capsys, "train", "--out", model, *args)[0] == 0
+        code, stdout, _ = run(capsys, "pair", "--model", model, "--pair", "color:0=style:3")
+        assert code == 0
+        assert stdout.splitlines()[1].split()[-1] == "0.0000"
+        assert stdout.endswith(f"0 directed links -> {model}\n")
+        assert "link " not in model.read_text()
+        assert not store.load(model).trained_links()
 
 
 class TestRecall:
@@ -275,6 +289,8 @@ class TestRecall:
     @pytest.mark.parametrize("edit", [
         ("v 0 ", lambda line: " ".join(["v", "0", "nan", "inf", *line.split()[4:]])),
         ("dim ", lambda line: "dim 1000000000000000"),  # needs petabytes if allocated
+        ("link ", lambda line: f"{line}\n{line}"),  # the same link twice
+        ("link ", lambda line: line.rsplit(" ", 1)[0] + " 0.0"),  # a zero weight is no link
     ])
     def test_corrupt_model_is_one_line_runtime_error(self, capsys, tmp_path, edit):
         prefix, change = edit
@@ -405,3 +421,22 @@ class TestReport:
 
     def test_bad_figure_is_usage_error(self, capsys, model_path):
         assert main(["report", "--model", str(model_path), "--figure", "5"]) == 2
+
+
+class TestDemoSessionGolden:
+    """The README demo session, pinned to the bytes it has always produced."""
+
+    MODEL_SHA256 = "c96fc292bf9f2a6455f6c03277472ece3daad6965f78f4a9b6f3e7a4d53a7ef3"
+    RECTANGLE_SHA256 = "32a4f86b2c8cb126d05afb2fa0906901dea9e99d33090f50ac301082d876a3b1"
+
+    def test_model_and_recalled_bitmap_are_byte_identical(self, capsys, tmp_path):
+        model, red, rectangle = tmp_path / "demo.cbrn", tmp_path / "red.pbm", tmp_path / "rectangle.pbm"
+        assert run(capsys, "encode", "--label", "red", "--out", red)[0] == 0
+        assert run(capsys, "train", "--out", model)[0] == 0
+        pairs = ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")
+        code, stdout, _ = run(capsys, "pair", "--model", model, *(f"--pair={p}" for p in pairs))
+        assert code == 0 and stdout.endswith("6 directed links -> " + str(model) + "\n")
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.MODEL_SHA256
+        argv = ("associate", "--model", model, "--from", "color", "--pattern", red, "--to", "style")
+        assert run(capsys, *argv, "--out", rectangle)[0] == 0
+        assert hashlib.sha256(rectangle.read_bytes()).hexdigest() == self.RECTANGLE_SHA256

@@ -17,7 +17,6 @@ from cbrn.errors import (
 from cbrn.memory import (
     MemorySystem,
     SystemConfig,
-    cross_error,
     cue_error,
     recall_error,
 )
@@ -69,7 +68,7 @@ class TestRecallPath:
 
     def test_row_is_returned_as_given(self):
         system = small_system()
-        system.banks["A"].w[0] = [0.6, 0.8]
+        system.balls["A"].w[0] = [0.6, 0.8]
         np.testing.assert_array_equal(system.recall_forward("A", 0), [0.6, 0.8])
 
     def test_learning_report(self):
@@ -95,7 +94,7 @@ class TestRecallPath:
     def test_neighbor_rows_do_not_leak(self):
         system = small_system()
         system.learn_recall_weights("A", 0, [0.6, 0.8])
-        system.banks["A"].w[1] = [9.0, 9.0]  # perturb another neuron
+        system.balls["A"].w[1] = [9.0, 9.0]  # perturb another neuron
         np.testing.assert_array_equal(system.recall_forward("A", 0), [0.6, 0.8])
 
     def test_index_and_dim_validation(self):
@@ -233,8 +232,8 @@ class TestCrossPath:
     def test_pair_training_reaches_theta_both_ways(self):
         system = small_system()
         forward, backward = system.learn_cross_weights("A", 0, "B", 2)
-        assert system.links[("A", 0, "B", 2)] == 100.0
-        assert system.links[("B", 2, "A", 0)] == 100.0
+        assert system.links["A", "B"][0, 2] == 100.0
+        assert system.links["B", "A"][2, 0] == 100.0
         assert forward.errors == (5000.0,) and forward.final_error == 0.0
         assert backward.errors == (5000.0,)
 
@@ -316,7 +315,6 @@ class TestErrors:
 
     def test_seven_silent_neurons(self):
         assert cue_error(100.0, np.zeros(7)) == 35_000.0
-        assert cross_error(100.0, np.zeros(7)) == 35_000.0
 
     def test_recall_error_shape_check(self):
         with pytest.raises(DimensionMismatch):

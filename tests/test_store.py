@@ -33,9 +33,11 @@ class TestRoundTrip:
         loaded = store.loads(store.dumps(system))
         for ball_id, ball in system.balls.items():
             np.testing.assert_array_equal(loaded.balls[ball_id].v, ball.v)
-            np.testing.assert_array_equal(loaded.banks[ball_id].w, system.banks[ball_id].w)
+            np.testing.assert_array_equal(loaded.balls[ball_id].w, ball.w)
             assert loaded.balls[ball_id].labels == ball.labels
-        assert loaded.links == system.links
+        assert loaded.links.keys() == system.links.keys()
+        for pair, weights in system.links.items():
+            np.testing.assert_array_equal(loaded.links[pair], weights)
         assert loaded.config == system.config
 
     def test_resave_is_byte_identical(self, tmp_path):
@@ -52,11 +54,23 @@ class TestRoundTrip:
     def test_awkward_floats_survive(self):
         system = MemorySystem(SystemConfig(dim=4))
         system.add_ball("A", ["x"])
-        system.banks["A"].w[0] = [1 / 3, 1e-300, -0.0, 2.2250738585072014e-308]
+        system.balls["A"].w[0] = [1 / 3, 1e-300, -0.0, 2.2250738585072014e-308]
         system.balls["A"].v[0] = [np.pi, -np.e, 1e300, 5e-324]
         loaded = store.loads(store.dumps(system))
-        np.testing.assert_array_equal(loaded.banks["A"].w, system.banks["A"].w)
+        np.testing.assert_array_equal(loaded.balls["A"].w, system.balls["A"].w)
         np.testing.assert_array_equal(loaded.balls["A"].v, system.balls["A"].v)
+
+    def test_link_trained_to_zero_is_not_saved(self):
+        # lambda_cb 2 over two epochs steps 0 -> 200 -> 0
+        system = MemorySystem(SystemConfig(dim=2, lambda_cb=2.0, epochs=2))
+        system.add_ball("A", ["a"])
+        system.add_ball("B", ["b"])
+        forward, _ = system.learn_cross_weights("A", 0, "B", 0)
+        assert forward.errors == (5000.0, 5000.0) and forward.final_error == 5000.0
+        assert system.links["A", "B"][0, 0] == 0.0 and not system.trained_links()
+        text = store.dumps(system)
+        assert "link " not in text
+        assert store.dumps(store.loads(text)) == text
 
     def test_labels_with_spaces(self):
         system = MemorySystem(SystemConfig(dim=2))
@@ -152,6 +166,23 @@ class TestRejects:
         lines = text.splitlines()
         lines.insert(-1, "link A 0 Zebra 0 100.0")
         with pytest.raises(ModelFormatError, match="unknown ball"):
+            store.loads("\n".join(lines) + "\n")
+
+    def test_duplicate_link_rejected(self):
+        text = store.dumps(toy())
+        lines = text.splitlines()
+        record = next(l for l in lines if l.startswith("link "))
+        lines.insert(-1, record)
+        with pytest.raises(ModelFormatError, match="duplicate link"):
+            store.loads("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("weight", ["0.0", "-0.0", "0"])
+    def test_zero_link_weight_rejected(self, weight):
+        # a zero weight is no link, and dumps never writes one
+        text = store.dumps(toy())
+        lines = text.splitlines()
+        lines.insert(-1, f"link A 0 B 1 {weight}")
+        with pytest.raises(ModelFormatError, match="zero link weight"):
             store.loads("\n".join(lines) + "\n")
 
     def test_intra_ball_link_rejected(self):
