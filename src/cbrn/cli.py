@@ -49,8 +49,12 @@ _USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnknownBall, NeuronIndexE
 
 def read_config_file(path) -> dict[str, str]:
     """Parse `key = value` lines; `#` comments and blank lines are ignored."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

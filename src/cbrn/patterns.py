@@ -241,7 +241,11 @@ def parse_catalog(text: str) -> AttributeCatalog:
 
 def load_catalog(path) -> AttributeCatalog:
     """Load an attribute catalog from a text file."""
-    return parse_catalog(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    return parse_catalog(text)
 
 
 def default_catalog() -> AttributeCatalog:

@@ -50,6 +50,16 @@ def write_pbm(path, bits):
     return path
 
 
+def assert_recall_fails_in_one_line(capsys, tmp_path, model):
+    """`recall` on a broken dim-4 model exits 3 with a one-line error; returns stderr."""
+    probe = write_pbm(tmp_path / "probe.pbm", np.array([[1, 0], [0, 0]], dtype=np.uint8))
+    code, _, stderr = run(capsys, "recall", "--model", model, "--ball", "A", "--pattern", probe)
+    assert code == 3
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+    return stderr
+
+
 class TestEncode:
     def test_writes_116_square(self, capsys, tmp_path):
         out = tmp_path / "red.pbm"
@@ -142,6 +152,21 @@ class TestTrain:
         code, _, _ = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--config", cfg)
         assert code == 2
 
+    def test_non_utf8_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_bytes(b"theta = 9\xff\n")
+        code, _, stderr = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--config", cfg)
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and "not UTF-8" in stderr
+
+    def test_non_utf8_catalog_is_runtime_error(self, capsys, tmp_path):
+        cat = tmp_path / "cat.txt"
+        cat.write_bytes(b"A:0:caf\xff\n")
+        code, _, stderr = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--catalog", cat)
+        assert code == 3
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and "not UTF-8" in stderr
+        assert not (tmp_path / "m.cbrn").exists()
+
 
 class TestPair:
     def test_pairs_links_and_reports(self, capsys, tmp_path):
@@ -178,6 +203,15 @@ class TestPair:
     def test_unknown_index_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
         assert run(capsys, "pair", "--model", model, "--pair", "A:9=B:1")[0] == 2
+
+    def test_in_place_save_replaces_the_whole_file(self, capsys, tmp_path):
+        model = toy_model(tmp_path)
+        code, stdout, _ = run(capsys, "pair", "--model", model, "--pair", "A:2=B:1")
+        assert code == 0 and stdout.endswith(f"4 directed links -> {model}\n")
+        system = store.load(model)
+        assert model.read_text() == store.dumps(system)
+        assert system.links["A", "B"][2, 1] != 0.0 and system.links["A", "B"][0, 3] != 0.0
+        assert [f.name for f in tmp_path.iterdir()] == [model.name]
 
     def test_out_leaves_original_untouched(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -299,11 +333,22 @@ class TestRecall:
         idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
         lines[idx] = change(lines[idx])
         path.write_text("\n".join(lines) + "\n")
-        probe = write_pbm(tmp_path / "probe.pbm", np.array([[1, 0], [0, 0]], dtype=np.uint8))
-        code, _, stderr = run(capsys, "recall", "--model", path, "--ball", "A", "--pattern", probe)
-        assert code == 3
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1
-        assert "Traceback" not in stderr
+        assert_recall_fails_in_one_line(capsys, tmp_path, path)
+
+    def test_swapped_link_records_are_one_line_runtime_error(self, capsys, tmp_path):
+        path = toy_model(tmp_path)
+        lines = path.read_text().splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("link "))
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        path.write_text("\n".join(lines) + "\n")
+        stderr = assert_recall_fails_in_one_line(capsys, tmp_path, path)
+        assert "out of order" in stderr
+
+    def test_non_utf8_model_is_one_line_runtime_error(self, capsys, tmp_path):
+        path = toy_model(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"label 0 a0", b"label 0 a\xff"))
+        stderr = assert_recall_fails_in_one_line(capsys, tmp_path, path)
+        assert "not UTF-8" in stderr
 
     def test_unknown_ball_is_usage_error(self, capsys, model_path, red_pbm):
         code, _, _ = run(capsys, "recall", "--model", model_path, "--ball", "flavor",

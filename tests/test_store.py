@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cbrn import store
 from cbrn.errors import (
+    CbrnError,
     DimensionMismatch,
     ModelFormatError,
     UnsupportedVersion,
@@ -27,17 +31,50 @@ def toy():
     return system
 
 
+def assert_same_bits(a, b):
+    """Equal bit for bit: unlike array equality, -0.0 differs from 0.0."""
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def reference_row(row) -> str:
+    """The row formatter without the distinct-value shortcut: one repr per value."""
+    return " ".join(repr(float(x)) for x in row)
+
+
+def dumped_rows(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line[:2] in ("w ", "v ")]
+
+
+def one_row_system(w_row, v_row) -> MemorySystem:
+    system = MemorySystem(SystemConfig(dim=len(w_row)))
+    system.add_ball("A", ["x"])
+    system.balls["A"].w[0] = w_row
+    system.balls["A"].v[0] = v_row
+    return system
+
+
+def assert_rows_round_trip(system: MemorySystem):
+    """Rows are printed as the reference formatter prints them and load back bit for bit."""
+    text = store.dumps(system)
+    ball = system.balls["A"]
+    assert dumped_rows(text) == [f"w 0 {reference_row(ball.w[0])}", f"v 0 {reference_row(ball.v[0])}"]
+    loaded = store.loads(text)
+    assert_same_bits(loaded.balls["A"].w, ball.w)
+    assert_same_bits(loaded.balls["A"].v, ball.v)
+    assert store.dumps(loaded) == text
+
+
 class TestRoundTrip:
     def test_weights_bit_exact(self):
         system = toy()
         loaded = store.loads(store.dumps(system))
         for ball_id, ball in system.balls.items():
-            np.testing.assert_array_equal(loaded.balls[ball_id].v, ball.v)
-            np.testing.assert_array_equal(loaded.balls[ball_id].w, ball.w)
+            assert_same_bits(loaded.balls[ball_id].v, ball.v)
+            assert_same_bits(loaded.balls[ball_id].w, ball.w)
             assert loaded.balls[ball_id].labels == ball.labels
         assert loaded.links.keys() == system.links.keys()
         for pair, weights in system.links.items():
-            np.testing.assert_array_equal(loaded.links[pair], weights)
+            assert_same_bits(loaded.links[pair], weights)
         assert loaded.config == system.config
 
     def test_resave_is_byte_identical(self, tmp_path):
@@ -52,13 +89,35 @@ class TestRoundTrip:
         assert store.dumps(toy()) == store.dumps(toy())
 
     def test_awkward_floats_survive(self):
-        system = MemorySystem(SystemConfig(dim=4))
-        system.add_ball("A", ["x"])
-        system.balls["A"].w[0] = [1 / 3, 1e-300, -0.0, 2.2250738585072014e-308]
-        system.balls["A"].v[0] = [np.pi, -np.e, 1e300, 5e-324]
-        loaded = store.loads(store.dumps(system))
-        np.testing.assert_array_equal(loaded.balls["A"].w, system.balls["A"].w)
-        np.testing.assert_array_equal(loaded.balls["A"].v, system.balls["A"].v)
+        assert_rows_round_trip(one_row_system(
+            [1 / 3, 1e-300, -0.0, 2.2250738585072014e-308],
+            [np.pi, -np.e, 1e300, 5e-324],
+        ))
+
+    def test_signed_zeros_and_repeats_keep_their_spelling(self):
+        # a formatter that merged values by equality would print -0.0 as 0.0
+        system = one_row_system(
+            [0.0, -0.0, 0.25, 0.0, -0.0, 0.25, 1 / 3, -0.0],
+            [-0.0, -0.0, -0.0, 0.0, 5e-324, -5e-324, 5e-324, 0.0],
+        )
+        assert_rows_round_trip(system)
+        assert dumped_rows(store.dumps(system))[0] == "w 0 0.0 -0.0 0.25 0.0 -0.0 0.25 0.3333333333333333 -0.0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_match_reference_formatter(self, data):
+        dim = data.draw(st.integers(1, 40))
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 1 / 3, 5e-324, -1e300]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        w, v = (data.draw(arrays(np.float64, dim, elements=values)) for _ in range(2))
+        assert_rows_round_trip(one_row_system(w, v))
+
+    def test_save_writes_what_dumps_returns(self, tmp_path):
+        system = toy()
+        store.save(system, tmp_path / "m.cbrn")
+        assert (tmp_path / "m.cbrn").read_bytes() == store.dumps(system).encode("utf-8")
 
     def test_link_trained_to_zero_is_not_saved(self):
         # lambda_cb 2 over two epochs steps 0 -> 200 -> 0
@@ -176,6 +235,22 @@ class TestRejects:
         with pytest.raises(ModelFormatError, match="duplicate link"):
             store.loads("\n".join(lines) + "\n")
 
+    def test_swapped_link_records_rejected(self):
+        # records out of canonical order would load and then re-save differently
+        text = store.dumps(toy())
+        lines = text.splitlines()
+        first = next(i for i, l in enumerate(lines) if l.startswith("link "))
+        assert lines[first + 1].startswith("link ")
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        with pytest.raises(ModelFormatError, match="out of order"):
+            store.loads("\n".join(lines) + "\n")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "m.cbrn"
+        path.write_bytes(store.dumps(toy()).replace("label 0 A-0", "label 0 A-\xff").encode("latin-1"))
+        with pytest.raises(ModelFormatError, match="not UTF-8"):
+            store.load(path)
+
     @pytest.mark.parametrize("weight", ["0.0", "-0.0", "0"])
     def test_zero_link_weight_rejected(self, weight):
         # a zero weight is no link, and dumps never writes one
@@ -208,3 +283,106 @@ class TestRejects:
         lines.insert(4, "")
         loaded = store.loads("\n".join(lines) + "\n")
         assert set(loaded.balls) == {"A", "B"}
+
+
+class TestSave:
+    @pytest.mark.parametrize("label", ["a#b", "a\nb", "a\rb", "a\u2028b", "a\n"])
+    def test_unsavable_label_leaves_existing_file_untouched(self, tmp_path, label):
+        path = tmp_path / "m.cbrn"
+        store.save(toy(), path)
+        before = path.read_bytes()
+        bad = MemorySystem(SystemConfig(dim=2))
+        bad.add_ball("A", [label])
+        with pytest.raises(ValueError, match="cannot contain"):
+            store.save(bad, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.cbrn"]
+
+    def test_failure_while_writing_leaves_existing_file_untouched(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.cbrn"
+        store.save(toy(), path)
+        before = path.read_bytes()
+        calls = []
+        real = store._fmt_row
+
+        def fail_on_third_row(row):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(row)
+
+        monkeypatch.setattr(store, "_fmt_row", fail_on_third_row)
+        with pytest.raises(OSError, match="disk full"):
+            store.save(toy(), path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.cbrn"]
+
+
+def fuzz_base() -> str:
+    """A small model with every kind of record: header, two balls, two links."""
+    system = MemorySystem(SystemConfig(dim=2))
+    system.add_ball("A", ["a"])
+    system.add_ball("B", ["b", "c"])
+    system.store("A", 0, [0.6, 0.8])
+    system.store("B", 0, [1.0, 0.0])
+    system.store("B", 1, [0.0, 1.0])
+    system.learn_cross_weights("A", 0, "B", 1)
+    return store.dumps(system)
+
+
+EDIT_TOKENS = ["-1", "0", "1", "2", "3", "9" * 30, "0.0", "-0.0", "1e999", "nan", "1_0", "A", "B", "x",
+               "ball", "link", "end", "#", ""]
+
+
+def assert_loads_or_raises_cbrn_error(lines: list[str]) -> None:
+    try:
+        system = store.loads("\n".join(lines) + "\n")
+    except CbrnError:
+        return
+    # whatever loads is a valid system: it saves and loads back to the same text
+    saved = store.dumps(system)
+    assert store.dumps(store.loads(saved)) == saved
+
+
+class TestFuzz:
+    def test_every_single_token_edit(self):
+        lines = fuzz_base().splitlines()
+        for i, line in enumerate(lines):
+            tokens = line.split(" ")
+            for t in range(len(tokens)):
+                for new in EDIT_TOKENS:
+                    edited = " ".join(tokens[:t] + [new] + tokens[t + 1 :])
+                    assert_loads_or_raises_cbrn_error(lines[:i] + [edited] + lines[i + 1 :])
+
+    def test_every_dropped_repeated_or_swapped_line(self):
+        lines = fuzz_base().splitlines()
+        for i in range(len(lines)):
+            assert_loads_or_raises_cbrn_error(lines[:i] + lines[i + 1 :])
+            assert_loads_or_raises_cbrn_error(lines[: i + 1] + lines[i:])
+            for j in range(i + 1, len(lines)):
+                swapped = list(lines)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                assert_loads_or_raises_cbrn_error(swapped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_model_loads_or_raises_cbrn_error(self, data):
+        lines = fuzz_base().splitlines()
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            op = data.draw(st.sampled_from(["token", "drop", "repeat", "swap", "cut"]))
+            if op == "token":
+                tokens = lines[i].split(" ")
+                new = data.draw(st.sampled_from(EDIT_TOKENS) | st.text(max_size=6))
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = new
+                lines[i] = " ".join(tokens)
+            elif op == "drop" and len(lines) > 1:
+                del lines[i]
+            elif op == "repeat":
+                lines.insert(i, lines[i])
+            elif op == "swap":
+                j = data.draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif op == "cut":
+                lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+        assert_loads_or_raises_cbrn_error(lines)
