@@ -136,6 +136,20 @@ def _parse_pair(text: str) -> tuple[tuple[str, int], tuple[str, int]]:
     return _parse_ref(left, "pair"), _parse_ref(right, "pair")
 
 
+def _output_format(opts: Options) -> str:
+    fmt = opts.get("format", "table")
+    if fmt not in ("table", "csv"):
+        raise UsageError(f"unknown format {fmt!r}")
+    return fmt
+
+
+def _threshold_override(opts: Options) -> float | None:
+    threshold = opts.get("threshold", None, float)
+    if threshold is not None and not threshold > 0:  # also refuses nan
+        raise UsageError(f"threshold must be positive, got {threshold}")
+    return threshold
+
+
 def _load_probe(system: MemorySystem, path):
     pattern = load_pbm(path)
     if pattern.dim != system.config.dim:
@@ -244,17 +258,14 @@ def cmd_pair(args) -> int:
 
 def cmd_recall(args) -> int:
     opts = Options(args)
+    fmt, threshold = _output_format(opts), _threshold_override(opts)
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
     probe = _load_probe(system, args.pattern)
-    threshold = opts.get("threshold", None, float)
     response = system.cue_response(ball_id, probe, threshold)
 
-    fmt = opts.get("format", "table")
     if fmt == "csv":
         print("ball,neuron,label,q,fired")
-    elif fmt != "table":
-        raise UsageError(f"unknown format {fmt!r}")
     title = f"ball {ball_id}, threshold {response.threshold}"
     _print_q(system.balls[ball_id], response, fmt, f"{ball_id},", title)
     if fmt == "table":
@@ -272,14 +283,13 @@ def cmd_recall(args) -> int:
 
 def cmd_associate(args) -> int:
     opts = Options(args)
+    fmt, threshold = _output_format(opts), _threshold_override(opts)
     system = store.load(args.model)
     from_ball = system.resolve_ball(args.from_ball)
     to_ball = system.resolve_ball(args.to_ball)
     probe = _load_probe(system, args.pattern)
-    threshold = opts.get("threshold", None, float)
     result = system.associate(from_ball, probe, to_ball, threshold)
 
-    fmt = opts.get("format", "table")
     to_label = system.balls[to_ball].labels[result.target_neuron]
     if fmt == "csv":
         print("from_ball,from_neuron,to_ball,to_neuron,to_label,q")
@@ -287,13 +297,11 @@ def cmd_associate(args) -> int:
             f"{from_ball},{result.source_neuron},{to_ball},{result.target_neuron},"
             f"{to_label},{float(result.q)!r}"
         )
-    elif fmt == "table":
+    else:
         print(
             f"{from_ball}:{result.source_neuron} -> {to_ball}:{result.target_neuron}"
             f" ({to_label}), q = {result.q:.6f}"
         )
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
 
     if args.out:
         _write_recalled(system, result.recalled, args.out)
@@ -337,11 +345,8 @@ def _report_probes(system: MemorySystem, probe_specs) -> list[tuple[str, int]]:
 
 
 def cmd_report(args) -> int:
-    opts = Options(args)
+    fmt = _output_format(Options(args))
     system = store.load(args.model)
-    fmt = opts.get("format", "table")
-    if fmt not in ("table", "csv"):
-        raise UsageError(f"unknown format {fmt!r}")
 
     if args.figure == 3:
         probes = _report_probes(system, args.probe)

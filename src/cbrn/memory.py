@@ -254,11 +254,7 @@ class MemorySystem:
     def cue_response(self, ball_id: str, probe, threshold: float | None = None) -> CueResponse:
         """Pre-threshold outputs of every neuron in a ball for a probe vector."""
         ball = self.ball(ball_id)
-        p = self._check_vector(probe)
-        thr = self.config.threshold if threshold is None else float(threshold)
-        q = ball.v @ p
-        fired = tuple(int(i) for i in np.flatnonzero(q >= thr))
-        return CueResponse(q=q, fired=fired, argmax=int(np.argmax(q)), threshold=thr)
+        return self._response(ball.v @ self._check_vector(probe), threshold)
 
     def learn_cue_weights(self, ball_id: str, neuron: int, y=None) -> UpdateReport:
         """Delta-rule update of a neuron's cue row toward output theta.
@@ -285,8 +281,13 @@ class MemorySystem:
         if src.id == dst.id:
             raise IntraBallLink("cue neurons within one ball are not connected")
         self._check_neuron(src, from_neuron)
+        return self._response(self.links[src.id, dst.id][from_neuron].copy(), threshold)
+
+    def _response(self, q: np.ndarray, threshold: float | None) -> CueResponse:
+        """Outputs `q` thresholded at `threshold`, or at the configured one if None."""
         thr = self.config.threshold if threshold is None else float(threshold)
-        q = self.links[src.id, dst.id][from_neuron].copy()
+        if not thr > 0:  # also false for nan
+            raise ValueError(f"threshold must be positive, got {thr}")
         fired = tuple(int(i) for i in np.flatnonzero(q >= thr))
         return CueResponse(q=q, fired=fired, argmax=int(np.argmax(q)), threshold=thr)
 

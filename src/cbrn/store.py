@@ -2,10 +2,12 @@
 
 The format is line-oriented and self-describing: configuration, labels,
 weight rows, and cross links all travel together.  Floats are printed in
-shortest round-trip decimal form and sections appear in a fixed order, so
-the same system always serializes to identical bytes and a load followed by
-a save reproduces the file exactly.  See docs/model-format.md for the
-grammar.
+shortest round-trip decimal form and records appear in one fixed order, so
+the same system always serializes to identical bytes.  `loads` reads the
+records in one forward pass and accepts them only in the order `dumps`
+writes them, so a re-save of any file that loads reproduces every record in
+order; only comments, blank lines, spacing and number spellings are
+normalised.  See docs/model-format.md for the grammar.
 
 A weight row holds few distinct values (a one-shot-stored row holds two), so
 both directions work per distinct value: a row is printed with one `repr`
@@ -31,9 +33,6 @@ from .errors import (
 from .memory import MemorySystem, SystemConfig
 
 MAGIC = "CBRN1"
-
-_CONFIG_KEYS = ("dim", "theta", "threshold", "eps_w", "eps_v", "lambda_cb", "epochs", "normalized")
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -63,9 +62,10 @@ def _lines(system: MemorySystem):
     """
     for ball in system.balls.values():
         for label in ball.labels:
-            # any break `str.splitlines` splits at ("\r", "\x85", ...) would split the record
-            if "#" in label or "".join(label.splitlines()) != label:
-                raise ValueError(f"label {label!r} cannot contain '#' or line breaks")
+            # any break `str.splitlines` splits at ("\r", "\x85", ...) would split the
+            # record, and a load strips whitespace off the end of each line
+            if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip():
+                raise ValueError(f"label {label!r} cannot contain '#' or line breaks or end in whitespace")
     cfg = system.config
     yield (
         f"{MAGIC}\n"
@@ -124,175 +124,173 @@ class _FloatMemo(dict):
         return value
 
 
-def _parse_row(
-    rest: str, dim: int, n: int, what: str, lineno: int, floats: _FloatMemo
-) -> tuple[int, np.ndarray]:
+def _records(lines: list[str]):
+    """(line number, first word, rest) of each record after the magic line.
+
+    A record is a line with its `#` comment cut off and its ends stripped;
+    comment and blank lines are no record.
+    """
+    for lineno, raw in enumerate(lines[1:], start=2):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            word, _, rest = body.partition(" ")
+            yield lineno, word, rest
+
+
+_EOF = (0, "", "")  # what `next(records, _EOF)` returns past the last record
+
+
+def _misplaced(lineno: int, expected: str, found: str) -> ModelFormatError:
+    if not lineno:
+        return ModelFormatError(f"truncated file: expected {expected}")
+    return ModelFormatError(f"line {lineno}: expected {expected}, got {found!r}")
+
+
+def _take(records, word: str, index: int | None = None) -> tuple[int, str]:
+    """The next record, which must be a `word` record (row `index` of its
+    block, if given): its line number and the text after the word."""
+    lineno, found, rest = next(records, _EOF)
+    if found != word:
+        raise _misplaced(lineno, repr(word if index is None else f"{word} {index}"), found)
+    return lineno, rest
+
+
+def _check_index(number: str, index: int, word: str, lineno: int) -> None:
+    if _parse_int(number, lineno, f"{word} index") != index:
+        raise _misplaced(lineno, f"'{word} {index}'", f"{word} {number}")
+
+
+def _take_row(records, word: str, index: int, dim: int, floats: _FloatMemo) -> np.ndarray:
+    """The next record, which must be row `index` of a ball's `w` or `v` block."""
+    lineno, rest = _take(records, word, index)
     parts = rest.split(None, 1)
-    if not parts:
-        raise ModelFormatError(f"line {lineno}: {what} row needs an index")
-    idx = _parse_int(parts[0], lineno, f"{what} row index")
-    if not 0 <= idx < n:
-        raise ModelFormatError(f"line {lineno}: {what} row index {idx} out of range")
+    _check_index(parts[0] if parts else "", index, word, lineno)
     values = parts[1].split() if len(parts) > 1 else []
     if len(values) != dim:
-        raise DimensionMismatch(
-            f"line {lineno}: {what} row has {len(values)} values, header dim is {dim}"
-        )
+        raise DimensionMismatch(f"line {lineno}: {word} row has {len(values)} values, header dim is {dim}")
     try:
         row = np.fromiter(map(floats.__getitem__, values), np.float64, dim)
     except ValueError:
-        raise ModelFormatError(f"line {lineno}: malformed float in {what} row") from None
+        raise ModelFormatError(f"line {lineno}: malformed float in {word} row") from None
     if not np.isfinite(row).all():
-        raise ModelFormatError(f"line {lineno}: non-finite value in {what} row")
-    return idx, row
-
-
-def _rows(section, what: str, dim: int, n: int, floats: _FloatMemo):
-    """Parse the (index, row) pairs of a ball's w or v rows, one line at a time."""
-    for lineno, body in section:
-        kind, _, tail = body.partition(" ")
-        if kind != what:
-            raise ModelFormatError(f"line {lineno}: expected {what} row, got {kind!r}")
-        yield _parse_row(tail, dim, n, what, lineno, floats)
-
-
-def _where(lineno: int) -> str:
-    return f"line {lineno}: " if lineno else ""
+        raise ModelFormatError(f"line {lineno}: non-finite value in {word} row")
+    return row
 
 
 def _parse_int(text: str, lineno: int, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ModelFormatError(f"{_where(lineno)}{what} {text!r} is not an integer") from None
+        raise ModelFormatError(f"line {lineno}: {what} {text!r} is not an integer") from None
 
 
 def _parse_float(text: str, lineno: int, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ModelFormatError(f"{_where(lineno)}{what} {text!r} is not a number") from None
+        raise ModelFormatError(f"line {lineno}: {what} {text!r} is not a number") from None
     if not math.isfinite(value):
-        raise ModelFormatError(f"{_where(lineno)}{what} {text!r} is not finite")
+        raise ModelFormatError(f"line {lineno}: {what} {text!r} is not finite")
     return value
 
 
+def _parse_bool(text: str, lineno: int, what: str) -> bool:
+    if text not in ("true", "false"):
+        raise ModelFormatError(f"line {lineno}: {what} must be true or false, got {text!r}")
+    return text == "true"
+
+
+# header keys in file order, each with the parser of its value
+_HEADER = (("dim", _parse_int), ("theta", _parse_float), ("threshold", _parse_float), ("eps_w", _parse_float),
+           ("eps_v", _parse_float), ("lambda_cb", _parse_float), ("epochs", _parse_int), ("normalized", _parse_bool))
+
+
+def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _FloatMemo) -> None:
+    """Read the section a `ball <id> <n>` record opens: n labels, n w rows, n v rows."""
+    parts = rest.split()
+    if len(parts) != 2:
+        raise ModelFormatError(f"line {lineno}: ball needs 'ball <id> <n>'")
+    ball_id, n = parts[0], _parse_int(parts[1], lineno, "ball size")
+    if n < 1:
+        raise ModelFormatError(f"line {lineno}: ball size must be positive")
+    if ball_id in system.balls:
+        raise ModelFormatError(f"line {lineno}: duplicate ball section {ball_id!r}")
+    labels = []
+    for i in range(n):
+        lineno, rest = _take(records, "label", i)
+        number, _, label = rest.partition(" ")
+        _check_index(number, i, "label", lineno)
+        labels.append(label)
+    dim = system.config.dim
+    # the first row is checked against the header dim before (n, dim) arrays exist
+    first = _take_row(records, "w", 0, dim, floats)
+    ball = system.add_ball(ball_id, labels)
+    ball.w[0] = first
+    for i in range(1, n):
+        ball.w[i] = _take_row(records, "w", i, dim, floats)
+    for i in range(n):
+        ball.v[i] = _take_row(records, "v", i, dim, floats)
+
+
 def loads(text: str) -> MemorySystem:
-    """Parse CBRN1 text into a system."""
+    """Parse CBRN1 text into a system.
+
+    One forward pass takes the records in the order `_lines` writes them:
+    the magic, the header keys, each ball's section, the links, `end`.  A
+    record out of place is an error that names the record expected there.
+    """
     lines = text.splitlines()
     if not lines or lines[0].split("#", 1)[0].strip() != MAGIC:
         found = lines[0].strip() if lines else "<empty>"
         raise UnsupportedVersion(f"bad magic {found!r}, expected {MAGIC}")
-
-    header: dict[str, str] = {}
-    meaningful = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            meaningful.append((lineno, body))
-
-    for lineno, body in meaningful[: len(_CONFIG_KEYS)]:
-        key, _, value = body.partition(" ")
-        if key not in _CONFIG_KEYS:
-            raise ModelFormatError(f"line {lineno}: expected a config key, got {key!r}")
-        header[key] = value.strip()
-    missing = [k for k in _CONFIG_KEYS if k not in header]
-    if missing:
-        raise ModelFormatError(f"truncated header: missing {missing[0]!r}")
-
-    if header["normalized"] not in ("true", "false"):
-        raise ModelFormatError(f"normalized must be true or false, got {header['normalized']!r}")
+    records = _records(lines)
+    settings = {}
+    for key, parse in _HEADER:
+        lineno, value = _take(records, key)
+        settings[key] = parse(value.strip(), lineno, key)
     try:
-        config = SystemConfig(
-            dim=_parse_int(header["dim"], 0, "dim"),
-            theta=_parse_float(header["theta"], 0, "theta"),
-            threshold=_parse_float(header["threshold"], 0, "threshold"),
-            eps_w=_parse_float(header["eps_w"], 0, "eps_w"),
-            eps_v=_parse_float(header["eps_v"], 0, "eps_v"),
-            lambda_cb=_parse_float(header["lambda_cb"], 0, "lambda_cb"),
-            epochs=_parse_int(header["epochs"], 0, "epochs"),
-            normalized=header["normalized"] == "true",
-        )
+        system = MemorySystem(SystemConfig(**settings))
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent header: {exc}") from None
-    system = MemorySystem(config)
 
-    # ball sections: "ball <id> <n>", then n labels, n w rows, n v rows
-    rest = meaningful[len(_CONFIG_KEYS):]
     floats = _FloatMemo()
+    lineno, word, rest = next(records, _EOF)
+    while word == "ball":
+        _load_ball(system, records, lineno, rest, floats)
+        lineno, word, rest = next(records, _EOF)
     last_link: tuple = ()
-    i = 0
-    ended = False
-    while i < len(rest):
-        lineno, body = rest[i]
-        op, _, tail = body.partition(" ")
-        if op == "end":
-            ended = True
-            if rest[i + 1 :]:
-                raise ModelFormatError(f"line {lineno}: content after end marker")
-            break
-        if op == "link":
-            parts = tail.split()
-            if len(parts) != 5:
-                raise ModelFormatError(f"line {lineno}: link needs 'a k b l u'")
-            a, k, b, l = parts[0], _parse_int(parts[1], lineno, "k"), parts[2], _parse_int(parts[3], lineno, "l")
-            u = _parse_float(parts[4], lineno, "link weight")
-            for bid in (a, b):
-                if bid not in system.balls:
-                    raise ModelFormatError(f"line {lineno}: link references unknown ball {bid!r}")
-            if a == b:
-                raise ModelFormatError(f"line {lineno}: link stays within ball {a!r}")
-            for bid, idx in ((a, k), (b, l)):
-                if not 0 <= idx < system.balls[bid].n:
-                    raise ModelFormatError(f"line {lineno}: link index {idx} out of range for {bid!r}")
-            if u == 0.0:
-                raise ModelFormatError(f"line {lineno}: zero link weight; a zero weight is no link")
-            # strictly increasing keys: the canonical order, and no key twice
-            if (a, k, b, l) <= last_link:
-                raise ModelFormatError(
-                    f"line {lineno}: duplicate link or link out of order: {a} {k} {b} {l};"
-                    " links must be strictly sorted by (from-ball, k, to-ball, l)"
-                )
-            last_link = (a, k, b, l)
-            system.links[a, b][k, l] = u
-            i += 1
-            continue
-        if op != "ball":
-            raise ModelFormatError(f"line {lineno}: expected ball, link or end, got {op!r}")
-        parts = tail.split()
-        if len(parts) != 2:
-            raise ModelFormatError(f"line {lineno}: ball needs 'ball <id> <n>'")
-        ball_id = parts[0]
-        n = _parse_int(parts[1], lineno, "ball size")
-        if n < 1:
-            raise ModelFormatError(f"line {lineno}: ball size must be positive")
-        section = rest[i + 1 : i + 1 + 3 * n]
-        if len(section) < 3 * n:
-            raise ModelFormatError(f"ball {ball_id!r}: truncated section")
-        labels = [None] * n
-        for lno, lbody in section[:n]:
-            kind, _, ltail = lbody.partition(" ")
-            if kind != "label":
-                raise ModelFormatError(f"line {lno}: expected label row, got {kind!r}")
-            idx_text, _, label_text = ltail.partition(" ")
-            idx = _parse_int(idx_text, lno, "label index")
-            if not 0 <= idx < n or labels[idx] is not None:
-                raise ModelFormatError(f"line {lno}: bad or repeated label index {idx}")
-            labels[idx] = label_text
-        if ball_id in system.balls:
-            raise ModelFormatError(f"duplicate ball section {ball_id!r}")
-        w_rows = _rows(section[n : 2 * n], "w", config.dim, n, floats)
-        # the first row is checked against the header dim before (n, dim) arrays exist
-        idx, row = next(w_rows)
-        ball = system.add_ball(ball_id, labels)
-        ball.w[idx] = row
-        for idx, row in w_rows:
-            ball.w[idx] = row
-        for idx, row in _rows(section[2 * n : 3 * n], "v", config.dim, n, floats):
-            ball.v[idx] = row
-        i += 1 + 3 * n
-    if not ended:
-        raise ModelFormatError("truncated file: missing end marker")
+    while word == "link":
+        parts = rest.split()
+        if len(parts) != 5:
+            raise ModelFormatError(f"line {lineno}: link needs 'a k b l u'")
+        a, k, b, l = parts[0], _parse_int(parts[1], lineno, "k"), parts[2], _parse_int(parts[3], lineno, "l")
+        u = _parse_float(parts[4], lineno, "link weight")
+        for bid in (a, b):
+            if bid not in system.balls:
+                raise ModelFormatError(f"line {lineno}: link references unknown ball {bid!r}")
+        if a == b:
+            raise ModelFormatError(f"line {lineno}: link stays within ball {a!r}")
+        for bid, idx in ((a, k), (b, l)):
+            if not 0 <= idx < system.balls[bid].n:
+                raise ModelFormatError(f"line {lineno}: link index {idx} out of range for {bid!r}")
+        if u == 0.0:
+            raise ModelFormatError(f"line {lineno}: zero link weight; a zero weight is no link")
+        # strictly increasing keys: the canonical order, and no key twice
+        if (a, k, b, l) <= last_link:
+            raise ModelFormatError(
+                f"line {lineno}: duplicate link or link out of order: {a} {k} {b} {l};"
+                " links must be strictly sorted by (from-ball, k, to-ball, l)"
+            )
+        last_link = (a, k, b, l)
+        system.links[a, b][k, l] = u
+        lineno, word, rest = next(records, _EOF)
+    if word != "end":
+        raise _misplaced(lineno, "'link' or 'end'" if last_link else "'ball', 'link' or 'end'", word)
+    if rest:
+        raise ModelFormatError(f"line {lineno}: end marker takes no arguments")
+    extra = next(records, None)
+    if extra:
+        raise ModelFormatError(f"line {extra[0]}: content after end marker")
     return system
 
 

@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrn import patterns, qr, store
-from cbrn.cli import main
+from cbrn.cli import UsageError, main, read_config_file
 from cbrn.memory import MemorySystem, SystemConfig
 from conftest import pair_classic, train_full_system
 
@@ -466,6 +468,54 @@ class TestReport:
 
     def test_bad_figure_is_usage_error(self, capsys, model_path):
         assert main(["report", "--model", str(model_path), "--figure", "5"]) == 2
+
+
+CONFIG_PIECES = [b"theta", b"format", b"=", b" ", b"\t", b"\n", b"\r", b"#", b"-", b"x", b"\xff", b"\xe2\x80\xa8"]
+
+
+class TestConfigFile:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(CONFIG_PIECES), max_size=30).map(b"".join), st.binary(max_size=60)))
+    def test_any_config_file_reads_or_raises_usage_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("conf") / "opts.conf"
+        path.write_bytes(data)
+        try:
+            values = read_config_file(path)
+        except UsageError:
+            return
+        assert all(isinstance(k, str) and isinstance(v, str) for k, v in values.items())
+
+
+QUERIES = {
+    "recall": ("recall", "--ball", "color"),
+    "associate": ("associate", "--from", "color", "--to", "volume"),
+}
+
+
+class TestQueryOptions:
+    @pytest.mark.parametrize("threshold", ["0", "-5", "nan"])
+    @pytest.mark.parametrize("command", sorted(QUERIES))
+    def test_threshold_not_above_zero_is_usage_error(self, capsys, model_path, red_pbm, command, threshold):
+        # at 0, Color:0 -> Volume:0 used to "associate" over an untrained link with q = 0
+        code, stdout, stderr = run(capsys, *QUERIES[command], "--model", model_path, "--pattern", red_pbm,
+                                   f"--threshold={threshold}")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: threshold must be positive") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(QUERIES))
+    def test_threshold_nan_from_environment_is_usage_error(self, capsys, model_path, red_pbm, command,
+                                                           monkeypatch):
+        monkeypatch.setenv("CBRN_THRESHOLD", "nan")
+        code, _, stderr = run(capsys, *QUERIES[command], "--model", model_path, "--pattern", red_pbm)
+        assert code == 2 and "threshold must be positive" in stderr
+
+    @pytest.mark.parametrize("command", ["recall", "associate", "report"])
+    def test_unknown_format_from_environment_is_usage_error(self, capsys, model_path, red_pbm, command,
+                                                            monkeypatch):
+        monkeypatch.setenv("CBRN_FORMAT", "xml")
+        argv = ("report", "--figure", "3") if command == "report" else (*QUERIES[command], "--pattern", red_pbm)
+        code, stdout, stderr = run(capsys, *argv, "--model", model_path)
+        assert (code, stdout, stderr) == (2, "", "error: unknown format 'xml'\n")
 
 
 class TestDemoSessionGolden:

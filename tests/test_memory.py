@@ -166,6 +166,16 @@ class TestCuePath:
         assert system.cue_response("A", probe).fired == ()
         assert system.cue_response("A", probe, threshold=10.0).fired == (0,)
 
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan])
+    def test_threshold_override_must_be_positive(self, threshold):
+        # at a threshold <= 0 an untrained link (q = 0) would fire
+        system = small_system()
+        system.store("A", 0, [1.0, 0.0])
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            system.cue_response("A", [1.0, 0.0], threshold=threshold)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            system.associate("A", [1.0, 0.0], "B", threshold=threshold)
+
     def test_argmax_tie_breaks_low(self):
         system = small_system()
         system.store("A", 0, [1.0, 0.0])

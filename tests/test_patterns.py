@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from cbrn import patterns, qr
 from cbrn.errors import (
     CatalogError,
+    CbrnError,
     DegeneratePattern,
     DimensionMismatch,
     DuplicateEntry,
@@ -177,3 +178,43 @@ class TestCatalog:
         catalog = patterns.load_catalog(path)
         assert [g.name for g in catalog] == ["A", "B"]
         assert catalog.group("A").labels == ("one", "two")
+
+
+def joined(pieces: list[str], *, first=st.just("")):
+    """Texts made of `pieces` in any order and number, after an optional `first` piece."""
+    return st.tuples(first, st.lists(st.sampled_from(pieces), max_size=40)).map(
+        lambda drawn: drawn[0] + "".join(drawn[1])
+    )
+
+
+PBM_PIECES = ["P1", "P4", "0", "1", "2", "3", "-1", "01", "9" * 5000, "x", "#", " ", "\t", "\n", "\r", "\x85",
+              "\xff"]
+CATALOG_PIECES = ["A", "B", "Cue Ball", ":", "0", "1", "2", "-1", "+1", "1_0", "\u0661", "red", " ", "\t", "\n",
+                  "\r", "\u2028", "#"]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(joined(PBM_PIECES, first=st.sampled_from(["P1\n", "P1 2 2\n", ""])).map(
+            lambda text: text.encode("latin-1")), st.binary(max_size=60)),
+        st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    )
+    def test_any_pbm_loads_or_raises_cbrn_error(self, tmp_path_factory, data, expect):
+        path = tmp_path_factory.mktemp("pbm") / "p.pbm"
+        path.write_bytes(data)
+        try:
+            pattern = patterns.load_pbm(path, expect)
+        except CbrnError:
+            return
+        assert pattern.bits.ndim == 2 and set(np.unique(pattern.bits)) <= {0, 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(joined(CATALOG_PIECES), st.text(max_size=40)))
+    def test_any_catalog_parses_or_raises_cbrn_error(self, text):
+        try:
+            catalog = patterns.parse_catalog(text)
+        except CbrnError:
+            return
+        for group in catalog:
+            assert group.labels and len(set(group.labels)) == len(group.labels)

@@ -167,6 +167,24 @@ class TestDemoFileShape:
         assert (result.source_neuron, result.target_neuron) == (0, 3)
 
 
+def first_index(lines: list[str], prefix: str) -> int:
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+def swap_lines(lines: list[str], first: str, second: str) -> None:
+    i, j = first_index(lines, first), first_index(lines, second)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def repeat_w0_for_w1(lines: list[str]) -> None:
+    lines[first_index(lines, "w 1 ")] = lines[first_index(lines, "w 0 ")]
+
+
+def ball_after_link(lines: list[str]) -> None:
+    zeros = " ".join(["0.0"] * 6)
+    lines[-1:-1] = ["ball C 1", "label 0 c", f"w 0 {zeros}", f"v 0 {zeros}"]
+
+
 class TestRejects:
     def test_bad_magic(self):
         with pytest.raises(UnsupportedVersion):
@@ -276,6 +294,25 @@ class TestRejects:
         with pytest.raises(ModelFormatError, match="header"):
             store.loads(text)  # theta must exceed the threshold
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: swap_lines(lines, "theta ", "threshold "), "line 3: expected 'theta', got 'threshold'"),
+        (repeat_w0_for_w1, "line 15: expected 'w 1', got 'w 0'"),
+        (lambda lines: swap_lines(lines, "w 0 ", "w 1 "), "line 14: expected 'w 0', got 'w 1'"),
+        (lambda lines: swap_lines(lines, "label 0 ", "label 1 "), "line 11: expected 'label 0', got 'label 1'"),
+        (ball_after_link, "line 29: expected 'link' or 'end', got 'ball'"),
+    ], ids=["swapped header keys", "w 0 repeated, w 1 missing", "swapped w rows", "swapped labels",
+            "ball after link"])
+    def test_record_out_of_place(self, edit, message):
+        # each of these used to load, and then re-save differently or lose a row
+        lines = store.dumps(toy()).splitlines()
+        edit(lines)
+        with pytest.raises(ModelFormatError, match=message):
+            store.loads("\n".join(lines) + "\n")
+
+    def test_end_takes_no_arguments(self):
+        with pytest.raises(ModelFormatError, match="end marker"):
+            store.loads(store.dumps(toy()).replace("\nend\n", "\nend x\n"))
+
     def test_comments_and_blanks_tolerated(self):
         text = store.dumps(toy())
         lines = text.splitlines()
@@ -286,7 +323,7 @@ class TestRejects:
 
 
 class TestSave:
-    @pytest.mark.parametrize("label", ["a#b", "a\nb", "a\rb", "a\u2028b", "a\n"])
+    @pytest.mark.parametrize("label", ["a#b", "a\nb", "a\rb", "a\u2028b", "a\n", "x ", "x\t"])
     def test_unsavable_label_leaves_existing_file_untouched(self, tmp_path, label):
         path = tmp_path / "m.cbrn"
         store.save(toy(), path)
@@ -334,14 +371,17 @@ EDIT_TOKENS = ["-1", "0", "1", "2", "3", "9" * 30, "0.0", "-0.0", "1e999", "nan"
                "ball", "link", "end", "#", ""]
 
 
-def assert_loads_or_raises_cbrn_error(lines: list[str]) -> None:
+def assert_loads_or_raises_cbrn_error(lines: list[str], resaves_exactly: bool = False) -> None:
+    text = "\n".join(lines) + "\n"
     try:
-        system = store.loads("\n".join(lines) + "\n")
+        system = store.loads(text)
     except CbrnError:
         return
     # whatever loads is a valid system: it saves and loads back to the same text
     saved = store.dumps(system)
     assert store.dumps(store.loads(saved)) == saved
+    if resaves_exactly:
+        assert saved == text
 
 
 class TestFuzz:
@@ -355,14 +395,15 @@ class TestFuzz:
                     assert_loads_or_raises_cbrn_error(lines[:i] + [edited] + lines[i + 1 :])
 
     def test_every_dropped_repeated_or_swapped_line(self):
+        # records only move, so whatever loads must re-save to its own text
         lines = fuzz_base().splitlines()
         for i in range(len(lines)):
-            assert_loads_or_raises_cbrn_error(lines[:i] + lines[i + 1 :])
-            assert_loads_or_raises_cbrn_error(lines[: i + 1] + lines[i:])
+            assert_loads_or_raises_cbrn_error(lines[:i] + lines[i + 1 :], resaves_exactly=True)
+            assert_loads_or_raises_cbrn_error(lines[: i + 1] + lines[i:], resaves_exactly=True)
             for j in range(i + 1, len(lines)):
                 swapped = list(lines)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                assert_loads_or_raises_cbrn_error(swapped)
+                assert_loads_or_raises_cbrn_error(swapped, resaves_exactly=True)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
