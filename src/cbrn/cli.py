@@ -1,10 +1,13 @@
 """Command-line surface: encode patterns, train, pair, recall, associate, report.
 
-Every option can also come from a `key = value` config file (--config) or an
-environment variable with the CBRN_ prefix; explicit flags win over the
-environment, which wins over the config file.  Exit codes are stable: 0 on
-success, 2 for invalid usage or argument values, 3 for runtime failures
-(I/O, malformed files, failed recognition).
+Every tunable option, one row of `OPTIONS`, can also come from a `key = value`
+config file (--config) or an environment variable with the CBRN_ prefix;
+explicit flags win over the environment, which wins over the config file.
+The other arguments (paths, labels, balls, probes, the figure) are flags
+only.  A config-file key that no row names is an error; environment
+variables are not checked, because a shell exports them for every command.
+Exit codes are stable: 0 on success, 2 for invalid usage or argument values,
+3 for runtime failures (I/O, malformed files, failed recognition).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ _USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnknownBall, NeuronIndexE
 
 
 # ---------------------------------------------------------------------------
-# Option resolution: flag > environment > config file > default.
+# Option table and resolution: flag > environment > config file > default.
 # ---------------------------------------------------------------------------
 
 
@@ -65,32 +68,8 @@ def read_config_file(path) -> dict[str, str]:
     return values
 
 
-class Options:
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.file = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, default=None, cast=str):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        env = os.environ.get(ENV_PREFIX + name.upper())
-        source, raw = ("environment", env) if env is not None else ("config file", self.file.get(name))
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            raise UsageError(f"bad value for {name!r} from {source}: {raw!r}") from None
-
-    def get_bool(self, name: str, default: bool) -> bool:
-        return self.get(name, default, cast=_parse_bool)
-
-
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
@@ -98,25 +77,21 @@ def _parse_bool(text) -> bool:
     raise ValueError(text)
 
 
-def _build_config(opts: Options) -> SystemConfig:
-    try:
-        return SystemConfig(
-            eps_w=opts.get("eps_w", 1.0, float),
-            eps_v=opts.get("eps_v", 1.0, float),
-            lambda_cb=opts.get("lambda_cb", 1.0, float),
-            theta=opts.get("theta", 100.0, float),
-            threshold=opts.get("threshold", 72.0, float),
-            epochs=opts.get("epochs", 1, int),
-            normalized=not _unnormalized(opts),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _one_of(what: str, choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"unknown {what} {text!r}")
+        return text
+    return parse
 
 
-def _unnormalized(opts: Options) -> bool:
-    if getattr(opts.args, "unnormalized", False):
-        return True
-    return not opts.get_bool("normalized", True)
+def _positive(what: str, cast):
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:  # also refuses nan
+            raise UsageError(f"{what} must be positive, got {value}")
+        return value
+    return parse
 
 
 def _parse_ref(text: str, what: str) -> tuple[str, int]:
@@ -129,25 +104,84 @@ def _parse_ref(text: str, what: str) -> tuple[str, int]:
         raise UsageError(f"bad {what} index in {text!r}") from None
 
 
-def _parse_pair(text: str) -> tuple[tuple[str, int], tuple[str, int]]:
-    left, sep, right = text.partition("=")
-    if not sep:
-        raise UsageError(f"bad pair {text!r}, expected A:K=B:L")
-    return _parse_ref(left, "pair"), _parse_ref(right, "pair")
+def _parse_pairs(text: str) -> list[tuple[tuple[str, int], tuple[str, int]]]:
+    """A comma list of `A:K=B:L` pairs."""
+    pairs = []
+    for spec in filter(None, (p.strip() for p in text.split(","))):
+        left, sep, right = spec.partition("=")
+        if not sep:
+            raise UsageError(f"bad pair {spec!r}, expected A:K=B:L")
+        pairs.append((_parse_ref(left, "pair"), _parse_ref(right, "pair")))
+    return pairs
 
 
-def _output_format(opts: Options) -> str:
-    fmt = opts.get("format", "table")
-    if fmt not in ("table", "csv"):
-        raise UsageError(f"unknown format {fmt!r}")
-    return fmt
+_QUERIES = ("recall", "associate")
+_FORMATTED = ("recall", "associate", "report")
+
+# One row per tunable option: (name, parse, commands, default, help).  A row
+# is the flag --<name> (`_` spelt `-`), the environment variable CBRN_<NAME>,
+# the config-file key <name> and the check `parse` makes of a value from any
+# of them; a default is never parsed.  The SystemConfig defaults are its own.
+OPTIONS = (
+    ("scale", _positive("scale", int), ("encode",), qr.DEFAULT_SCALE, "pixels per module"),
+    ("catalog", str, ("train",), None, "catalog file (default: the bundled one)"),
+    ("theta", float, ("train",), SystemConfig.theta, "learning value"),
+    ("threshold", float, ("train",), SystemConfig.threshold, "firing threshold"),
+    ("eps_w", float, ("train",), SystemConfig.eps_w, "recall learning rate"),
+    ("eps_v", float, ("train",), SystemConfig.eps_v, "cue learning rate"),
+    ("lambda_cb", float, ("train",), SystemConfig.lambda_cb, "cross learning rate"),
+    ("epochs", int, ("train",), SystemConfig.epochs, "updates per learn call"),
+    ("normalized", _parse_bool, ("train",), SystemConfig.normalized,
+     "present raw 0/1 vectors, not unit-energy ones; sets key normalized to false"),
+    ("provider", _one_of("provider", PROVIDERS), ("train",), "qr", "pattern source: qr or random"),
+    ("seed", int, ("train",), 0, "seed for the random provider"),
+    ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
+    ("threshold", _positive("threshold", float), _QUERIES, None, "override the model's firing threshold"),
+    ("format", _one_of("format", ("table", "csv")), _FORMATTED, "table", "table or csv"),
+)
+
+# flags spelt other than --<name>; their values still go through the row's parse
+_FLAGS = {
+    "normalized": ("--unnormalized", {"action": "store_const", "const": "false"}),
+    "pairs": ("--pair", {"action": "append", "metavar": "A:K=B:L"}),
+}
+_KEYS = sorted({row[0] for row in OPTIONS})
 
 
-def _threshold_override(opts: Options) -> float | None:
-    threshold = opts.get("threshold", None, float)
-    if threshold is not None and not threshold > 0:  # also refuses nan
-        raise UsageError(f"threshold must be positive, got {threshold}")
-    return threshold
+def resolve_options(command: str, args: argparse.Namespace) -> dict:
+    """The values of `command`'s rows: flag > environment > config file > default."""
+    file = read_config_file(args.config) if args.config else {}
+    for key in file:
+        if key not in _KEYS:  # a key of another command is fine: one file may serve several
+            import difflib  # only on this error path: every command process imports this module
+
+            close = difflib.get_close_matches(key, _KEYS, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise UsageError(f"{args.config}: unknown key {key!r}{hint}")
+    values = {}
+    for name, parse, commands, default, _ in OPTIONS:
+        if command not in commands:
+            continue
+        flag = getattr(args, name)
+        raw = ",".join(flag) if isinstance(flag, list) else flag  # a repeated flag
+        if raw is None:
+            raw = os.environ.get(ENV_PREFIX + name.upper(), file.get(name))
+        if raw is None:
+            values[name] = default
+            continue
+        try:
+            values[name] = parse(raw)
+        except ValueError:
+            raise UsageError(f"bad value for {name!r}: {raw!r}") from None
+    return values
+
+
+def _build_config(opts: dict) -> SystemConfig:
+    fields = ("eps_w", "eps_v", "lambda_cb", "theta", "threshold", "epochs", "normalized")
+    try:
+        return SystemConfig(**{name: opts[name] for name in fields})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _load_probe(system: MemorySystem, path):
@@ -160,21 +194,12 @@ def _load_probe(system: MemorySystem, path):
     return to_vector(pattern, normalized=system.config.normalized)
 
 
-def _pattern_shape(system: MemorySystem) -> tuple[int, int] | None:
-    """Square side lengths for writing recalled vectors back out as bitmaps."""
-    root = int(round(system.config.dim ** 0.5))
-    if root * root == system.config.dim:
-        return root, root
-    return None
-
-
 def _write_recalled(system: MemorySystem, vector, out) -> None:
-    shape = _pattern_shape(system)
-    if shape is None:
-        raise UsageError(
-            f"model dimension {system.config.dim} is not square; cannot write a bitmap"
-        )
-    save_pbm(to_pattern(vector, shape[0], shape[1]), out)
+    """Write a recalled vector as a square bitmap."""
+    side = int(round(system.config.dim ** 0.5))
+    if side * side != system.config.dim:
+        raise UsageError(f"model dimension {system.config.dim} is not square; cannot write a bitmap")
+    save_pbm(to_pattern(vector, side, side), out)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +207,9 @@ def _write_recalled(system: MemorySystem, vector, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_encode(args) -> int:
-    opts = Options(args)
-    scale = opts.get("scale", qr.DEFAULT_SCALE, int)
-    if scale < 1:
-        raise UsageError("scale must be >= 1")
+def cmd_encode(args, opts: dict) -> int:
     matrix = qr.encode_label(args.label)
-    pattern = qr.render(matrix, scale)
+    pattern = qr.render(matrix, opts["scale"])
     save_pbm(pattern, args.out)
     print(
         f"wrote {args.out}: {pattern.width}x{pattern.height}, "
@@ -197,14 +218,9 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    opts = Options(args)
+def cmd_train(args, opts: dict) -> int:
     config = _build_config(opts)
-    provider = opts.get("provider", "qr")
-    if provider not in PROVIDERS:
-        raise UsageError(f"provider must be one of {PROVIDERS}, got {provider!r}")
-    seed = opts.get("seed", 0, int)
-    catalog_path = opts.get("catalog")
+    catalog_path = opts["catalog"]
     catalog = patterns.load_catalog(catalog_path) if catalog_path else patterns.default_catalog()
     if not len(catalog):
         raise CbrnError("no patterns: the catalog is empty")
@@ -213,7 +229,7 @@ def cmd_train(args) -> int:
     print(f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}")
     for group in catalog:
         for index, label in enumerate(group.labels):
-            bitmap = qr.label_pattern(label, provider=provider, seed=seed)
+            bitmap = qr.label_pattern(label, provider=opts["provider"], seed=opts["seed"])
             vector = to_vector(bitmap, normalized=config.normalized)
             w_report, v_report = system.store(group.name, index, vector)
             print(
@@ -226,19 +242,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_pair(args) -> int:
-    opts = Options(args)
-    pair_specs = list(args.pair or [])
-    if not pair_specs:
-        listed = os.environ.get(ENV_PREFIX + "PAIRS", opts.file.get("pairs", ""))
-        pair_specs = [p.strip() for p in listed.split(",") if p.strip()]
-    if not pair_specs:
+def cmd_pair(args, opts: dict) -> int:
+    if not opts["pairs"]:
         raise UsageError("no pairs given; use --pair A:K=B:L")
-    parsed = [_parse_pair(p) for p in pair_specs]
-
     system = store.load(args.model)
     print(f"{'direction':<24} {'eta_before':>12} {'eta_after':>12} {'u':>10}")
-    for (ball_a, k), (ball_b, l) in parsed:
+    for (ball_a, k), (ball_b, l) in opts["pairs"]:
         a = system.resolve_ball(ball_a)
         b = system.resolve_ball(ball_b)
         forward, backward = system.learn_cross_weights(a, k, b, l)
@@ -256,9 +265,8 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def cmd_recall(args) -> int:
-    opts = Options(args)
-    fmt, threshold = _output_format(opts), _threshold_override(opts)
+def cmd_recall(args, opts: dict) -> int:
+    fmt, threshold = opts["format"], opts["threshold"]
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
     probe = _load_probe(system, args.pattern)
@@ -281,9 +289,8 @@ def cmd_recall(args) -> int:
     return 0
 
 
-def cmd_associate(args) -> int:
-    opts = Options(args)
-    fmt, threshold = _output_format(opts), _threshold_override(opts)
+def cmd_associate(args, opts: dict) -> int:
+    fmt, threshold = opts["format"], opts["threshold"]
     system = store.load(args.model)
     from_ball = system.resolve_ball(args.from_ball)
     to_ball = system.resolve_ball(args.to_ball)
@@ -344,8 +351,8 @@ def _report_probes(system: MemorySystem, probe_specs) -> list[tuple[str, int]]:
     return defaults
 
 
-def cmd_report(args) -> int:
-    fmt = _output_format(Options(args))
+def cmd_report(args, opts: dict) -> int:
+    fmt = opts["format"]
     system = store.load(args.model)
 
     if args.figure == 3:
@@ -407,69 +414,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key = value option file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("encode", help="encode a label as a pattern bitmap")
-    common(p)
+    p = command("encode", cmd_encode, "encode a label as a pattern bitmap")
     p.add_argument("--label", required=True, help="text to encode")
     p.add_argument("--out", required=True, help="output PBM path")
-    p.add_argument("--scale", type=int, help="pixels per module (default 4)")
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("train", help="store every catalog pattern into a fresh model")
-    common(p)
+    p = command("train", cmd_train, "store every catalog pattern into a fresh model")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--catalog", help="catalog file (default: bundled)")
-    p.add_argument("--theta", type=float, help="learning value (default 100)")
-    p.add_argument("--threshold", type=float, help="firing threshold (default 72)")
-    p.add_argument("--eps-w", type=float, dest="eps_w", help="recall learning rate")
-    p.add_argument("--eps-v", type=float, dest="eps_v", help="cue learning rate")
-    p.add_argument("--lambda-cb", type=float, dest="lambda_cb", help="cross learning rate")
-    p.add_argument("--epochs", type=int, help="updates per learn call (default 1)")
-    p.add_argument("--unnormalized", action="store_true", help="present raw 0/1 vectors")
-    p.add_argument("--provider", choices=PROVIDERS, help="pattern source (default qr)")
-    p.add_argument("--seed", type=int, help="seed for the random provider")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("pair", help="train cross links between cue neurons")
-    common(p)
+    p = command("pair", cmd_pair, "train cross links between cue neurons")
     p.add_argument("--model", required=True, help="model file to update")
-    p.add_argument("--pair", action="append", metavar="A:K=B:L", help="pair to link (repeatable)")
     p.add_argument("--out", help="write the updated model here instead of in place")
-    p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("recall", help="present a pattern to one ball and show responses")
-    common(p)
+    p = command("recall", cmd_recall, "present a pattern to one ball and show responses")
     p.add_argument("--model", required=True)
     p.add_argument("--ball", required=True, help="ball to probe")
     p.add_argument("--pattern", required=True, help="probe PBM file")
-    p.add_argument("--threshold", type=float, help="override the firing threshold")
     p.add_argument("--out", help="write the argmax neuron's recalled pattern here")
-    p.add_argument("--format", choices=("table", "csv"))
-    p.set_defaults(func=cmd_recall)
 
-    p = sub.add_parser("associate", help="recall a linked pattern in another ball")
-    common(p)
+    p = command("associate", cmd_associate, "recall a linked pattern in another ball")
     p.add_argument("--model", required=True)
     p.add_argument("--from", dest="from_ball", required=True, help="ball that sees the probe")
     p.add_argument("--pattern", required=True, help="probe PBM file")
     p.add_argument("--to", dest="to_ball", required=True, help="ball to recall from")
-    p.add_argument("--threshold", type=float, help="override the firing threshold")
     p.add_argument("--out", help="write the recalled pattern here")
-    p.add_argument("--format", choices=("table", "csv"))
-    p.set_defaults(func=cmd_associate)
 
-    p = sub.add_parser("report", help="response tables for stored or cross-linked patterns")
-    common(p)
+    p = command("report", cmd_report, "response tables for stored or cross-linked patterns")
     p.add_argument("--model", required=True)
     p.add_argument("--figure", type=int, choices=(3, 4), required=True,
                    help="3: per-ball responses to stored probes; 4: cross-ball grids")
     p.add_argument("--probe", action="append", metavar="BALL:INDEX",
                    help="probe override for figure 3 (repeatable)")
-    p.add_argument("--format", choices=("table", "csv"))
-    p.set_defaults(func=cmd_report)
 
+    for name, _, commands, default, help in OPTIONS:
+        flag, kwargs = _FLAGS.get(name, ("--" + name.replace("_", "-"), {}))
+        if default is not None:
+            help = f"{help} (default: {default})"
+        for name_of_command in commands:
+            sub.choices[name_of_command].add_argument(flag, dest=name, help=help, **kwargs)
     return parser
 
 
@@ -480,7 +467,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage problems itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, resolve_options(args.command, args))
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ calls never mutate state, so a trained system may be queried concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        for name in ("eps_w", "eps_v", "lambda_cb", "theta", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.eps_w, self.eps_v, self.lambda_cb) <= 0:
             raise ValueError("learning rates must be positive")
         if not self.theta > self.threshold > 0:

@@ -56,11 +56,14 @@ def _fmt_row(row: np.ndarray) -> str:
 def _lines(system: MemorySystem):
     """The CBRN1 text of a system: the header, then one line per record.
 
-    Every label is checked before the header is produced, so a caller that
-    takes the header before opening its output opens nothing for a system
-    that cannot be saved.
+    Every ball id and label is checked before the header is produced, so a
+    caller that takes the header before opening its output opens nothing for
+    a system that cannot be saved.
     """
     for ball in system.balls.values():
+        # a load splits the `ball` record at whitespace and cuts it at `#`
+        if ball.id.split() != [ball.id] or "#" in ball.id:
+            raise ValueError(f"ball id {ball.id!r} cannot be empty or contain '#' or whitespace")
         for label in ball.labels:
             # any break `str.splitlines` splits at ("\r", "\x85", ...) would split the
             # record, and a load strips whitespace off the end of each line

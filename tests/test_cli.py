@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrn import patterns, qr, store
-from cbrn.cli import UsageError, main, read_config_file
+from cbrn.cli import OPTIONS, UsageError, main, read_config_file
 from cbrn.memory import MemorySystem, SystemConfig
 from conftest import pair_classic, train_full_system
 
@@ -516,6 +517,76 @@ class TestQueryOptions:
         argv = ("report", "--figure", "3") if command == "report" else (*QUERIES[command], "--pattern", red_pbm)
         code, stdout, stderr = run(capsys, *argv, "--model", model_path)
         assert (code, stdout, stderr) == (2, "", "error: unknown format 'xml'\n")
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", ["recall", "train"])
+    def test_misspelt_config_key_is_usage_error(self, capsys, model_path, red_pbm, tmp_path, command):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("theta = 90\nthresold = 99\n")
+        out = tmp_path / "m.cbrn"
+        if command == "train":
+            argv = ("train", "--out", out)
+        else:
+            argv = (*QUERIES["recall"], "--model", model_path, "--pattern", red_pbm)
+        code, stdout, stderr = run(capsys, *argv, "--config", cfg)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {cfg}: unknown key 'thresold'; did you mean 'threshold'?\n"
+        assert not out.exists()
+
+    def test_one_config_file_serves_train_and_recall(self, capsys, red_pbm, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("theta = 90\nformat = csv\n")
+        model = tmp_path / "m.cbrn"
+        assert run(capsys, "train", "--out", model, "--config", cfg)[0] == 0
+        assert store.load(model).config.theta == 90.0
+        code, stdout, _ = run(capsys, *QUERIES["recall"], "--model", model, "--pattern", red_pbm, "--config", cfg)
+        assert code == 0
+        assert stdout.splitlines()[0] == "ball,neuron,label,q,fired"
+
+    def test_unknown_environment_variable_is_ignored(self, capsys, model_path, red_pbm, monkeypatch):
+        monkeypatch.setenv("CBRN_THRESOLD", "99")
+        code, stdout, _ = run(capsys, *QUERIES["recall"], "--model", model_path, "--pattern", red_pbm)
+        assert code == 0 and "threshold 72.0" in stdout
+
+    def test_hyphenated_config_key_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("eps-w = 2\nprovider = random\n")
+        out = tmp_path / "m.cbrn"
+        assert run(capsys, "train", "--out", out, "--config", cfg)[0] == 0
+        assert store.load(out).config.eps_w == 2.0
+
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_flag_and_config_give_the_environment_error(self, capsys, model_path, tmp_path, source):
+        # TestQueryOptions checks the same message for CBRN_FORMAT=xml
+        (tmp_path / "opts.conf").write_text("format = xml\n")
+        extra = ("--format", "xml") if source == "flag" else ("--config", tmp_path / "opts.conf")
+        code, stdout, stderr = run(capsys, "report", "--model", model_path, "--figure", "3", *extra)
+        assert (code, stdout, stderr) == (2, "", "error: unknown format 'xml'\n")
+
+    def test_train_help_shows_system_config_defaults(self, capsys):
+        code, stdout, _ = run(capsys, "train", "--help")
+        assert code == 0
+        text = " ".join(stdout.split())  # argparse wraps help lines
+        for flag, default in (("--theta", SystemConfig.theta), ("--threshold", SystemConfig.threshold),
+                              ("--eps-w", SystemConfig.eps_w), ("--epochs", SystemConfig.epochs)):
+            assert flag in text and f"(default: {default})" in text
+
+    @pytest.mark.parametrize("flag", ["--theta", "--threshold", "--eps-w", "--eps-v", "--lambda-cb"])
+    def test_non_finite_constant_writes_no_model(self, capsys, tmp_path, flag):
+        out = tmp_path / "m.cbrn"
+        code, stdout, stderr = run(capsys, "train", "--out", out, flag, "inf")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and "must be finite" in stderr
+        assert not out.exists()
+
+    def test_readme_lists_every_option(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Options, config files, environment", 1)[1].split("\n#", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        for name, _, commands, _, _ in OPTIONS:
+            assert any(row.startswith(f"| `{name}`") and all(f"`{c}`" in row for c in commands)
+                       for row in rows), name
 
 
 class TestDemoSessionGolden:

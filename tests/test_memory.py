@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SystemConfig(**kw)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["eps_w", "eps_v", "lambda_cb", "theta", "threshold"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemConfig(**{field: value})
+
 
 class TestRecallPath:
     def test_trained_neuron_replays_target(self):

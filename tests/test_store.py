@@ -335,6 +335,18 @@ class TestSave:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["m.cbrn"]
 
+    @pytest.mark.parametrize("ball_id", ["", "A B", "A#", "A\tB", "A\n", " A"])
+    def test_unsavable_ball_id_leaves_existing_file_untouched(self, tmp_path, ball_id):
+        path = tmp_path / "m.cbrn"
+        store.save(toy(), path)
+        before = path.read_bytes()
+        bad = MemorySystem(SystemConfig(dim=2))
+        bad.add_ball(ball_id, ["a"])
+        with pytest.raises(ValueError, match="cannot be empty or contain"):
+            store.save(bad, path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.cbrn"]
+
     def test_failure_while_writing_leaves_existing_file_untouched(self, tmp_path, monkeypatch):
         path = tmp_path / "m.cbrn"
         store.save(toy(), path)
