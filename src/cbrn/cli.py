@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import patterns, qr, store
 from .errors import (
     CbrnError,
@@ -51,12 +53,16 @@ _USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnknownBall, NeuronIndexE
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse `key = value` lines; `#` comments and blank lines are ignored."""
+    """Parse `key = value` lines; `#` comments and blank lines are ignored.
+
+    A key may appear once (`-` and `_` are the same in keys).
+    """
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -64,7 +70,10 @@ def read_config_file(path) -> dict[str, str]:
         key, sep, value = body.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: key {key!r} was already set on line {first_line[key]}")
+        values[key], first_line[key] = value.strip(), lineno
     return values
 
 
@@ -353,6 +362,8 @@ def _report_probes(system: MemorySystem, probe_specs) -> list[tuple[str, int]]:
 
 def cmd_report(args, opts: dict) -> int:
     fmt = opts["format"]
+    if args.figure == 4 and args.probe:
+        raise UsageError("--probe applies to figure 3 only")
     system = store.load(args.model)
 
     if args.figure == 3:
@@ -467,7 +478,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage problems itself
         return int(exc.code or 0)
     try:
-        return args.func(args, resolve_options(args.command, args))
+        # an overflowing learning step either reports an inf error or raises
+        # NonFiniteWeight; NumPy's RuntimeWarnings would add nothing to either
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, resolve_options(args.command, args))
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,10 @@ class NoAssociation(CbrnError):
     """No trained cross link fired in the target ball."""
 
 
+class NonFiniteWeight(CbrnError):
+    """A learning step overflowed and would store an inf or nan weight."""
+
+
 class ModelFormatError(CbrnError):
     """Model file is malformed or truncated."""
 

@@ -1,14 +1,13 @@
 """GF(256) arithmetic and systematic Reed-Solomon encoding.
 
 The field is generated by 2 modulo x^8 + x^4 + x^3 + x^2 + 1 (0x11D), the
-convention used by QR error correction.  Codewords are systematic: data bytes
+convention used by QR error correction.  A codeword is systematic: data bytes
 followed by the remainder of data * x^ecc_len divided by the generator
 polynomial, so the full codeword evaluates to zero at 2^0 .. 2^(ecc_len-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 REDUCER = 0x11D
@@ -33,12 +32,6 @@ def gf_mul(a: int, b: int) -> int:
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-def gf_pow(a: int, n: int) -> int:
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] * n) % 255]
-
-
 @lru_cache(maxsize=None)
 def generator_poly(ecc_len: int) -> tuple[int, ...]:
     """Monic product of (x - 2^i) for i in 0..ecc_len-1, highest degree first."""
@@ -53,20 +46,8 @@ def generator_poly(ecc_len: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """Systematic codeword: payload bytes followed by error-correction bytes."""
-
-    data: bytes
-    ecc: bytes
-
-    @property
-    def blob(self) -> bytes:
-        return self.data + self.ecc
-
-
-def rs_encode(data: bytes, ecc_len: int) -> Codeword:
-    """Append `ecc_len` Reed-Solomon bytes to `data`."""
+def rs_encode(data: bytes, ecc_len: int) -> bytes:
+    """Systematic codeword: `data` followed by its `ecc_len` Reed-Solomon bytes."""
     if ecc_len < 1:
         raise ValueError("ecc_len must be positive")
     gen = generator_poly(ecc_len)
@@ -80,7 +61,7 @@ def rs_encode(data: bytes, ecc_len: int) -> Codeword:
         for j, coeff in enumerate(gen):
             if coeff:
                 rem[i + j] ^= _EXP[_LOG[coeff] + shift]
-    return Codeword(bytes(data), bytes(rem[len(data):]))
+    return bytes(data) + rem[len(data):]
 
 
 def syndromes(codeword: bytes, ecc_len: int) -> list[int]:

@@ -32,6 +32,7 @@ from .errors import (
     NeuronIndexError,
     NoAssociation,
     NoRecognition,
+    NonFiniteWeight,
     UnknownBall,
 )
 from .patterns import AttributeCatalog, PatternVector
@@ -136,13 +137,15 @@ def cue_error(theta: float, q) -> float:
     return 0.5 * float(np.sum((theta - np.asarray(q, dtype=np.float64)) ** 2))
 
 
-# a learning step's error and update term are floats or arrays
+# A learning step's error and update term are floats or arrays.  A ufunc
+# reduction takes both, is cheaper on a float than `.sum()`, and sums an
+# array in the order `ndarray.sum` does.
 def _half_square(err) -> float:
-    return 0.5 * (float(np.sum(err ** 2)) if isinstance(err, np.ndarray) else err ** 2)
+    return 0.5 * float(np.add.reduce(np.square(err), axis=None))
 
 
 def _max_abs(delta) -> float:
-    return float(np.abs(delta).max()) if isinstance(delta, np.ndarray) else abs(delta)
+    return float(np.maximum.reduce(np.abs(delta), axis=None))
 
 
 class MemorySystem:
@@ -183,12 +186,18 @@ class MemorySystem:
             raise UnknownBall(f"unknown ball {ball_id!r}; have {sorted(self.balls)}") from None
 
     def resolve_ball(self, name: str) -> str:
-        """Map a user-supplied ball name to a stored id, case-insensitively."""
+        """Map a user-supplied ball name to a stored id.
+
+        An exact match wins; otherwise the name must match exactly one id
+        case-insensitively.
+        """
         if name in self.balls:
             return name
-        folded = {bid.casefold(): bid for bid in self.balls}
-        if name.casefold() in folded:
-            return folded[name.casefold()]
+        matches = [bid for bid in self.balls if bid.casefold() == name.casefold()]
+        if len(matches) == 1:
+            return matches[0]
+        if matches:
+            raise UnknownBall(f"ball name {name!r} is ambiguous; it matches {sorted(matches)}")
         raise UnknownBall(f"unknown ball {name!r}; have {sorted(self.balls)}")
 
     def trained_links(self) -> list[tuple[str, int, str, int, float]]:
@@ -213,21 +222,28 @@ class MemorySystem:
             )
         return v
 
-    def _delta_rule(self, weight, rate: float, target, output=lambda w: w, x=1.0):
-        """Widrow-Hoff steps `weight += rate * (target - output(weight)) * x`.
+    def _delta_rule(self, where: str, weight, rate: float, target, output=lambda w: w, x=1.0):
+        """Widrow-Hoff steps `weight = weight + rate * (target - output(weight)) * x`.
 
-        `weight` is a row, updated in place, or a float.  Returns the final
+        `weight` is a row or a float and is not modified.  Returns the final
         weight and the report: the half squared error before each step and
-        after the last, and each step's largest term.
+        after the last, and each step's largest term.  Raises NonFiniteWeight
+        if the steps overflow, so the caller stores nothing.
         """
         errors, deltas = [], []
         for _ in range(self.config.epochs):
             err = target - output(weight)
             errors.append(_half_square(err))
-            delta = rate * err * x
-            deltas.append(_max_abs(delta))
-            weight += delta
-        return weight, UpdateReport(tuple(errors), _half_square(target - output(weight)), tuple(deltas))
+            step = rate * err * x  # a new array or float
+            deltas.append(_max_abs(step))
+            step += weight  # so the sum lands in it, not in the caller's row
+            weight = step
+        final = _half_square(target - output(weight))
+        # an inf or nan weight makes the final error inf or nan, so only
+        # then is the weight itself scanned
+        if not math.isfinite(final) and not np.isfinite(weight).all():
+            raise NonFiniteWeight(f"learning {where} at rate {rate:g} left a non-finite weight")
+        return weight, UpdateReport(tuple(errors), final, tuple(deltas))
 
     # -- recall path --------------------------------------------------------
 
@@ -251,7 +267,10 @@ class MemorySystem:
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
         t = self._check_vector(target)
-        return self._delta_rule(ball.w[neuron], self.config.eps_w, t)[1]
+        ball.w[neuron], report = self._delta_rule(
+            f"w row {ball.id}:{neuron}", ball.w[neuron], self.config.eps_w, t
+        )
+        return report
 
     # -- cue path -----------------------------------------------------------
 
@@ -272,7 +291,10 @@ class MemorySystem:
         self._check_neuron(ball, neuron)
         yv = self._check_vector(ball.w[neuron] if y is None else y)
         cfg = self.config
-        return self._delta_rule(ball.v[neuron], cfg.eps_v, cfg.theta, lambda row: float(row @ yv), yv)[1]
+        ball.v[neuron], report = self._delta_rule(
+            f"v row {ball.id}:{neuron}", ball.v[neuron], cfg.eps_v, cfg.theta, lambda row: float(row @ yv), yv
+        )
+        return report
 
     # -- cross path ---------------------------------------------------------
 
@@ -315,8 +337,9 @@ class MemorySystem:
         self._check_neuron(b, l)
         rate, theta = self.config.lambda_cb, self.config.theta
         forward, backward = self.links[a.id, b.id], self.links[b.id, a.id]
-        forward[k, l], forward_report = self._delta_rule(forward.item(k, l), rate, theta)
-        backward[l, k], backward_report = self._delta_rule(backward.item(l, k), rate, theta)
+        u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l), rate, theta)
+        u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k), rate, theta)
+        forward[k, l], backward[l, k] = u_ab, u_ba
         return forward_report, backward_report
 
     # -- composite operations -----------------------------------------------

@@ -217,8 +217,8 @@ class TestAcceptance:
                     assert vert in legal
 
                     codeword = qr.encode_codewords(label)
-                    assert syndromes(codeword.blob, 15) == [0] * 15
-                    corrupted = bytearray(codeword.blob)
+                    assert syndromes(codeword, 15) == [0] * 15
+                    corrupted = bytearray(codeword)
                     corrupted[len(corrupted) // 2] ^= 0x41
                     assert any(syndromes(bytes(corrupted), 15))
 

@@ -170,6 +170,21 @@ class TestTrain:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1 and "not UTF-8" in stderr
         assert not (tmp_path / "m.cbrn").exists()
 
+    def test_huge_theta_trains_a_model_that_recalls(self, capsys, tmp_path, red_pbm):
+        # the first cue step's error, theta squared, overflows to inf; the weights stay finite
+        out = tmp_path / "m.cbrn"
+        code, _, stderr = run(capsys, "train", "--out", out, "--theta", "1e308", "--threshold", "1")
+        assert (code, stderr) == (0, "")
+        code, stdout, _ = run(capsys, "recall", "--model", out, "--ball", "color", "--pattern", red_pbm)
+        assert code == 0 and "argmax: 0" in stdout
+
+    def test_overflowing_learning_rate_writes_no_model(self, capsys, tmp_path):
+        out = tmp_path / "m.cbrn"
+        code, _, stderr = run(capsys, "train", "--out", out, "--provider", "random", "--eps-v", "1e308")
+        assert code == 3
+        assert stderr == "error: learning v row Color:0 at rate 1e+308 left a non-finite weight\n"
+        assert not out.exists()
+
 
 class TestPair:
     def test_pairs_links_and_reports(self, capsys, tmp_path):
@@ -232,6 +247,16 @@ class TestPair:
         assert code == 0
         links = store.load(model).links
         assert links["A", "B"][1, 2] != 0.0 and links["B", "A"][0, 2] != 0.0
+
+    def test_repeated_config_key_is_usage_error(self, capsys, tmp_path):
+        model = toy_model(tmp_path)
+        before = model.read_bytes()
+        cfg = tmp_path / "opts.conf"
+        cfg.write_text("pairs = A:1=B:2\n# the second list used to win\npairs = A:2=B:0\n")
+        code, stdout, stderr = run(capsys, "pair", "--model", model, "--config", cfg)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {cfg}:3: key 'pairs' was already set on line 1\n"
+        assert model.read_bytes() == before
 
     def test_pairs_from_environment(self, capsys, tmp_path, monkeypatch):
         model = toy_model(tmp_path)
@@ -358,6 +383,19 @@ class TestRecall:
                          "--pattern", red_pbm)
         assert code == 2
 
+    @pytest.mark.parametrize("lines", [["color:0:red", "Color:0:blue"], ["Color:0:blue", "color:0:red"]])
+    def test_ambiguous_ball_name_is_usage_error(self, capsys, red_pbm, tmp_path, lines):
+        cat = tmp_path / "cat.txt"
+        cat.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.cbrn"
+        assert run(capsys, "train", "--out", model, "--catalog", cat)[0] == 0
+        code, stdout, stderr = run(capsys, "recall", "--model", model, "--ball", "COLOR", "--pattern", red_pbm)
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: ball name 'COLOR' is ambiguous; it matches ['Color', 'color']\n"
+        for ball in ("color", "Color"):  # an exact name still resolves
+            code, stdout, _ = run(capsys, "recall", "--model", model, "--ball", ball, "--pattern", red_pbm)
+            assert code == 0 and stdout.startswith(f"ball {ball},")
+
     def test_missing_model_is_runtime_error(self, capsys, red_pbm, tmp_path):
         code, _, _ = run(capsys, "recall", "--model", tmp_path / "nope.cbrn",
                          "--ball", "color", "--pattern", red_pbm)
@@ -470,6 +508,11 @@ class TestReport:
     def test_bad_figure_is_usage_error(self, capsys, model_path):
         assert main(["report", "--model", str(model_path), "--figure", "5"]) == 2
 
+    def test_probe_with_figure4_is_usage_error(self, capsys, model_path):
+        code, stdout, stderr = run(capsys, "report", "--model", model_path, "--figure", "4",
+                                   "--probe", "color:0")
+        assert (code, stdout, stderr) == (2, "", "error: --probe applies to figure 3 only\n")
+
 
 CONFIG_PIECES = [b"theta", b"format", b"=", b" ", b"\t", b"\n", b"\r", b"#", b"-", b"x", b"\xff", b"\xe2\x80\xa8"]
 
@@ -485,6 +528,12 @@ class TestConfigFile:
         except UsageError:
             return
         assert all(isinstance(k, str) and isinstance(v, str) for k, v in values.items())
+
+    def test_key_repeated_after_hyphen_folding_names_both_lines(self, tmp_path):
+        path = tmp_path / "opts.conf"
+        path.write_text("eps-w = 1\n\neps_w = 2\n")
+        with pytest.raises(UsageError, match=r"opts.conf:3: key 'eps_w' was already set on line 1$"):
+            read_config_file(path)
 
 
 QUERIES = {

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbrn import galois
-from cbrn.galois import generator_poly, gf_mul, gf_pow, rs_encode, syndromes
+from cbrn.galois import generator_poly, gf_mul, rs_encode, syndromes
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -31,7 +31,6 @@ class TestField:
         for _ in range(255):
             x = slow_mul(x, 2)
         assert x == 1
-        assert gf_pow(2, 255) == 1
 
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_mul_matches_oracle(self, a, b):
@@ -67,32 +66,32 @@ class TestRsEncode:
         # independently published check values for a 16-byte payload, 10 ecc bytes
         data = bytes([16, 32, 12, 86, 97, 128, 236, 17, 236, 17, 236, 17, 236, 17, 236, 17])
         expected = bytes([165, 36, 212, 193, 237, 54, 199, 135, 44, 85])
-        assert rs_encode(data, 10).ecc == expected
+        assert rs_encode(data, 10)[16:] == expected
 
     def test_systematic(self):
         cw = rs_encode(b"abcdef", 15)
-        assert cw.data == b"abcdef"
-        assert len(cw.ecc) == 15
-        assert cw.blob == cw.data + cw.ecc
+        assert isinstance(cw, bytes)
+        assert cw[:6] == b"abcdef"
+        assert len(cw) == 6 + 15
 
     @given(st.binary(min_size=1, max_size=55), st.integers(2, 20))
     def test_syndromes_zero_by_construction(self, data, ecc_len):
         cw = rs_encode(data, ecc_len)
-        assert syndromes(cw.blob, ecc_len) == [0] * ecc_len
+        assert syndromes(cw, ecc_len) == [0] * ecc_len
 
     def test_syndromes_use_independent_evaluation(self):
         cw = rs_encode(b"red payload", 15)
         points = [1]
         for _ in range(14):
             points.append(slow_mul(points[-1], 2))
-        manual = [poly_eval(list(cw.blob), x) for x in points]
+        manual = [poly_eval(list(cw), x) for x in points]
         assert manual == [0] * 15
-        assert syndromes(cw.blob, 15) == manual
+        assert syndromes(cw, 15) == manual
 
     @given(st.binary(min_size=1, max_size=55), st.integers(0, 10_000))
     def test_single_byte_corruption_detected(self, data, salt):
         cw = rs_encode(data, 15)
-        blob = bytearray(cw.blob)
+        blob = bytearray(cw)
         pos = salt % len(blob)
         flip = 1 + (salt // len(blob)) % 255
         blob[pos] ^= flip

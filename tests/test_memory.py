@@ -12,6 +12,7 @@ from cbrn.errors import (
     NeuronIndexError,
     NoAssociation,
     NoRecognition,
+    NonFiniteWeight,
     UnknownBall,
 )
 from cbrn.memory import (
@@ -337,6 +338,28 @@ class TestErrors:
             recall_error([1.0, 2.0], [1.0])
 
 
+class TestOverflow:
+    def test_huge_theta_reports_inf_error_and_stores_finite_row(self):
+        system = small_system(theta=1e308, threshold=1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            _, v_report = system.store("A", 0, [0.6, 0.8])
+        assert v_report.errors == (math.inf,)
+        assert np.isfinite(system.balls["A"].v[0]).all()
+
+    def test_overflowing_cue_step_raises_and_keeps_the_row(self):
+        system = small_system(eps_v=1e308)
+        system.learn_recall_weights("A", 0, [0.6, 0.8])
+        with pytest.raises(NonFiniteWeight, match="v row A:0 at rate 1e"):
+            system.learn_cue_weights("A", 0)
+        assert not system.balls["A"].v.any()
+
+    def test_overflowing_cross_step_raises_and_keeps_both_links(self):
+        system = small_system(lambda_cb=1e308)
+        with pytest.raises(NonFiniteWeight, match="link A:1->B:2 at rate 1e"):
+            system.learn_cross_weights("A", 1, "B", 2)
+        assert not system.links["A", "B"].any() and not system.links["B", "A"].any()
+
+
 class TestEpochs:
     def test_multi_epoch_recall_still_exact(self):
         system = small_system(epochs=3)
@@ -358,3 +381,12 @@ class TestResolveBall:
         assert system.resolve_ball("A") == "A"
         with pytest.raises(UnknownBall):
             system.resolve_ball("zebra")
+
+    @pytest.mark.parametrize("ids", [("color", "Color"), ("Color", "color")])
+    def test_exact_match_wins_and_two_folded_matches_are_ambiguous(self, ids):
+        system = MemorySystem(SystemConfig(dim=2))
+        for ball_id in ids:
+            system.add_ball(ball_id, ["x"])
+        assert [system.resolve_ball(b) for b in ids] == list(ids)
+        with pytest.raises(UnknownBall, match=r"ambiguous; it matches \['Color', 'color'\]"):
+            system.resolve_ball("COLOR")

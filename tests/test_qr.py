@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -75,9 +77,10 @@ def matrices():
 
 class TestStructure:
     def test_size_and_version(self, matrices):
+        # 29 modules a side is version 3; its alignment pattern at (22, 22)
+        # and the format word's level-L indicator are checked below
         for m in matrices.values():
-            assert m.size == 29 and m.version == 3 and m.ecc_level == "L"
-            assert m.modules.shape == (29, 29)
+            assert m.modules.shape == (29, 29) and m.modules.dtype == np.uint8
 
     def test_finder_patterns_and_separators(self, matrices):
         for m in matrices.values():
@@ -119,8 +122,8 @@ class TestStructure:
             assert data >> 3 == 0b01  # level L indicator
 
     def test_data_region_holds_70_codewords_plus_remainder(self):
-        reserved = qr.function_region()
-        assert int((~reserved).sum()) == 70 * 8 + 7
+        rows, cols = qr._data_positions()
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == 70 * 8 + 7
 
     def test_deterministic(self):
         a = qr.encode_label("red")
@@ -133,13 +136,13 @@ class TestCodewords:
     def test_syndromes_zero_for_all_labels(self):
         for label in ALL_LABELS:
             cw = qr.encode_codewords(label)
-            assert len(cw.blob) == 70
-            assert syndromes(cw.blob, 15) == [0] * 15
+            assert len(cw) == 70
+            assert syndromes(cw, 15) == [0] * 15
 
     def test_corruption_flips_a_syndrome(self):
         cw = qr.encode_codewords("red")
-        for pos in range(len(cw.blob)):
-            blob = bytearray(cw.blob)
+        for pos in range(len(cw)):
+            blob = bytearray(cw)
             blob[pos] ^= 0x5A
             assert any(syndromes(bytes(blob), 15)), f"corruption at {pos} went unseen"
 
@@ -244,6 +247,40 @@ class TestPenalty:
         for label in labels + ["label 8", "label 38"]:
             scores = [penalty_oracle(qr.encode_label(label, mask=m).modules) for m in range(8)]
             assert qr.encode_label(label).mask == scores.index(min(scores)), label
+
+
+def seeded_labels(count: int, seed: int) -> list[str]:
+    """Labels of 1-53 UTF-8 bytes drawn from 1-, 2-, 3- and 4-byte characters."""
+    alphabet = "abcxyzABC019 -_:.寿éß€😀"
+    rng = random.Random(seed)
+    labels = []
+    while len(labels) < count:
+        size = rng.randint(1, 53)
+        label = ""
+        while True:
+            ch = rng.choice(alphabet)
+            if len((label + ch).encode("utf-8")) > size:
+                break
+            label += ch
+        if label:
+            labels.append(label)
+    return labels
+
+
+class TestSymbolPin:
+    def test_symbols_are_pinned(self):
+        # every bundled label under each forced mask, then 200 seeded labels
+        # with their chosen masks; a change to the layout, the data placement,
+        # the format words or the mask choice moves the digest
+        digest = hashlib.sha256()
+        for group in patterns.default_catalog():
+            for label in group.labels:
+                for m in range(8):
+                    digest.update(qr.encode_label(label, mask=m).modules.tobytes())
+        for label in seeded_labels(200, 18004):
+            symbol = qr.encode_label(label)
+            digest.update(symbol.modules.tobytes() + bytes([symbol.mask]))
+        assert digest.hexdigest() == "548efd8ef291add7cb1acbcad9bea373a2d77bf58c2b0d82fedfa1730c3149fa"
 
 
 class TestRender:
