@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
+from dataclasses import fields
 
 import numpy as np
 
@@ -57,16 +57,9 @@ def read_config_file(path) -> dict[str, str]:
 
     A key may appear once (`-` and `_` are the same in keys).
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in patterns.records(patterns.read_utf8(path, UsageError)):
         key, sep, value = body.partition("=")
         if not sep:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
@@ -101,6 +94,13 @@ def _positive(what: str, cast):
             raise UsageError(f"{what} must be positive, got {value}")
         return value
     return parse
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:  # the random provider's generator takes no negative seed
+        raise UsageError(f"seed must be at least 0, got {value}")
+    return value
 
 
 def _parse_ref(text: str, what: str) -> tuple[str, int]:
@@ -143,7 +143,7 @@ OPTIONS = (
     ("normalized", _parse_bool, ("train",), SystemConfig.normalized,
      "present raw 0/1 vectors, not unit-energy ones; sets key normalized to false"),
     ("provider", _one_of("provider", PROVIDERS), ("train",), "qr", "pattern source: qr or random"),
-    ("seed", int, ("train",), 0, "seed for the random provider"),
+    ("seed", _seed, ("train",), 0, "seed for the random provider"),
     ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
     ("threshold", _positive("threshold", float), _QUERIES, None, "override the model's firing threshold"),
     ("format", _one_of("format", ("table", "csv")), _FORMATTED, "table", "table or csv"),
@@ -186,9 +186,8 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
 
 
 def _build_config(opts: dict) -> SystemConfig:
-    fields = ("eps_w", "eps_v", "lambda_cb", "theta", "threshold", "epochs", "normalized")
     try:
-        return SystemConfig(**{name: opts[name] for name in fields})
+        return SystemConfig(**{field.name: opts[field.name] for field in fields(SystemConfig) if field.name in opts})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -485,8 +484,8 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CbrnError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CbrnError, OSError, MemoryError) as exc:  # NumPy's MemoryError names the allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -22,7 +22,7 @@ calls never mutate state, so a trained system may be queried concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,23 +40,23 @@ from .patterns import AttributeCatalog, PatternVector
 
 @dataclass
 class SystemConfig:
-    """Learning constants shared by every ball of a system."""
+    """Learning constants shared by every ball of a system; its fields, in order, are the CBRN1 header."""
 
     dim: int = 13_456
+    theta: float = 100.0  # learning value: target pre-threshold output
+    threshold: float = 72.0  # firing cutoff of the cue step function
     eps_w: float = 1.0  # recall-weight learning rate
     eps_v: float = 1.0  # cue-weight learning rate
     lambda_cb: float = 1.0  # cross-weight learning rate
-    theta: float = 100.0  # learning value: target pre-threshold output
-    threshold: float = 72.0  # firing cutoff of the cue step function
     epochs: int = 1  # update repetitions per learn call
     normalized: bool = True  # presentation vectors carry unit energy
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        for name in ("eps_w", "eps_v", "lambda_cb", "theta", "threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for field in fields(self):
+            if type(field.default) is float and not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
         if min(self.eps_w, self.eps_v, self.lambda_cb) <= 0:
             raise ValueError("learning rates must be positive")
         if not self.theta > self.threshold > 0:

@@ -28,6 +28,22 @@ from .errors import (
 PatternVector = np.ndarray
 
 
+def read_utf8(path, error) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises `error`."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
+def records(text: str):
+    """(line number, body) of each non-blank body: a line's text before any `#`, stripped."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
+
+
 class BinaryPattern:
     """Dark/light pixel grid; dark pixels are 1."""
 
@@ -120,15 +136,10 @@ def save_pbm(pattern: BinaryPattern, path) -> None:
     Path(path).write_text(text, encoding="ascii", newline="\n")
 
 
-def _pbm_tokens(text: str):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        yield from body.split()
-
-
 def load_pbm(path, expect: tuple[int, int] | None = None) -> BinaryPattern:
     """Read a plain PBM file; `expect` optionally pins (width, height)."""
-    tokens = list(_pbm_tokens(Path(path).read_text(encoding="ascii", errors="replace")))
+    text = Path(path).read_text(encoding="ascii", errors="replace")  # a non-ASCII byte is harmless in a comment
+    tokens = [token for _, body in records(text) for token in body.split()]
     if not tokens or tokens[0] != "P1":
         magic = tokens[0] if tokens else "<empty>"
         raise PbmFormatError(f"{path}: bad magic {magic!r}, expected P1")
@@ -195,12 +206,9 @@ class AttributeCatalog:
 
 def parse_catalog(text: str) -> AttributeCatalog:
     """Parse `group:index:label` lines; `#` comments and blank lines are skipped."""
-    order: list[str] = []
-    entries: dict[str, dict[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    entries: dict[str, dict[int, str]] = {}  # group -> index -> label, groups in first-seen order
+    seen: set[tuple[str, str]] = set()  # (group, label) of every entry, for the duplicate check
+    for lineno, body in records(text):
         parts = body.split(":", 2)
         if len(parts) != 3:
             raise CatalogError(f"line {lineno}: expected group:index:label, got {body!r}")
@@ -215,19 +223,16 @@ def parse_catalog(text: str) -> AttributeCatalog:
             raise CatalogError(f"line {lineno}: index {index} is negative")
         if not label:
             raise CatalogError(f"line {lineno}: empty label")
-        if name not in entries:
-            order.append(name)
-            entries[name] = {}
-        group = entries[name]
+        group = entries.setdefault(name, {})
         if index in group:
             raise DuplicateEntry(f"line {lineno}: duplicate entry {name}:{index}")
-        if label in group.values():
+        if (name, label) in seen:
             raise DuplicateEntry(f"line {lineno}: duplicate label {label!r} in group {name}")
         group[index] = label
+        seen.add((name, label))
 
     groups = []
-    for name in order:
-        group = entries[name]
+    for name, group in entries.items():
         expected = set(range(len(group)))
         if set(group) != expected:
             missing = sorted(expected - set(group)) or sorted(set(group) - expected)
@@ -241,11 +246,7 @@ def parse_catalog(text: str) -> AttributeCatalog:
 
 def load_catalog(path) -> AttributeCatalog:
     """Load an attribute catalog from a text file."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CatalogError(f"{path}: byte {exc.start} is not UTF-8 text") from None
-    return parse_catalog(text)
+    return parse_catalog(read_utf8(path, CatalogError))
 
 
 def default_catalog() -> AttributeCatalog:

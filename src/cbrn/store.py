@@ -1,13 +1,15 @@
 """Save and load trained systems as CBRN1 text files.
 
 The format is line-oriented and self-describing: configuration, labels,
-weight rows, and cross links all travel together.  Floats are printed in
-shortest round-trip decimal form and records appear in one fixed order, so
-the same system always serializes to identical bytes.  `loads` reads the
-records in one forward pass and accepts them only in the order `dumps`
-writes them, so a re-save of any file that loads reproduces every record in
-order; only comments, blank lines, spacing and number spellings are
-normalised.  See docs/model-format.md for the grammar.
+weight rows, and cross links all travel together.  The header holds the
+`SystemConfig` fields in declaration order, each written and parsed by the
+type of its default; lines and comments follow `patterns.records`.  Floats
+are printed in shortest round-trip decimal form and records appear in one
+fixed order, so the same system always serializes to identical bytes.
+`loads` reads the records in one forward pass and accepts them only in the
+order `dumps` writes them, so a re-save of any file that loads reproduces
+every record in order; only comments, blank lines, spacing and number
+spellings are normalised.  See docs/model-format.md for the grammar.
 
 A weight row holds few distinct values (a one-shot-stored row holds two), so
 both directions work per distinct value: a row is printed with one `repr`
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from . import patterns
 from .errors import (
     DimensionMismatch,
     ModelFormatError,
@@ -69,18 +73,7 @@ def _lines(system: MemorySystem):
             # record, and a load strips whitespace off the end of each line
             if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip():
                 raise ValueError(f"label {label!r} cannot contain '#' or line breaks or end in whitespace")
-    cfg = system.config
-    yield (
-        f"{MAGIC}\n"
-        f"dim {cfg.dim}\n"
-        f"theta {_fmt(cfg.theta)}\n"
-        f"threshold {_fmt(cfg.threshold)}\n"
-        f"eps_w {_fmt(cfg.eps_w)}\n"
-        f"eps_v {_fmt(cfg.eps_v)}\n"
-        f"lambda_cb {_fmt(cfg.lambda_cb)}\n"
-        f"epochs {cfg.epochs}\n"
-        f"normalized {'true' if cfg.normalized else 'false'}\n"
-    )
+    yield MAGIC + "\n" + "".join(f"{key} {write(getattr(system.config, key))}\n" for key, write, _ in _HEADER)
     for ball in system.balls.values():
         yield f"ball {ball.id} {ball.n}\n"
         for i, label in enumerate(ball.labels):
@@ -125,19 +118,6 @@ class _FloatMemo(dict):
     def __missing__(self, token: str) -> float:
         value = self[token] = float(token)
         return value
-
-
-def _records(lines: list[str]):
-    """(line number, first word, rest) of each record after the magic line.
-
-    A record is a line with its `#` comment cut off and its ends stripped;
-    comment and blank lines are no record.
-    """
-    for lineno, raw in enumerate(lines[1:], start=2):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            word, _, rest = body.partition(" ")
-            yield lineno, word, rest
 
 
 _EOF = (0, "", "")  # what `next(records, _EOF)` returns past the last record
@@ -203,9 +183,11 @@ def _parse_bool(text: str, lineno: int, what: str) -> bool:
     return text == "true"
 
 
-# header keys in file order, each with the parser of its value
-_HEADER = (("dim", _parse_int), ("theta", _parse_float), ("threshold", _parse_float), ("eps_w", _parse_float),
-           ("eps_v", _parse_float), ("lambda_cb", _parse_float), ("epochs", _parse_int), ("normalized", _parse_bool))
+# (key, write, parse) of each header line in file order: the SystemConfig
+# fields in declaration order, each written and parsed by its default's type
+_CODECS = {int: (str, _parse_int), float: (_fmt, _parse_float),
+           bool: (lambda flag: str(flag).lower(), _parse_bool)}
+_HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(SystemConfig))
 
 
 def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _FloatMemo) -> None:
@@ -242,13 +224,14 @@ def loads(text: str) -> MemorySystem:
     the magic, the header keys, each ball's section, the links, `end`.  A
     record out of place is an error that names the record expected there.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].split("#", 1)[0].strip() != MAGIC:
-        found = lines[0].strip() if lines else "<empty>"
+    bodies = patterns.records(text)
+    if next(bodies, None) != (1, MAGIC):
+        found = (text.splitlines() or ["<empty>"])[0].strip()
         raise UnsupportedVersion(f"bad magic {found!r}, expected {MAGIC}")
-    records = _records(lines)
+    # (line number, first word, rest) of each record after the magic
+    records = ((lineno, *body.partition(" ")[::2]) for lineno, body in bodies)
     settings = {}
-    for key, parse in _HEADER:
+    for key, _, parse in _HEADER:
         lineno, value = _take(records, key)
         settings[key] = parse(value.strip(), lineno, key)
     try:
@@ -299,8 +282,4 @@ def loads(text: str) -> MemorySystem:
 
 def load(path) -> MemorySystem:
     """Read a system from disk."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: byte {exc.start} is not UTF-8 text") from None
-    return loads(text)
+    return loads(patterns.read_utf8(path, ModelFormatError))

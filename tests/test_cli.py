@@ -93,6 +93,19 @@ class TestEncode:
                          "--scale", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("message, stderr", [
+        ("Unable to allocate 3.13 GiB for an array", "error: Unable to allocate 3.13 GiB for an array\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_allocation_failure_is_one_line_runtime_error(self, capsys, tmp_path, monkeypatch, message, stderr):
+        def render(*_):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(qr, "render", render)
+        out = tmp_path / "x.pbm"
+        assert run(capsys, "encode", "--label", "red", "--out", out) == (3, "", stderr)
+        assert not out.exists()
+
 
 class TestTrain:
     def test_trains_and_reports_zero_errors(self, capsys, tmp_path):
@@ -124,6 +137,19 @@ class TestTrain:
         run(capsys, "train", "--out", a, "--provider", "random", "--seed", "9")
         run(capsys, "train", "--out", b, "--provider", "random", "--seed", "9")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
+    def test_negative_seed_is_usage_error_and_writes_no_model(self, capsys, tmp_path, monkeypatch, source):
+        # NumPy's generator takes no negative seed; the qr provider ignores the seed but gets the same error
+        (tmp_path / "opts.conf").write_text("seed = -1\n")
+        extra = {"flag": ("--seed", "-1"), "environment": (), "config file": ("--config", tmp_path / "opts.conf")}
+        if source == "environment":
+            monkeypatch.setenv("CBRN_SEED", "-1")
+        out = tmp_path / "m.cbrn"
+        for provider in ("random", "qr"):
+            code, stdout, stderr = run(capsys, "train", "--provider", provider, "--out", out, *extra[source])
+            assert (code, stdout, stderr) == (2, "", "error: seed must be at least 0, got -1\n")
+            assert not out.exists()
 
     def test_flag_overrides_env_overrides_config(self, capsys, tmp_path, monkeypatch):
         cat = tmp_path / "cat.txt"

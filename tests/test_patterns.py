@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbrn import patterns, qr
+from cbrn import patterns, qr, store
+from cbrn.cli import read_config_file
 from cbrn.errors import (
     CatalogError,
     CbrnError,
@@ -178,6 +179,27 @@ class TestCatalog:
         catalog = patterns.load_catalog(path)
         assert [g.name for g in catalog] == ["A", "B"]
         assert catalog.group("A").labels == ("one", "two")
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (lambda path: store.dumps(store.load(path)),
+         "CBRN1\ndim 2\ntheta 100.0\nthreshold 72.0\neps_w 1.0\neps_v 1.0\nlambda_cb 1.0\nepochs 1\n"
+         "normalized true\nball A 1\nlabel 0 two words\nw 0 0.6 0.8\nv 0 60.0 80.0\nend\n"),
+        (read_config_file, "theta = 90\nformat = csv\n"),
+        (patterns.load_catalog, "color:0:red\ncolor:1:dark blue\nstyle:0:bold\n"),
+        (patterns.load_pbm, "P1\n3 2\n1 0 1\n0 1 0\n"),
+    ],
+    ids=["model", "config", "catalog", "pbm"],
+)
+def test_every_text_format_reads_crlf_comments_and_blank_lines_alike(tmp_path, read, text):
+    """One line rule: CRLF breaks, a trailing `# comment` and a whitespace-only line change nothing."""
+    first, *rest = text.splitlines()
+    plain, noisy = tmp_path / "plain", tmp_path / "noisy"
+    plain.write_bytes(text.encode("utf-8"))
+    noisy.write_bytes("\r\n".join([first, " \t ", *(f"{line}  # note" for line in rest)]).encode("utf-8") + b"\r\n")
+    assert read(noisy) == read(plain)
 
 
 def joined(pieces: list[str], *, first=st.just("")):

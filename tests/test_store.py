@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +140,24 @@ class TestRoundTrip:
         system.add_ball("A", ["extra large", "two  spaces"])
         loaded = store.loads(store.dumps(system))
         assert loaded.balls["A"].labels == ["extra large", "two  spaces"]
+
+
+class TestHeader:
+    # every field off its default, and the three learning rates told apart
+    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25, eps_w=0.5, eps_v=0.75, lambda_cb=0.875, epochs=3,
+                          normalized=False)
+
+    def test_every_field_is_written_in_field_order_and_reads_back(self):
+        text = store.dumps(MemorySystem(self.CONFIG))
+        assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 0.5", "eps_v 0.75",
+                                     "lambda_cb 0.875", "epochs 3", "normalized false", "end"]
+        assert [line.split()[0] for line in text.splitlines()[1:-1]] == [field.name for field in fields(SystemConfig)]
+        assert store.loads(text).config == self.CONFIG
+
+    def test_format_doc_lists_the_header_in_field_order(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "model-format.md").read_text(encoding="utf-8")
+        grammar = doc.split("header   :", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r'^\s*"(\w+)"', grammar, re.M) == [field.name for field in fields(SystemConfig)]
 
 
 class TestDemoFileShape:
