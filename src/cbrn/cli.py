@@ -13,6 +13,8 @@ Exit codes are stable: 0 on success, 2 for invalid usage or argument values,
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import os
 import sys
 from dataclasses import fields
@@ -202,12 +204,22 @@ def _load_probe(system: MemorySystem, path):
     return to_vector(pattern, normalized=system.config.normalized)
 
 
-def _write_recalled(system: MemorySystem, vector, out) -> None:
-    """Write a recalled vector as a square bitmap."""
+def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out, fmt: str) -> None:
+    """Write a neuron's recalled pattern as a square bitmap; say so on stderr under CSV, else stdout."""
     side = int(round(system.config.dim ** 0.5))
     if side * side != system.config.dim:
         raise UsageError(f"model dimension {system.config.dim} is not square; cannot write a bitmap")
-    save_pbm(to_pattern(vector, side, side), out)
+    save_pbm(to_pattern(system.recall_forward(ball_id, neuron), side, side), out)
+    print(f"wrote recalled pattern of {ball_id}:{neuron} -> {out}", file=sys.stderr if fmt == "csv" else sys.stdout)
+
+
+def _csv_writer(fmt: str, *header: str):
+    """For CSV, a writer on stdout that has written `header`; for a table, None."""
+    if fmt != "csv":
+        return None
+    writer = csv.writer(sys.stdout, lineterminator="\n")  # quotes a field only where it must
+    writer.writerow(header)
+    return writer
 
 
 # ---------------------------------------------------------------------------
@@ -274,89 +286,57 @@ def cmd_pair(args, opts: dict) -> int:
 
 
 def cmd_recall(args, opts: dict) -> int:
-    fmt, threshold = opts["format"], opts["threshold"]
+    fmt = opts["format"]
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
-    probe = _load_probe(system, args.pattern)
-    response = system.cue_response(ball_id, probe, threshold)
+    response = system.cue_response(ball_id, _load_probe(system, args.pattern), opts["threshold"])
 
-    if fmt == "csv":
-        print("ball,neuron,label,q,fired")
+    writer = _csv_writer(fmt, "ball", "neuron", "label", "q", "fired")
     title = f"ball {ball_id}, threshold {response.threshold}"
-    _print_q(system.balls[ball_id], response, fmt, f"{ball_id},", title)
-    if fmt == "table":
+    _print_q(writer, (ball_id,), system.balls[ball_id], response, title)
+    if not writer:
         print(f"fired: {list(response.fired)}  argmax: {response.argmax}")
 
     if args.out:
         if not response.fired:
-            raise NoRecognition(
-                f"nothing fired at threshold {response.threshold}; not writing {args.out}"
-            )
-        _write_recalled(system, system.recall_forward(ball_id, response.argmax), args.out)
-        print(f"wrote recalled pattern of {ball_id}:{response.argmax} -> {args.out}")
+            raise NoRecognition(f"nothing fired at threshold {response.threshold}; not writing {args.out}")
+        _write_recalled(system, ball_id, response.argmax, args.out, fmt)
     return 0
 
 
 def cmd_associate(args, opts: dict) -> int:
-    fmt, threshold = opts["format"], opts["threshold"]
+    fmt = opts["format"]
     system = store.load(args.model)
     from_ball = system.resolve_ball(args.from_ball)
     to_ball = system.resolve_ball(args.to_ball)
     probe = _load_probe(system, args.pattern)
-    result = system.associate(from_ball, probe, to_ball, threshold)
+    result = system.associate(from_ball, probe, to_ball, opts["threshold"])
 
-    to_label = system.balls[to_ball].labels[result.target_neuron]
-    if fmt == "csv":
-        print("from_ball,from_neuron,to_ball,to_neuron,to_label,q")
-        print(
-            f"{from_ball},{result.source_neuron},{to_ball},{result.target_neuron},"
-            f"{to_label},{float(result.q)!r}"
-        )
+    k, l = result.source_neuron, result.target_neuron
+    to_label = system.balls[to_ball].labels[l]
+    writer = _csv_writer(fmt, "from_ball", "from_neuron", "to_ball", "to_neuron", "to_label", "q")
+    if writer:
+        writer.writerow((from_ball, k, to_ball, l, to_label, result.q))
     else:
-        print(
-            f"{from_ball}:{result.source_neuron} -> {to_ball}:{result.target_neuron}"
-            f" ({to_label}), q = {result.q:.6f}"
-        )
+        print(f"{from_ball}:{k} -> {to_ball}:{l} ({to_label}), q = {result.q:.6f}")
 
     if args.out:
-        _write_recalled(system, result.recalled, args.out)
-        print(f"wrote recalled pattern of {to_ball}:{result.target_neuron} -> {args.out}")
+        _write_recalled(system, to_ball, l, args.out, fmt)
     return 0
 
 
-def _print_q(ball, response, fmt: str, csv_prefix: str, title: str) -> None:
-    """One line per neuron of a ball: label, q and whether it fired.
-
-    CSV lines start with `csv_prefix`; a table starts with `title` and a
-    column header.
-    """
-    if fmt == "csv":
-        for i, value in enumerate(response.q):
-            print(f"{csv_prefix}{i},{ball.labels[i]},{float(value)!r},{int(i in response.fired)}")
+def _print_q(writer, prefix: tuple, ball, response, title: str) -> None:
+    """One row per neuron of a ball: label, q, fired; CSV rows start with `prefix`, a table with `title`."""
+    rows = [(i, label, float(q), int(i in response.fired))
+            for i, (label, q) in enumerate(zip(ball.labels, response.q))]
+    if writer:
+        writer.writerows(prefix + row for row in rows)
         return
     print(title)
     print(f"{'neuron':>6} {'label':<14} {'q':>14} fired")
-    for i, value in enumerate(response.q):
-        marks = "*" if i in response.fired else ""
+    for i, label, q, fired in rows:
         argmax = "  <- argmax" if i == response.argmax else ""
-        print(f"{i:>6} {ball.labels[i]:<14} {value:>14.6f} {marks:<5}{argmax}")
-
-
-def _report_probes(system: MemorySystem, probe_specs) -> list[tuple[str, int]]:
-    if probe_specs:
-        out = []
-        for probe_text in probe_specs:
-            ball, index = _parse_ref(probe_text, "probe")
-            ball_id = system.resolve_ball(ball)
-            if not 0 <= index < system.balls[ball_id].n:
-                raise NeuronIndexError(f"probe index {index} out of range for {ball_id!r}")
-            out.append((ball_id, index))
-        return out
-    defaults = []
-    for position, ball_id in enumerate(system.balls):
-        wanted = _DEFAULT_PROBE_NEURONS[position] if position < len(_DEFAULT_PROBE_NEURONS) else 0
-        defaults.append((ball_id, min(wanted, system.balls[ball_id].n - 1)))
-    return defaults
+        print(f"{i:>6} {label:<14} {q:>14.6f} {'*' if fired else '':<5}{argmax}")
 
 
 def cmd_report(args, opts: dict) -> int:
@@ -366,49 +346,38 @@ def cmd_report(args, opts: dict) -> int:
     system = store.load(args.model)
 
     if args.figure == 3:
-        probes = _report_probes(system, args.probe)
-        if fmt == "csv":
-            print("ball,probe_neuron,neuron,label,q,fired")
-        for ball_id, index in probes:
-            probe = system.recall_forward(ball_id, index)
-            response = system.cue_response(ball_id, probe)
+        if args.probe:
+            refs = [_parse_ref(text, "probe") for text in args.probe]
+            refs = [(system.resolve_ball(ball), index) for ball, index in refs]
+        else:  # _DEFAULT_PROBE_NEURONS by ball position, then 0; at most the last neuron
+            wanted = itertools.chain(_DEFAULT_PROBE_NEURONS, itertools.repeat(0))
+            refs = [(ball_id, min(k, ball.n - 1)) for (ball_id, ball), k in zip(system.balls.items(), wanted)]
+        # every probe is looked up, and so checked, before anything prints
+        probes = [(ball_id, index, system.recall_forward(ball_id, index)) for ball_id, index in refs]
+        writer = _csv_writer(fmt, "ball", "probe_neuron", "neuron", "label", "q", "fired")
+        for ball_id, index, probe in probes:
             ball = system.balls[ball_id]
             title = f"ball {ball_id}, probing stored pattern {index} ({ball.labels[index]})"
-            _print_q(ball, response, fmt, f"{ball_id},{index},", title)
-            if fmt == "table":
+            _print_q(writer, (ball_id, index), ball, system.cue_response(ball_id, probe), title)
+            if not writer:
                 print()
         return 0
 
-    # figure 4: per ordered ball pair, the full source-neuron x target-neuron grid
-    if fmt == "csv":
-        print("from_ball,from_neuron,to_ball,to_neuron,q")
-    ball_ids = list(system.balls)
-    for a in ball_ids:
-        for b in ball_ids:
-            if a == b:
-                continue
-            n_a = system.balls[a].n
-            if fmt == "csv":
-                for k in range(n_a):
-                    response = system.cross_response(a, k, b)
-                    for l, value in enumerate(response.q):
-                        print(f"{a},{k},{b},{l},{float(value)!r}")
-            else:
-                print(f"{a} -> {b} (rows: source neuron, columns: target neuron)")
-                header = " ".join(f"{l:>8}" for l in range(system.balls[b].n))
-                print(f"{'':>4} {header}")
-                for k in range(n_a):
-                    response = system.cross_response(a, k, b)
-                    cells = " ".join(f"{value:>8.2f}" for value in response.q)
-                    print(f"{k:>4} {cells}")
-                print()
-    if fmt == "table":
-        theta = system.config.theta
-        print(
-            f"note: trained links respond at exactly theta ({theta:g}); untrained"
-            " entries are 0. runs that normalize inexactly land just below theta"
-            " and are not reproduced here."
-        )
+    # figure 4: per ordered ball pair, the link array, source neuron x target neuron
+    writer = _csv_writer(fmt, "from_ball", "from_neuron", "to_ball", "to_neuron", "q")
+    for a, b in itertools.permutations(system.balls, 2):
+        grid = system.links[a, b]
+        if writer:
+            writer.writerows((a, k, b, l, float(u)) for (k, l), u in np.ndenumerate(grid))
+            continue
+        print(f"{a} -> {b} (rows: source neuron, columns: target neuron)")
+        print(f"{'':>4} " + " ".join(f"{l:>8}" for l in range(grid.shape[1])))
+        for k, row in enumerate(grid):
+            print(f"{k:>4} " + " ".join(f"{u:>8.2f}" for u in row))
+        print()
+    if not writer:
+        print(f"note: trained links respond at exactly theta ({system.config.theta:g}); untrained entries are 0."
+              " runs that normalize inexactly land just below theta and are not reproduced here.")
     return 0
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -539,6 +541,58 @@ class TestReport:
                                    "--probe", "color:0")
         assert (code, stdout, stderr) == (2, "", "error: --probe applies to figure 3 only\n")
 
+    def test_every_probe_is_checked_before_anything_prints(self, capsys, model_path):
+        code, stdout, stderr = run(capsys, "report", "--model", model_path, "--figure", "3",
+                                   "--probe", "color:0", "--probe", "color:9")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: neuron 9 out of range for ball 'Color' (n=7)\n"
+
+
+def read_csv(stdout):
+    """The header and rows of CSV output; every row must have the header's field count."""
+    header, *rows = csv.reader(io.StringIO(stdout))
+    assert rows and all(len(row) == len(header) for row in rows), stdout
+    return header, rows
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("command", [
+        ("recall", "--ball", "color"),
+        ("associate", "--from", "color", "--to", "style"),
+    ])
+    def test_out_notice_goes_to_stderr(self, capsys, model_path, red_pbm, tmp_path, command):
+        out = tmp_path / "recalled.pbm"
+        name, *where = command
+        code, stdout, stderr = run(capsys, name, "--model", model_path, *where, "--pattern", red_pbm,
+                                   "--format", "csv", "--out", out)
+        assert code == 0
+        read_csv(stdout)
+        assert "wrote recalled pattern" not in stdout
+        assert stderr.startswith("wrote recalled pattern of ") and stderr.endswith(f" -> {out}\n")
+        assert out.stat().st_size > 0
+
+    def test_labels_with_commas_and_quotes_are_quoted(self, capsys, tmp_path):
+        catalog = tmp_path / "cat.txt"
+        catalog.write_text('Color:0:red, dark\nColor:1:"blue"\nStyle:0:box\n', encoding="utf-8")
+        model, probe = tmp_path / "m.cbrn", tmp_path / "probe.pbm"
+        assert run(capsys, "train", "--catalog", catalog, "--out", model)[0] == 0
+        assert run(capsys, "pair", "--model", model, "--pair", "color:0=style:0")[0] == 0
+        assert run(capsys, "encode", "--label", "red, dark", "--out", probe)[0] == 0
+
+        code, stdout, _ = run(capsys, "recall", "--model", model, "--ball", "color",
+                              "--pattern", probe, "--format", "csv")
+        assert code == 0
+        _, rows = read_csv(stdout)
+        assert [row[2] for row in rows] == ["red, dark", '"blue"']
+        code, stdout, _ = run(capsys, "associate", "--model", model, "--from", "color",
+                              "--pattern", probe, "--to", "style", "--format", "csv")
+        assert code == 0
+        assert read_csv(stdout)[1] == [["Color", "0", "Style", "0", "box", "100.0"]]
+        code, stdout, _ = run(capsys, "report", "--model", model, "--figure", "3", "--format", "csv")
+        assert code == 0
+        _, rows = read_csv(stdout)
+        assert [row[3] for row in rows] == ["red, dark", '"blue"', "box"]
+
 
 CONFIG_PIECES = [b"theta", b"format", b"=", b" ", b"\t", b"\n", b"\r", b"#", b"-", b"x", b"\xff", b"\xe2\x80\xa8"]
 
@@ -681,3 +735,40 @@ class TestDemoSessionGolden:
         argv = ("associate", "--model", model, "--from", "color", "--pattern", red, "--to", "style")
         assert run(capsys, *argv, "--out", rectangle)[0] == 0
         assert hashlib.sha256(rectangle.read_bytes()).hexdigest() == self.RECTANGLE_SHA256
+
+
+class TestQueryOutputGolden:
+    """The README session's query output, pinned byte for byte in both formats."""
+
+    STDOUT_SHA256 = {
+        ("recall", "table"): "8d826fc441f78bc09dc54762f6b675fe8e2649984704c9593cb620c7f675b0e2",
+        ("associate", "table"): "16a0f7527060fe917a60b4ab0ce0dd4e669c49735fb5b6eab74ba44a17457702",
+        ("figure3", "table"): "81c7fbaa3b00ef582097eb44252150bb16c42cf7d9610301772bab541da53926",
+        ("figure4", "table"): "28775792fa5558810cdc07fc854a3f2cf2e0c367b3ae6a66c4ee1da714e30875",
+        ("recall", "csv"): "53aeafb13b58d411e1fddd48ee3ce877555deeca853479167f0b385689856147",
+        ("associate", "csv"): "ca1201081062cf8324c146698e0b655a54386230c694acef17c533bec86db5d1",
+        ("figure3", "csv"): "59dbe6b429d16afa928a8711fef286fa8cf2537f64a105d71606aa6e7aa05995",
+        ("figure4", "csv"): "de930c8a61af21281730a72fa383de7b996b329ce046f876d3bda5fe992a94f3",
+    }
+    QUERIES = {
+        "recall": ("recall", "--model", "demo.cbrn", "--ball", "color", "--pattern", "red.pbm"),
+        "associate": ("associate", "--model", "demo.cbrn", "--from", "color", "--pattern", "red.pbm",
+                      "--to", "style"),
+        "figure3": ("report", "--model", "demo.cbrn", "--figure", "3"),
+        "figure4": ("report", "--model", "demo.cbrn", "--figure", "4"),
+    }
+
+    def test_query_stdout_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths, so the --out notice is the same on every run
+        assert run(capsys, "encode", "--label", "red", "--out", "red.pbm")[0] == 0
+        assert run(capsys, "train", "--out", "demo.cbrn")[0] == 0
+        pairs = ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")
+        assert run(capsys, "pair", "--model", "demo.cbrn", *(f"--pair={p}" for p in pairs))[0] == 0
+        digests = {}
+        for (name, fmt) in self.STDOUT_SHA256:
+            out = ("--out", "rectangle.pbm") if (name, fmt) == ("associate", "table") else ()
+            code, stdout, stderr = run(capsys, *self.QUERIES[name], *out, "--format", fmt)
+            assert (code, stderr) == (0, "")
+            digests[name, fmt] = hashlib.sha256(stdout.encode()).hexdigest()
+        assert digests == self.STDOUT_SHA256
+        assert hashlib.sha256(Path("rectangle.pbm").read_bytes()).hexdigest() == TestDemoSessionGolden.RECTANGLE_SHA256
