@@ -89,13 +89,11 @@ def _one_of(what: str, choices: tuple[str, ...]):
     return parse
 
 
-def _positive(what: str, cast):
-    def parse(text: str):
-        value = cast(text)
-        if not value > 0:  # also refuses nan
-            raise UsageError(f"{what} must be positive, got {value}")
-        return value
-    return parse
+def _threshold_override(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also refuses nan
+        raise UsageError(f"threshold must be positive, got {value}")
+    return value
 
 
 def _seed(text: str) -> int:
@@ -134,20 +132,18 @@ _FORMATTED = ("recall", "associate", "report")
 # the config-file key <name> and the check `parse` makes of a value from any
 # of them; a default is never parsed.  The SystemConfig defaults are its own.
 OPTIONS = (
-    ("scale", _positive("scale", int), ("encode",), qr.DEFAULT_SCALE, "pixels per module"),
     ("catalog", str, ("train",), None, "catalog file (default: the bundled one)"),
     ("theta", float, ("train",), SystemConfig.theta, "learning value"),
     ("threshold", float, ("train",), SystemConfig.threshold, "firing threshold"),
-    ("eps_w", float, ("train",), SystemConfig.eps_w, "recall learning rate"),
-    ("eps_v", float, ("train",), SystemConfig.eps_v, "cue learning rate"),
-    ("lambda_cb", float, ("train",), SystemConfig.lambda_cb, "cross learning rate"),
-    ("epochs", int, ("train",), SystemConfig.epochs, "updates per learn call"),
+    ("eps_w", float, ("train",), SystemConfig.eps_w, "recall learning rate, in (0, 1]"),
+    ("eps_v", float, ("train",), SystemConfig.eps_v, "cue learning rate, in (0, 1]"),
+    ("lambda_cb", float, ("train",), SystemConfig.lambda_cb, "cross learning rate, in (0, 1]"),
     ("normalized", _parse_bool, ("train",), SystemConfig.normalized,
      "present raw 0/1 vectors, not unit-energy ones; sets key normalized to false"),
     ("provider", _one_of("provider", PROVIDERS), ("train",), "qr", "pattern source: qr or random"),
     ("seed", _seed, ("train",), 0, "seed for the random provider"),
     ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
-    ("threshold", _positive("threshold", float), _QUERIES, None, "override the model's firing threshold"),
+    ("threshold", _threshold_override, _QUERIES, None, "override the model's firing threshold"),
     ("format", _one_of("format", ("table", "csv")), _FORMATTED, "table", "table or csv"),
 )
 
@@ -229,7 +225,7 @@ def _csv_writer(fmt: str, *header: str):
 
 def cmd_encode(args, opts: dict) -> int:
     matrix = qr.encode_label(args.label)
-    pattern = qr.render(matrix, opts["scale"])
+    pattern = qr.render(matrix)
     save_pbm(pattern, args.out)
     print(
         f"wrote {args.out}: {pattern.width}x{pattern.height}, "
@@ -275,10 +271,7 @@ def cmd_pair(args, opts: dict) -> int:
             (f"{a}:{k} -> {b}:{l}", forward, system.links[a, b][k, l]),
             (f"{b}:{l} -> {a}:{k}", backward, system.links[b, a][l, k]),
         ):
-            print(
-                f"{tag:<24} {report.errors[0]:>12.6g} {report.final_error:>12.6g}"
-                f" {u:>10.4f}"
-            )
+            print(f"{tag:<24} {report.error:>12.6g} {report.final_error:>12.6g} {_fixed(u, 10, 4)}")
     out = args.out or args.model
     store.save(system, out)
     print(f"{len(system.trained_links())} directed links -> {out}")
@@ -318,11 +311,16 @@ def cmd_associate(args, opts: dict) -> int:
     if writer:
         writer.writerow((from_ball, k, to_ball, l, to_label, result.q))
     else:
-        print(f"{from_ball}:{k} -> {to_ball}:{l} ({to_label}), q = {result.q:.6f}")
+        print(f"{from_ball}:{k} -> {to_ball}:{l} ({to_label}), q = {_fixed(result.q, 14, 6).lstrip()}")
 
     if args.out:
         _write_recalled(system, to_ball, l, args.out, fmt)
     return 0
+
+
+def _fixed(value: float, width: int, digits: int) -> str:
+    """`value` in `width` columns: `digits` decimals, or from 1e9 on e notation with as many as fit."""
+    return f"{value:>{width}.{digits}f}" if abs(value) < 1e9 else f"{value:>{width}.{min(digits, width - 8)}e}"
 
 
 def _print_q(writer, prefix: tuple, ball, response, title: str) -> None:
@@ -336,7 +334,7 @@ def _print_q(writer, prefix: tuple, ball, response, title: str) -> None:
     print(f"{'neuron':>6} {'label':<14} {'q':>14} fired")
     for i, label, q, fired in rows:
         argmax = "  <- argmax" if i == response.argmax else ""
-        print(f"{i:>6} {label:<14} {q:>14.6f} {'*' if fired else '':<5}{argmax}")
+        print(f"{i:>6} {label:<14} {_fixed(q, 14, 6)} {'*' if fired else '':<5}{argmax}")
 
 
 def cmd_report(args, opts: dict) -> int:
@@ -373,7 +371,7 @@ def cmd_report(args, opts: dict) -> int:
         print(f"{a} -> {b} (rows: source neuron, columns: target neuron)")
         print(f"{'':>4} " + " ".join(f"{l:>8}" for l in range(grid.shape[1])))
         for k, row in enumerate(grid):
-            print(f"{k:>4} " + " ".join(f"{u:>8.2f}" for u in row))
+            print(f"{k:>4} " + " ".join(_fixed(u, 8, 2) for u in row))
         print()
     if not writer:
         print(f"note: trained links respond at exactly theta ({system.config.theta:g}); untrained entries are 0."

@@ -40,7 +40,7 @@ from .patterns import AttributeCatalog, PatternVector
 
 @dataclass
 class SystemConfig:
-    """Learning constants shared by every ball of a system; its fields, in order, are the CBRN1 header."""
+    """Learning constants shared by every ball of a system; `store` writes its fields, in order, as the CBRN1 header."""
 
     dim: int = 13_456
     theta: float = 100.0  # learning value: target pre-threshold output
@@ -48,7 +48,6 @@ class SystemConfig:
     eps_w: float = 1.0  # recall-weight learning rate
     eps_v: float = 1.0  # cue-weight learning rate
     lambda_cb: float = 1.0  # cross-weight learning rate
-    epochs: int = 1  # update repetitions per learn call
     normalized: bool = True  # presentation vectors carry unit energy
 
     def __post_init__(self) -> None:
@@ -57,14 +56,19 @@ class SystemConfig:
         for field in fields(self):
             if type(field.default) is float and not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
-        if min(self.eps_w, self.eps_v, self.lambda_cb) <= 0:
-            raise ValueError("learning rates must be positive")
-        if not self.theta > self.threshold > 0:
-            raise ValueError(
-                "need theta > threshold > 0, otherwise trained neurons never fire"
-            )
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("eps_w", "eps_v", "lambda_cb"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        # One step from zero puts a link at theta*lambda_cb and a clean stored probe
+        # at q = theta*eps_w*eps_v times its energy (at least 1), and with unit vectors
+        # no later step at a rate in (0, 1] passes its target.  Rounding leaves a unit
+        # probe within 1.05e-12 of its value, some below, so a 1e-9 margin is ample.
+        floor = self.threshold * (1 + 1e-9)
+        for what, lowest in (("theta*eps_w*eps_v", self.theta * self.eps_w * self.eps_v),
+                             ("theta*lambda_cb", self.theta * self.lambda_cb)):
+            if not lowest > floor > 0:
+                raise ValueError(f"need {what} = {lowest:g} > threshold = {self.threshold:g} > 0,"
+                                 " otherwise trained neurons never fire")
 
 
 class Ball:
@@ -104,13 +108,9 @@ class CueResponse:
 class UpdateReport:
     """Diagnostics of one learn call."""
 
-    errors: tuple[float, ...]  # error before each update step
-    final_error: float  # error after the last step
-    deltas: tuple[float, ...]  # max-abs update term per step
-
-    @property
-    def max_delta(self) -> float:
-        return max(self.deltas)
+    error: float  # half squared error before the step
+    final_error: float  # half squared error after it
+    max_delta: float  # largest update term of the step
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,6 @@ def cue_error(theta: float, q) -> float:
 # array in the order `ndarray.sum` does.
 def _half_square(err) -> float:
     return 0.5 * float(np.add.reduce(np.square(err), axis=None))
-
-
-def _max_abs(delta) -> float:
-    return float(np.maximum.reduce(np.abs(delta), axis=None))
 
 
 class MemorySystem:
@@ -223,27 +219,23 @@ class MemorySystem:
         return v
 
     def _delta_rule(self, where: str, weight, rate: float, target, output=lambda w: w, x=1.0):
-        """Widrow-Hoff steps `weight = weight + rate * (target - output(weight)) * x`.
+        """One Widrow-Hoff step `weight + rate * (target - output(weight)) * x`.
 
-        `weight` is a row or a float and is not modified.  Returns the final
-        weight and the report: the half squared error before each step and
-        after the last, and each step's largest term.  Raises NonFiniteWeight
-        if the steps overflow, so the caller stores nothing.
+        `weight` is a row or a float and is not modified.  Returns the new
+        weight and the report: the half squared error before and after the
+        step, and its largest term.  Raises NonFiniteWeight if the step
+        overflows, so the caller stores nothing.
         """
-        errors, deltas = [], []
-        for _ in range(self.config.epochs):
-            err = target - output(weight)
-            errors.append(_half_square(err))
-            step = rate * err * x  # a new array or float
-            deltas.append(_max_abs(step))
-            step += weight  # so the sum lands in it, not in the caller's row
-            weight = step
-        final = _half_square(target - output(weight))
+        err = target - output(weight)
+        step = rate * err * x  # a new array or float
+        max_delta = float(np.maximum.reduce(np.abs(step), axis=None))
+        step += weight  # so the sum lands in it, not in the caller's row
+        final = _half_square(target - output(step))
         # an inf or nan weight makes the final error inf or nan, so only
         # then is the weight itself scanned
-        if not math.isfinite(final) and not np.isfinite(weight).all():
+        if not math.isfinite(final) and not np.isfinite(step).all():
             raise NonFiniteWeight(f"learning {where} at rate {rate:g} left a non-finite weight")
-        return weight, UpdateReport(tuple(errors), final, tuple(deltas))
+        return step, UpdateReport(_half_square(err), final, max_delta)
 
     # -- recall path --------------------------------------------------------
 
@@ -260,7 +252,7 @@ class MemorySystem:
     def learn_recall_weights(self, ball_id: str, neuron: int, target) -> UpdateReport:
         """Delta-rule update of a neuron's recall row toward the target vector.
 
-        The neuron's output is held at 1 while learning, so each step adds
+        The neuron's output is held at 1 while learning, so the step adds
         eps_w * (target - row).  From zero weights with eps_w = 1 one step
         stores the target exactly and a repeat is a no-op.
         """
@@ -283,9 +275,9 @@ class MemorySystem:
         """Delta-rule update of a neuron's cue row toward output theta.
 
         `y` is the recall output presented back to the ball; by default the
-        neuron's own stored row.  Each step adds eps_v * (theta - q) * y.
-        From zero weights with eps_v = 1 and unit-energy y, one step puts the
-        row at theta * y, after which the response is exactly theta.
+        neuron's own stored row.  The step adds eps_v * (theta - q) * y.
+        From zero weights with eps_v = 1 and unit-energy y, it puts the row at
+        theta * y, whose response to y is theta to within rounding.
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)

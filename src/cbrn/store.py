@@ -73,7 +73,8 @@ def _lines(system: MemorySystem):
             # record, and a load strips whitespace off the end of each line
             if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip():
                 raise ValueError(f"label {label!r} cannot contain '#' or line breaks or end in whitespace")
-    yield MAGIC + "\n" + "".join(f"{key} {write(getattr(system.config, key))}\n" for key, write, _ in _HEADER)
+    values = {**vars(system.config), "epochs": 1}
+    yield MAGIC + "\n" + "".join(f"{key} {write(values[key])}\n" for key, write, _ in _HEADER)
     for ball in system.balls.values():
         yield f"ball {ball.id} {ball.n}\n"
         for i, label in enumerate(ball.labels):
@@ -183,11 +184,19 @@ def _parse_bool(text: str, lineno: int, what: str) -> bool:
     return text == "true"
 
 
+def _parse_epochs(text: str, lineno: int, what: str) -> int:
+    if _parse_int(text, lineno, what) != 1:
+        raise ModelFormatError(f"line {lineno}: {what} {text}: learning is one step now; retrain the model")
+    return 1
+
+
 # (key, write, parse) of each header line in file order: the SystemConfig
-# fields in declaration order, each written and parsed by its default's type
+# fields in declaration order, each written and parsed by its default's type,
+# and before `normalized` the constant line `epochs 1`, which goes with CBRN1
 _CODECS = {int: (str, _parse_int), float: (_fmt, _parse_float),
            bool: (lambda flag: str(flag).lower(), _parse_bool)}
 _HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(SystemConfig))
+_HEADER = (*_HEADER[:-1], ("epochs", str, _parse_epochs), _HEADER[-1])
 
 
 def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _FloatMemo) -> None:
@@ -234,6 +243,7 @@ def loads(text: str) -> MemorySystem:
     for key, _, parse in _HEADER:
         lineno, value = _take(records, key)
         settings[key] = parse(value.strip(), lineno, key)
+    del settings["epochs"]
     try:
         system = MemorySystem(SystemConfig(**settings))
     except ValueError as exc:

@@ -75,12 +75,6 @@ class TestEncode:
         assert pattern == qr.render(qr.encode_label("red"))
         assert "116x116" in stdout
 
-    def test_scale_one(self, capsys, tmp_path):
-        out = tmp_path / "red1.pbm"
-        code, _, _ = run(capsys, "encode", "--label", "red", "--out", out, "--scale", "1")
-        assert code == 0
-        assert patterns.load_pbm(out).width == 29
-
     def test_empty_label_is_usage_error(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "encode", "--label", "", "--out", tmp_path / "x.pbm")
         assert code == 2
@@ -91,9 +85,10 @@ class TestEncode:
         assert code == 2
 
     def test_bad_scale(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "encode", "--label", "red", "--out", tmp_path / "x.pbm",
-                         "--scale", "0")
-        assert code == 2
+        # every model has the dim of the default scale, so encode takes no scale
+        code, _, stderr = run(capsys, "encode", "--label", "red", "--out", tmp_path / "x.pbm", "--scale", "4")
+        assert code == 2 and "unrecognized arguments: --scale 4" in stderr
+        assert not (tmp_path / "x.pbm").exists()
 
     @pytest.mark.parametrize("message, stderr", [
         ("Unable to allocate 3.13 GiB for an array", "error: Unable to allocate 3.13 GiB for an array\n"),
@@ -206,12 +201,52 @@ class TestTrain:
         code, stdout, _ = run(capsys, "recall", "--model", out, "--ball", "color", "--pattern", red_pbm)
         assert code == 0 and "argmax: 0" in stdout
 
+    def test_huge_theta_tables_keep_their_columns(self, capsys, tmp_path, red_pbm):
+        # q and link values past 1e9 print in e notation, not as 300-digit numbers
+        out = tmp_path / "m.cbrn"
+        assert run(capsys, "train", "--out", out, "--theta", "1e308", "--threshold", "1")[0] == 0
+        code, stdout, _ = run(capsys, "pair", "--model", out, "--pair", "color:0=style:3")
+        assert code == 0 and " 1.00e+308\n" in stdout
+        for argv in (("recall", "--ball", "color", "--pattern", red_pbm),
+                     ("associate", "--from", "color", "--to", "style", "--pattern", red_pbm),
+                     ("report", "--figure", "3"), ("report", "--figure", "4")):
+            code, stdout, _ = run(capsys, *argv, "--model", out)
+            assert code == 0 and "e+30" in stdout
+            rows = [line for line in stdout.splitlines() if not line.startswith("note: ")]  # figure 4's footer
+            assert max(map(len, rows)) <= 80, argv
+
     def test_overflowing_learning_rate_writes_no_model(self, capsys, tmp_path):
         out = tmp_path / "m.cbrn"
         code, _, stderr = run(capsys, "train", "--out", out, "--provider", "random", "--eps-v", "1e308")
-        assert code == 3
-        assert stderr == "error: learning v row Color:0 at rate 1e+308 left a non-finite weight\n"
+        assert code == 2
+        assert stderr == "error: eps_v must lie in (0, 1], got 1e+308\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--eps-v", "0.5"), "theta*eps_w*eps_v = 50 > threshold = 72"),
+        (("--eps-w", "0.7", "--eps-v", "0.9"), "theta*eps_w*eps_v = 63 > threshold = 72"),
+        (("--lambda-cb", "0.5"), "theta*lambda_cb = 50 > threshold = 72"),
+        (("--threshold", "100"), "theta*eps_w*eps_v = 100 > threshold = 100"),
+        (("--eps-w", "0"), "eps_w must lie in (0, 1], got 0.0"),
+        (("--lambda-cb", "2"), "lambda_cb must lie in (0, 1], got 2.0"),
+    ])
+    def test_setting_under_which_nothing_trained_fires_writes_no_model(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "m.cbrn"
+        code, stdout, stderr = run(capsys, "train", "--out", out, "--provider", "random", *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
+    def test_epochs_is_no_option(self, capsys, tmp_path, monkeypatch, source):
+        # learning is one step: --epochs and the key are usage errors, CBRN_EPOCHS is ignored like any unknown name
+        (tmp_path / "opts.conf").write_text("epochs = 1\n")
+        extra = {"flag": ("--epochs", "2"), "config file": ("--config", tmp_path / "opts.conf"), "environment": ()}
+        monkeypatch.setenv("CBRN_EPOCHS", "3")
+        out = tmp_path / "m.cbrn"
+        code, _, stderr = run(capsys, "train", "--out", out, "--provider", "random", *extra[source])
+        assert code == (0 if source == "environment" else 2)
+        assert out.exists() == (source == "environment")
 
 
 class TestPair:
@@ -296,18 +331,6 @@ class TestPair:
     def test_no_pairs_anywhere_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
         assert run(capsys, "pair", "--model", model)[0] == 2
-
-    def test_pair_that_trains_to_zero_writes_no_link(self, capsys, tmp_path):
-        # at lambda_cb 2 the second of two steps overshoots back to exactly 0
-        model = tmp_path / "m.cbrn"
-        args = ("--provider", "random", "--lambda-cb", "2", "--epochs", "2")
-        assert run(capsys, "train", "--out", model, *args)[0] == 0
-        code, stdout, _ = run(capsys, "pair", "--model", model, "--pair", "color:0=style:3")
-        assert code == 0
-        assert stdout.splitlines()[1].split()[-1] == "0.0000"
-        assert stdout.endswith(f"0 directed links -> {model}\n")
-        assert "link " not in model.read_text()
-        assert not store.load(model).trained_links()
 
 
 class TestRecall:
@@ -680,10 +703,10 @@ class TestOptionTable:
 
     def test_hyphenated_config_key_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "opts.conf"
-        cfg.write_text("eps-w = 2\nprovider = random\n")
+        cfg.write_text("eps-w = 0.9\nprovider = random\n")
         out = tmp_path / "m.cbrn"
         assert run(capsys, "train", "--out", out, "--config", cfg)[0] == 0
-        assert store.load(out).config.eps_w == 2.0
+        assert store.load(out).config.eps_w == 0.9
 
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_flag_and_config_give_the_environment_error(self, capsys, model_path, tmp_path, source):
@@ -698,7 +721,7 @@ class TestOptionTable:
         assert code == 0
         text = " ".join(stdout.split())  # argparse wraps help lines
         for flag, default in (("--theta", SystemConfig.theta), ("--threshold", SystemConfig.threshold),
-                              ("--eps-w", SystemConfig.eps_w), ("--epochs", SystemConfig.epochs)):
+                              ("--eps-w", SystemConfig.eps_w), ("--lambda-cb", SystemConfig.lambda_cb)):
             assert flag in text and f"(default: {default})" in text
 
     @pytest.mark.parametrize("flag", ["--theta", "--threshold", "--eps-w", "--eps-v", "--lambda-cb"])

@@ -40,7 +40,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = SystemConfig()
         assert cfg.dim == 13_456 and cfg.theta == 100.0 and cfg.threshold == 72.0
-        assert cfg.eps_w == cfg.eps_v == cfg.lambda_cb == 1.0 and cfg.epochs == 1
+        assert cfg.eps_w == cfg.eps_v == cfg.lambda_cb == 1.0
 
     @pytest.mark.parametrize(
         "kw",
@@ -48,7 +48,9 @@ class TestConfig:
             {"theta": 50.0, "threshold": 72.0},
             {"theta": 100.0, "threshold": 0.0},
             {"eps_w": 0.0},
-            {"epochs": 0},
+            {"eps_w": 1.5},
+            {"eps_v": 0.5},
+            {"lambda_cb": 0.5},
             {"dim": 0},
         ],
     )
@@ -81,7 +83,7 @@ class TestRecallPath:
     def test_learning_report(self):
         system = small_system()
         report = system.learn_recall_weights("A", 0, [0.6, 0.8])
-        assert report.errors == (0.5,)
+        assert report.error == 0.5
         assert report.final_error == 0.0
         assert report.max_delta == 0.8
 
@@ -90,11 +92,11 @@ class TestRecallPath:
         system.learn_recall_weights("A", 0, [0.6, 0.8])
         again = system.learn_recall_weights("A", 0, [0.6, 0.8])
         assert again.max_delta == 0.0
-        assert again.errors == (0.0,)
+        assert again.error == 0.0
 
     def test_half_rate_half_step(self):
         # one delta step at rate 0.5 from zero lands halfway to the target
-        system = small_system(eps_w=0.5)
+        system = small_system(eps_w=0.5, threshold=40.0)
         system.learn_recall_weights("A", 0, [0.6, 0.8])
         np.testing.assert_array_equal(system.recall_forward("A", 0), [0.3, 0.4])
 
@@ -153,7 +155,7 @@ class TestCuePath:
         system.store("A", 0, [0.6, 0.8])
         again = system.learn_cue_weights("A", 0)
         assert again.max_delta == 0.0
-        assert again.errors == (0.0,)
+        assert again.error == 0.0
 
     def test_unnormalized_energy_sets_response(self):
         # raw energy 0.7265 drives the one-step response to 72.65
@@ -251,8 +253,8 @@ class TestCrossPath:
         forward, backward = system.learn_cross_weights("A", 0, "B", 2)
         assert system.links["A", "B"][0, 2] == 100.0
         assert system.links["B", "A"][2, 0] == 100.0
-        assert forward.errors == (5000.0,) and forward.final_error == 0.0
-        assert backward.errors == (5000.0,)
+        assert forward.error == 5000.0 and forward.final_error == 0.0
+        assert backward.error == 5000.0
 
     def test_only_trained_target_fires(self):
         system = small_system()
@@ -343,35 +345,68 @@ class TestOverflow:
         system = small_system(theta=1e308, threshold=1.0)
         with pytest.warns(RuntimeWarning, match="overflow"):
             _, v_report = system.store("A", 0, [0.6, 0.8])
-        assert v_report.errors == (math.inf,)
+        assert v_report.error == math.inf
         assert np.isfinite(system.balls["A"].v[0]).all()
 
     def test_overflowing_cue_step_raises_and_keeps_the_row(self):
-        system = small_system(eps_v=1e308)
-        system.learn_recall_weights("A", 0, [0.6, 0.8])
-        with pytest.raises(NonFiniteWeight, match="v row A:0 at rate 1e"):
-            system.learn_cue_weights("A", 0)
-        assert not system.balls["A"].v.any()
+        # the first step leaves a finite row whose response to y overflows,
+        # so the second step's error is -inf
+        system = small_system()
+        y = [1e300, 1e300]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            system.learn_cue_weights("A", 0, y)
+        row = system.balls["A"].v[0].copy()
+        assert np.isfinite(row).all()
+        with pytest.raises(NonFiniteWeight, match="v row A:0 at rate 1"), pytest.warns(RuntimeWarning):
+            system.learn_cue_weights("A", 0, y)
+        np.testing.assert_array_equal(system.balls["A"].v[0], row)
 
     def test_overflowing_cross_step_raises_and_keeps_both_links(self):
-        system = small_system(lambda_cb=1e308)
-        with pytest.raises(NonFiniteWeight, match="link A:1->B:2 at rate 1e"):
+        # a loaded link far below a large theta: the error theta - u overflows
+        system = small_system(theta=1e308, threshold=1.0)
+        system.links["A", "B"][1, 2] = -1.7e308
+        with pytest.raises(NonFiniteWeight, match="link A:1->B:2 at rate 1"):
             system.learn_cross_weights("A", 1, "B", 2)
-        assert not system.links["A", "B"].any() and not system.links["B", "A"].any()
+        assert system.links["A", "B"][1, 2] == -1.7e308 and not system.links["B", "A"].any()
 
 
-class TestEpochs:
-    def test_multi_epoch_recall_still_exact(self):
-        system = small_system(epochs=3)
-        report = system.learn_recall_weights("A", 0, [0.6, 0.8])
-        assert report.errors == (0.5, 0.0, 0.0)
-        assert report.deltas[1] == report.deltas[2] == 0.0
-        np.testing.assert_array_equal(system.recall_forward("A", 0), [0.6, 0.8])
+rates = st.one_of(st.sampled_from([1.0, 1e-3]), st.floats(0.01, 1.5))
 
-    def test_low_rate_converges_toward_target(self):
-        system = small_system(eps_w=0.5, epochs=20)
-        system.learn_recall_weights("A", 0, [0.6, 0.8])
-        np.testing.assert_allclose(system.recall_forward("A", 0), [0.6, 0.8], atol=1e-5)
+
+class TestEveryAcceptedSettingFires:
+    """A setting SystemConfig accepts trains probes and links that fire, however often a pair is learned."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(1e-3, 1e9), eps_w=rates, eps_v=rates, lambda_cb=rates,
+           # the threshold as a share of the lower of the two trained values, across the refusal boundary
+           share=st.one_of(st.sampled_from([1.0, 1 - 1e-12, 1 - 1e-10, 1 + 1e-12]), st.floats(0.3, 1.7)),
+           repeats=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_refused_or_every_stored_probe_and_trained_link_fires(
+            self, theta, eps_w, eps_v, lambda_cb, share, repeats, seed):
+        dim = 24
+        config = dict(theta=theta, threshold=share * theta * min(eps_w * eps_v, lambda_cb), eps_w=eps_w,
+                      eps_v=eps_v, lambda_cb=lambda_cb)
+        try:
+            SystemConfig(dim=dim, **config)
+        except ValueError:
+            # refused only at a rate outside (0, 1] or a threshold at or near the lower trained value
+            assert max(eps_w, eps_v, lambda_cb) > 1 or share > 1 - 1e-6
+            return
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(2, 3, dim))
+        bits[:, :, 0] = 1  # no empty pattern
+        stored = {ball: [patterns.normalize(patterns.BinaryPattern(row.reshape(1, -1))) for row in rows]
+                  for ball, rows in zip("AB", bits)}
+        system = make_toy_system(stored, dim=dim, **config)
+        k, l = rng.integers(0, 3, size=2)
+        for _ in range(repeats):
+            system.learn_cross_weights("A", k, "B", l)
+            for ball, vectors in stored.items():
+                for i, vector in enumerate(vectors):
+                    assert i in system.cue_response(ball, vector).fired
+            assert l in system.cross_response("A", k, "B").fired
+            assert k in system.cross_response("B", l, "A").fired
+            system.store("A", k, stored["A"][k])  # a repeated store may only raise the own q
 
 
 class TestResolveBall:

@@ -124,15 +124,16 @@ class TestRoundTrip:
         assert (tmp_path / "m.cbrn").read_bytes() == store.dumps(system).encode("utf-8")
 
     def test_link_trained_to_zero_is_not_saved(self):
-        # lambda_cb 2 over two epochs steps 0 -> 200 -> 0
-        system = MemorySystem(SystemConfig(dim=2, lambda_cb=2.0, epochs=2))
+        # at lambda_cb 0.8 one step takes a link loaded at -400 to -400 + 0.8 * 500 = 0
+        system = MemorySystem(SystemConfig(dim=2, lambda_cb=0.8))
         system.add_ball("A", ["a"])
         system.add_ball("B", ["b"])
+        system.links["A", "B"][0, 0] = -400.0
         forward, _ = system.learn_cross_weights("A", 0, "B", 0)
-        assert forward.errors == (5000.0, 5000.0) and forward.final_error == 5000.0
-        assert system.links["A", "B"][0, 0] == 0.0 and not system.trained_links()
+        assert forward.error == 125_000.0 and forward.final_error == 5000.0
+        assert system.links["A", "B"][0, 0] == 0.0 and system.trained_links() == [("B", 0, "A", 0, 80.0)]
         text = store.dumps(system)
-        assert "link " not in text
+        assert "link A" not in text
         assert store.dumps(store.loads(text)) == text
 
     def test_labels_with_spaces(self):
@@ -144,20 +145,22 @@ class TestRoundTrip:
 
 class TestHeader:
     # every field off its default, and the three learning rates told apart
-    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25, eps_w=0.5, eps_v=0.75, lambda_cb=0.875, epochs=3,
+    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25, eps_w=0.9375, eps_v=0.875, lambda_cb=0.75,
                           normalized=False)
+    # the fields in order, and before the last the constant line `epochs 1`
+    KEYS = [field.name for field in fields(SystemConfig)][:-1] + ["epochs", "normalized"]
 
     def test_every_field_is_written_in_field_order_and_reads_back(self):
         text = store.dumps(MemorySystem(self.CONFIG))
-        assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 0.5", "eps_v 0.75",
-                                     "lambda_cb 0.875", "epochs 3", "normalized false", "end"]
-        assert [line.split()[0] for line in text.splitlines()[1:-1]] == [field.name for field in fields(SystemConfig)]
+        assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 0.9375",
+                                     "eps_v 0.875", "lambda_cb 0.75", "epochs 1", "normalized false", "end"]
+        assert [line.split()[0] for line in text.splitlines()[1:-1]] == self.KEYS
         assert store.loads(text).config == self.CONFIG
 
     def test_format_doc_lists_the_header_in_field_order(self):
         doc = (Path(__file__).resolve().parents[1] / "docs" / "model-format.md").read_text(encoding="utf-8")
         grammar = doc.split("header   :", 1)[1].split("\n\n", 1)[0]
-        assert re.findall(r'^\s*"(\w+)"', grammar, re.M) == [field.name for field in fields(SystemConfig)]
+        assert re.findall(r'^\s*"(\w+)"', grammar, re.M) == self.KEYS
 
 
 class TestDemoFileShape:
@@ -315,6 +318,16 @@ class TestRejects:
         text = store.dumps(toy()).replace("theta 100.0", "theta 50.0")
         with pytest.raises(ModelFormatError, match="header"):
             store.loads(text)  # theta must exceed the threshold
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("epochs 1", "epochs 3", r"^line 8: epochs 3: learning is one step now; retrain the model$"),
+        ("eps_v 1.0", "eps_v 0.5", r"^inconsistent header: need theta\*eps_w\*eps_v = 50 > threshold = 72"),
+        ("lambda_cb 1.0", "lambda_cb 1.5", r"^inconsistent header: lambda_cb must lie in \(0, 1\], got 1.5$"),
+    ], ids=["epochs 3", "eps_v 0.5", "lambda_cb 1.5"])
+    def test_header_this_program_cannot_train_rejected(self, old, new, message):
+        text = store.dumps(toy())
+        with pytest.raises(ModelFormatError, match=message):
+            store.loads(text.replace(f"\n{old}\n", f"\n{new}\n"))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: swap_lines(lines, "theta ", "threshold "), "line 3: expected 'theta', got 'threshold'"),
