@@ -32,8 +32,6 @@ from .memory import (
     MemorySystem,
     SystemConfig,
     UpdateReport,
-    cue_error,
-    recall_error,
 )
 from .patterns import (
     AttributeCatalog,
@@ -44,10 +42,8 @@ from .patterns import (
     load_pbm,
     normalize,
     parse_catalog,
-    raw_vector,
     save_pbm,
     to_pattern,
-    to_vector,
 )
 from .qr import QrMatrix, encode_label, label_pattern, random_pattern, render
 from .store import load, loads, save, dumps
@@ -81,7 +77,6 @@ __all__ = [
     "UnknownBall",
     "UnsupportedVersion",
     "UpdateReport",
-    "cue_error",
     "default_catalog",
     "dumps",
     "encode_label",
@@ -93,13 +88,10 @@ __all__ = [
     "normalize",
     "parse_catalog",
     "random_pattern",
-    "raw_vector",
-    "recall_error",
     "render",
     "rs_encode",
     "save",
     "save_pbm",
     "syndromes",
     "to_pattern",
-    "to_vector",
 ]

@@ -33,7 +33,7 @@ from .errors import (
     UnknownBall,
 )
 from .memory import MemorySystem, SystemConfig
-from .patterns import load_pbm, save_pbm, to_pattern, to_vector
+from .patterns import load_pbm, normalize, save_pbm, to_pattern
 
 ENV_PREFIX = "CBRN_"
 PROVIDERS = ("qr", "random")
@@ -70,15 +70,6 @@ def read_config_file(path) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: key {key!r} was already set on line {first_line[key]}")
         values[key], first_line[key] = value.strip(), lineno
     return values
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(text)
 
 
 def _one_of(what: str, choices: tuple[str, ...]):
@@ -138,8 +129,6 @@ OPTIONS = (
     ("eps_w", float, ("train",), SystemConfig.eps_w, "recall learning rate, in (0, 1]"),
     ("eps_v", float, ("train",), SystemConfig.eps_v, "cue learning rate, in (0, 1]"),
     ("lambda_cb", float, ("train",), SystemConfig.lambda_cb, "cross learning rate, in (0, 1]"),
-    ("normalized", _parse_bool, ("train",), SystemConfig.normalized,
-     "present raw 0/1 vectors, not unit-energy ones; sets key normalized to false"),
     ("provider", _one_of("provider", PROVIDERS), ("train",), "qr", "pattern source: qr or random"),
     ("seed", _seed, ("train",), 0, "seed for the random provider"),
     ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
@@ -149,7 +138,6 @@ OPTIONS = (
 
 # flags spelt other than --<name>; their values still go through the row's parse
 _FLAGS = {
-    "normalized": ("--unnormalized", {"action": "store_const", "const": "false"}),
     "pairs": ("--pair", {"action": "append", "metavar": "A:K=B:L"}),
 }
 _KEYS = sorted({row[0] for row in OPTIONS})
@@ -197,16 +185,21 @@ def _load_probe(system: MemorySystem, path):
             f"{path}: {pattern.width}x{pattern.height} has {pattern.dim} pixels,"
             f" model dimension is {system.config.dim}"
         )
-    return to_vector(pattern, normalized=system.config.normalized)
+    return normalize(pattern)
 
 
-def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out, fmt: str) -> None:
-    """Write a neuron's recalled pattern as a square bitmap; say so on stderr under CSV, else stdout."""
+def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out) -> str:
+    """Write a neuron's recalled pattern as a square bitmap; returns the notice that says so."""
     side = int(round(system.config.dim ** 0.5))
     if side * side != system.config.dim:
         raise UsageError(f"model dimension {system.config.dim} is not square; cannot write a bitmap")
     save_pbm(to_pattern(system.recall_forward(ball_id, neuron), side, side), out)
-    print(f"wrote recalled pattern of {ball_id}:{neuron} -> {out}", file=sys.stderr if fmt == "csv" else sys.stdout)
+    return f"wrote recalled pattern of {ball_id}:{neuron} -> {out}"
+
+
+def _print_notice(notice: str, fmt: str) -> None:
+    """A notice goes to stderr under CSV, where stdout holds only rows, else to stdout."""
+    print(notice, file=sys.stderr if fmt == "csv" else sys.stdout)
 
 
 def _csv_writer(fmt: str, *header: str):
@@ -219,7 +212,8 @@ def _csv_writer(fmt: str, *header: str):
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands.  Each writes its files before it prints, so a reader that closes
+# stdout early (`| head`) cannot keep a file from being written.
 # ---------------------------------------------------------------------------
 
 
@@ -242,19 +236,16 @@ def cmd_train(args, opts: dict) -> int:
         raise CbrnError("no patterns: the catalog is empty")
 
     system = MemorySystem.from_catalog(catalog, config)
-    print(f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}")
+    rows = [f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}"]
     for group in catalog:
         for index, label in enumerate(group.labels):
             bitmap = qr.label_pattern(label, provider=opts["provider"], seed=opts["seed"])
-            vector = to_vector(bitmap, normalized=config.normalized)
-            w_report, v_report = system.store(group.name, index, vector)
-            print(
-                f"{group.name:<10} {index:>6} {label:<14} "
-                f"{w_report.final_error:>12.6g} {v_report.final_error:>12.6g}"
-            )
+            w_report, v_report = system.store(group.name, index, normalize(bitmap))
+            rows.append(f"{group.name:<10} {index:>6} {label:<14} "
+                        f"{w_report.final_error:>12.6g} {v_report.final_error:>12.6g}")
     store.save(system, args.out)
     stored = sum(ball.n for ball in system.balls.values())
-    print(f"stored {stored} patterns in {len(system.balls)} balls -> {args.out}")
+    print(*rows, f"stored {stored} patterns in {len(system.balls)} balls -> {args.out}", sep="\n")
     return 0
 
 
@@ -262,7 +253,7 @@ def cmd_pair(args, opts: dict) -> int:
     if not opts["pairs"]:
         raise UsageError("no pairs given; use --pair A:K=B:L")
     system = store.load(args.model)
-    print(f"{'direction':<24} {'eta_before':>12} {'eta_after':>12} {'u':>10}")
+    rows = [f"{'direction':<24} {'eta_before':>12} {'eta_after':>12} {'u':>10}"]
     for (ball_a, k), (ball_b, l) in opts["pairs"]:
         a = system.resolve_ball(ball_a)
         b = system.resolve_ball(ball_b)
@@ -271,10 +262,10 @@ def cmd_pair(args, opts: dict) -> int:
             (f"{a}:{k} -> {b}:{l}", forward, system.links[a, b][k, l]),
             (f"{b}:{l} -> {a}:{k}", backward, system.links[b, a][l, k]),
         ):
-            print(f"{tag:<24} {report.error:>12.6g} {report.final_error:>12.6g} {_fixed(u, 10, 4)}")
+            rows.append(f"{tag:<24} {report.error:>12.6g} {report.final_error:>12.6g} {_fixed(u, 10, 4)}")
     out = args.out or args.model
     store.save(system, out)
-    print(f"{len(system.trained_links())} directed links -> {out}")
+    print(*rows, f"{len(system.trained_links())} directed links -> {out}", sep="\n")
     return 0
 
 
@@ -283,6 +274,7 @@ def cmd_recall(args, opts: dict) -> int:
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
     response = system.cue_response(ball_id, _load_probe(system, args.pattern), opts["threshold"])
+    notice = _write_recalled(system, ball_id, response.argmax, args.out) if args.out and response.fired else ""
 
     writer = _csv_writer(fmt, "ball", "neuron", "label", "q", "fired")
     title = f"ball {ball_id}, threshold {response.threshold}"
@@ -291,9 +283,9 @@ def cmd_recall(args, opts: dict) -> int:
         print(f"fired: {list(response.fired)}  argmax: {response.argmax}")
 
     if args.out:
-        if not response.fired:
+        if not notice:
             raise NoRecognition(f"nothing fired at threshold {response.threshold}; not writing {args.out}")
-        _write_recalled(system, ball_id, response.argmax, args.out, fmt)
+        _print_notice(notice, fmt)
     return 0
 
 
@@ -306,15 +298,15 @@ def cmd_associate(args, opts: dict) -> int:
     result = system.associate(from_ball, probe, to_ball, opts["threshold"])
 
     k, l = result.source_neuron, result.target_neuron
+    notice = _write_recalled(system, to_ball, l, args.out) if args.out else ""
     to_label = system.balls[to_ball].labels[l]
     writer = _csv_writer(fmt, "from_ball", "from_neuron", "to_ball", "to_neuron", "to_label", "q")
     if writer:
         writer.writerow((from_ball, k, to_ball, l, to_label, result.q))
     else:
         print(f"{from_ball}:{k} -> {to_ball}:{l} ({to_label}), q = {_fixed(result.q, 14, 6).lstrip()}")
-
-    if args.out:
-        _write_recalled(system, to_ball, l, args.out, fmt)
+    if notice:
+        _print_notice(notice, fmt)
     return 0
 
 
@@ -373,9 +365,6 @@ def cmd_report(args, opts: dict) -> int:
         for k, row in enumerate(grid):
             print(f"{k:>4} " + " ".join(_fixed(u, 8, 2) for u in row))
         print()
-    if not writer:
-        print(f"note: trained links respond at exactly theta ({system.config.theta:g}); untrained entries are 0."
-              " runs that normalize inexactly land just below theta and are not reproduced here.")
     return 0
 
 
@@ -447,7 +436,12 @@ def main(argv=None) -> int:
         # an overflowing learning step either reports an inf error or raises
         # NonFiniteWeight; NumPy's RuntimeWarnings would add nothing to either
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, resolve_options(args.command, args))
+            code = args.func(args, resolve_options(args.command, args))
+        sys.stdout.flush()  # so a closed pipe shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout early (`| head`); every file is already written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush then prints nothing
+        return 0
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

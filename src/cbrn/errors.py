@@ -6,7 +6,7 @@ class CbrnError(Exception):
 
 
 class DegeneratePattern(CbrnError):
-    """Pattern has no dark pixel (or no positive component) and cannot be normalized."""
+    """Pattern has no dark pixel (or no positive component), so it has no unit-energy vector (or bitmap)."""
 
 
 class DimensionMismatch(CbrnError):

@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteWeight,
     UnknownBall,
 )
-from .patterns import AttributeCatalog, PatternVector
+from .patterns import AttributeCatalog
 
 
 @dataclass
@@ -48,7 +48,6 @@ class SystemConfig:
     eps_w: float = 1.0  # recall-weight learning rate
     eps_v: float = 1.0  # cue-weight learning rate
     lambda_cb: float = 1.0  # cross-weight learning rate
-    normalized: bool = True  # presentation vectors carry unit energy
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -59,10 +58,10 @@ class SystemConfig:
         for name in ("eps_w", "eps_v", "lambda_cb"):
             if not 0 < getattr(self, name) <= 1:
                 raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        # One step from zero puts a link at theta*lambda_cb and a clean stored probe
-        # at q = theta*eps_w*eps_v times its energy (at least 1), and with unit vectors
-        # no later step at a rate in (0, 1] passes its target.  Rounding leaves a unit
-        # probe within 1.05e-12 of its value, some below, so a 1e-9 margin is ample.
+        # One step from zero puts a link at theta*lambda_cb and a clean unit probe at
+        # q = theta*eps_w*eps_v, and no later step at a rate in (0, 1] passes its
+        # target.  Rounding leaves a unit probe within 1.05e-12 of its value, some
+        # below, so a 1e-9 margin is ample.
         floor = self.threshold * (1 + 1e-9)
         for what, lowest in (("theta*eps_w*eps_v", self.theta * self.eps_w * self.eps_v),
                              ("theta*lambda_cb", self.theta * self.lambda_cb)):
@@ -96,13 +95,6 @@ class CueResponse:
     argmax: int  # lowest index attaining the maximum
     threshold: float
 
-    @property
-    def x(self) -> np.ndarray:
-        """Thresholded outputs: 1 where fired, else 0."""
-        out = np.zeros(len(self.q), dtype=np.uint8)
-        out[list(self.fired)] = 1
-        return out
-
 
 @dataclass(frozen=True)
 class UpdateReport:
@@ -121,20 +113,6 @@ class AssociationResult:
     target_neuron: int
     q: float  # target neuron's pre-threshold response
     recalled: np.ndarray
-
-
-def recall_error(target: PatternVector, output: PatternVector) -> float:
-    """Half squared distance between a target pattern and the recalled output."""
-    t = np.asarray(target, dtype=np.float64)
-    y = np.asarray(output, dtype=np.float64)
-    if t.shape != y.shape:
-        raise DimensionMismatch(f"shapes {t.shape} and {y.shape} differ")
-    return 0.5 * float(np.sum((t - y) ** 2))
-
-
-def cue_error(theta: float, q) -> float:
-    """Half squared distance of pre-threshold outputs from the learning value."""
-    return 0.5 * float(np.sum((theta - np.asarray(q, dtype=np.float64)) ** 2))
 
 
 # A learning step's error and update term are floats or arrays.  A ufunc

@@ -1,10 +1,10 @@
 """Bitmap patterns, their presentation vectors, and the attribute catalog.
 
 A pattern is a rectangular grid of dark (1) / light (0) pixels.  Before being
-presented to the Recall Net it is flattened row-major into a float vector,
-either scaled so its squared components sum to one (the default) or left as
-raw 0/1 values for unnormalized experiments.  Patterns round-trip to disk as
-plain PBM, and the catalog maps attribute groups to ordered label lists.
+presented to the Recall Net it is flattened row-major into a float vector
+scaled so its squared components sum to one (`normalize`).  Patterns
+round-trip to disk as plain PBM, and the catalog maps attribute groups to
+ordered label lists.
 """
 
 from __future__ import annotations
@@ -95,16 +95,6 @@ def normalize(pattern: BinaryPattern) -> PatternVector:
     if dark == 0:
         raise DegeneratePattern("cannot normalize an all-light pattern")
     return pattern.bits.reshape(-1).astype(np.float64) / math.sqrt(dark)
-
-
-def raw_vector(pattern: BinaryPattern) -> PatternVector:
-    """Presentation vector without normalization: dark=1.0, light=0.0."""
-    return pattern.bits.reshape(-1).astype(np.float64)
-
-
-def to_vector(pattern: BinaryPattern, normalized: bool = True) -> PatternVector:
-    """Flatten a pattern for presentation, normalized or raw."""
-    return normalize(pattern) if normalized else raw_vector(pattern)
 
 
 def to_pattern(vector: PatternVector, width: int, height: int) -> BinaryPattern:

@@ -3,9 +3,10 @@
 The format is line-oriented and self-describing: configuration, labels,
 weight rows, and cross links all travel together.  The header holds the
 `SystemConfig` fields in declaration order, each written and parsed by the
-type of its default; lines and comments follow `patterns.records`.  Floats
-are printed in shortest round-trip decimal form and records appear in one
-fixed order, so the same system always serializes to identical bytes.
+type of its default, then the constant lines of `_CONSTANT`; lines and
+comments follow `patterns.records`.  Floats are printed in shortest
+round-trip decimal form and records appear in one fixed order, so the same
+system always serializes to identical bytes.
 `loads` reads the records in one forward pass and accepts them only in the
 order `dumps` writes them, so a re-save of any file that loads reproduces
 every record in order; only comments, blank lines, spacing and number
@@ -73,8 +74,8 @@ def _lines(system: MemorySystem):
             # record, and a load strips whitespace off the end of each line
             if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip():
                 raise ValueError(f"label {label!r} cannot contain '#' or line breaks or end in whitespace")
-    values = {**vars(system.config), "epochs": 1}
-    yield MAGIC + "\n" + "".join(f"{key} {write(values[key])}\n" for key, write, _ in _HEADER)
+    header = (f"{key} {write(getattr(system.config, key))}" for key, write, _ in _HEADER)
+    yield "".join(line + "\n" for line in (MAGIC, *header, *_CONSTANT))
     for ball in system.balls.values():
         yield f"ball {ball.id} {ball.n}\n"
         for i, label in enumerate(ball.labels):
@@ -178,25 +179,13 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
     return value
 
 
-def _parse_bool(text: str, lineno: int, what: str) -> bool:
-    if text not in ("true", "false"):
-        raise ModelFormatError(f"line {lineno}: {what} must be true or false, got {text!r}")
-    return text == "true"
-
-
-def _parse_epochs(text: str, lineno: int, what: str) -> int:
-    if _parse_int(text, lineno, what) != 1:
-        raise ModelFormatError(f"line {lineno}: {what} {text}: learning is one step now; retrain the model")
-    return 1
-
-
 # (key, write, parse) of each header line in file order: the SystemConfig
-# fields in declaration order, each written and parsed by its default's type,
-# and before `normalized` the constant line `epochs 1`, which goes with CBRN1
-_CODECS = {int: (str, _parse_int), float: (_fmt, _parse_float),
-           bool: (lambda flag: str(flag).lower(), _parse_bool)}
+# fields in declaration order, each written and parsed by its default's type
+_CODECS = {int: (str, _parse_int), float: (_fmt, _parse_float)}
 _HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(SystemConfig))
-_HEADER = (*_HEADER[:-1], ("epochs", str, _parse_epochs), _HEADER[-1])
+# the header's last lines, written verbatim: one learning step on unit-energy
+# vectors is the only training this program does; they go with CBRN1
+_CONSTANT = "epochs 1", "normalized true"
 
 
 def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _FloatMemo) -> None:
@@ -243,7 +232,12 @@ def loads(text: str) -> MemorySystem:
     for key, _, parse in _HEADER:
         lineno, value = _take(records, key)
         settings[key] = parse(value.strip(), lineno, key)
-    del settings["epochs"]
+    for line in _CONSTANT:
+        key = line.split()[0]
+        lineno, value = _take(records, key)
+        found = f"{key} {value.strip()}"
+        if found != line:
+            raise ModelFormatError(f"line {lineno}: {found}: this program writes only '{line}'; retrain the model")
     try:
         system = MemorySystem(SystemConfig(**settings))
     except ValueError as exc:

@@ -7,14 +7,14 @@ from cbrn.memory import MemorySystem, SystemConfig
 CLASSIC_PAIRS = (("Color", 0, "Style", 3), ("Style", 3, "Volume", 6), ("Volume", 6, "Color", 1))
 
 
-def train_full_system(provider: str = "qr", normalized: bool = True) -> MemorySystem:
+def train_full_system(provider: str = "qr") -> MemorySystem:
     """Fresh system holding all 21 bundled catalog patterns."""
     catalog = patterns.default_catalog()
-    system = MemorySystem.from_catalog(catalog, SystemConfig(normalized=normalized))
+    system = MemorySystem.from_catalog(catalog, SystemConfig())
     for group in catalog:
         for index, label in enumerate(group.labels):
             bitmap = qr.label_pattern(label, provider=provider)
-            system.store(group.name, index, patterns.to_vector(bitmap, normalized=normalized))
+            system.store(group.name, index, patterns.normalize(bitmap))
     return system
 
 

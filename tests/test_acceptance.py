@@ -104,7 +104,7 @@ class TestAcceptance:
             for _ in range(100):
                 dim = 32
                 y = rng.uniform(0.0, 1.0, size=dim)
-                toy = MemorySystem(SystemConfig(dim=dim, normalized=False))
+                toy = MemorySystem(SystemConfig(dim=dim))
                 toy.add_ball("X", ["x0"])
                 toy.store("X", 0, y)
                 q_impl = float(toy.balls["X"].v[0] @ y)

