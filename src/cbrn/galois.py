@@ -4,6 +4,12 @@ The field is generated by 2 modulo x^8 + x^4 + x^3 + x^2 + 1 (0x11D), the
 convention used by QR error correction.  A codeword is systematic: data bytes
 followed by the remainder of data * x^ecc_len divided by the generator
 polynomial, so the full codeword evaluates to zero at 2^0 .. 2^(ecc_len-1).
+
+The division runs as a byte-wise LFSR whose register is one Python int of
+`ecc_len` bytes.  Each data byte XORs into the register's top byte, and the
+register shifts up a byte and XORs with `table[top]`: top times the
+generator's non-leading coefficients, packed into one int.  The table is
+built once per `ecc_len`, by GF(2)-linearity from its 8 single-bit entries.
 """
 
 from __future__ import annotations
@@ -46,22 +52,29 @@ def generator_poly(ecc_len: int) -> tuple[int, ...]:
     return tuple(g)
 
 
+@lru_cache(maxsize=None)
+def _lfsr_table(ecc_len: int) -> tuple[int, ...]:
+    """table[a]: a times the generator's coefficients after the leading 1, as one int."""
+    tail = generator_poly(ecc_len)[1:]
+    table = [0] * 256
+    for k in range(8):
+        table[1 << k] = int.from_bytes(bytes(gf_mul(1 << k, c) for c in tail), "big")
+    for a in range(1, 256):  # a * c is linear in a over GF(2): split off a's lowest set bit
+        table[a] = table[a & -a] ^ table[a & (a - 1)]
+    return tuple(table)
+
+
 def rs_encode(data: bytes, ecc_len: int) -> bytes:
     """Systematic codeword: `data` followed by its `ecc_len` Reed-Solomon bytes."""
     if ecc_len < 1:
         raise ValueError("ecc_len must be positive")
-    gen = generator_poly(ecc_len)
-    rem = bytearray(len(data) + ecc_len)
-    rem[: len(data)] = data
-    for i in range(len(data)):
-        lead = rem[i]
-        if lead == 0:
-            continue
-        shift = _LOG[lead]
-        for j, coeff in enumerate(gen):
-            if coeff:
-                rem[i + j] ^= _EXP[_LOG[coeff] + shift]
-    return bytes(data) + rem[len(data):]
+    table = _lfsr_table(ecc_len)
+    shift = 8 * (ecc_len - 1)
+    low = (1 << shift) - 1
+    rem = 0
+    for byte in data:
+        rem = ((rem & low) << 8) ^ table[(rem >> shift) ^ byte]
+    return bytes(data) + rem.to_bytes(ecc_len, "big")
 
 
 def syndromes(codeword: bytes, ecc_len: int) -> list[int]:

@@ -70,7 +70,7 @@ class BinaryPattern:
 
     def popcount(self) -> int:
         """Number of dark pixels."""
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryPattern):
@@ -94,7 +94,7 @@ def normalize(pattern: BinaryPattern) -> PatternVector:
     dark = pattern.popcount()
     if dark == 0:
         raise DegeneratePattern("cannot normalize an all-light pattern")
-    return pattern.bits.reshape(-1).astype(np.float64) / math.sqrt(dark)
+    return np.divide(pattern.bits.reshape(-1), math.sqrt(dark), dtype=np.float64)
 
 
 def to_pattern(vector: PatternVector, width: int, height: int) -> BinaryPattern:
@@ -121,9 +121,10 @@ def to_pattern(vector: PatternVector, width: int, height: int) -> BinaryPattern:
 
 def save_pbm(pattern: BinaryPattern, path) -> None:
     """Write a pattern as plain PBM: magic P1, dimensions, one pixel row per line."""
-    rows = "\n".join(" ".join(str(int(b)) for b in row) for row in pattern.bits)
-    text = f"P1\n{pattern.width} {pattern.height}\n{rows}\n"
-    Path(path).write_text(text, encoding="ascii", newline="\n")
+    body = np.full((pattern.height, 2 * pattern.width), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = pattern.bits + ord("0")  # each pixel's digit, then a space or the newline
+    body[:, -1:] = ord("\n")
+    Path(path).write_bytes(f"P1\n{pattern.width} {pattern.height}\n".encode("ascii") + body.tobytes())
 
 
 def load_pbm(path, expect: tuple[int, int] | None = None) -> BinaryPattern:

@@ -160,49 +160,64 @@ def _templates() -> np.ndarray:
     return stack
 
 
-def _starts(dark: np.ndarray, pattern: tuple[int, ...], span: int) -> np.ndarray:
-    """Whether `pattern` (1 = dark) begins at each of the first `span` positions of every line."""
-    hit = np.ones(dark.shape[:-1] + (span,), dtype=bool)
-    for t, bit in enumerate(pattern):
-        cell = dark[..., t : t + span]
-        hit &= cell if bit else ~cell
-    return hit
+_U64 = tuple(np.uint64(k) for k in range(8))  # shift counts, typed so uint64 words stay uint64
+_M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
+_BYTE_SUM = np.uint64(0x0101010101010101)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word (SWAR; `np.bitwise_count` needs numpy 2)."""
+    words = words - ((words >> _U64[1]) & _M1)
+    words = (words & _M2) + ((words >> _U64[2]) & _M2)
+    words = (words + (words >> _U64[4])) & _M4
+    return (words * _BYTE_SUM) >> np.uint64(56)
 
 
 def penalties(stack: np.ndarray) -> np.ndarray:
-    """Penalty of each square grid in a (count, n, n) stack; see `penalty`."""
+    """Penalty of each square grid in a (count, n, n) stack, n <= 64; see `penalty`.
+
+    Each row and each column is packed into one uint64 word, module j at bit
+    j, so every rule is a few shifts and ANDs over whole lines.
+    """
     stack = np.asarray(stack, dtype=np.uint8)
     count, n, _ = stack.shape
-    lines = np.concatenate((stack, stack.transpose(0, 2, 1)), axis=1)  # rows, then columns
+    if n > 64:
+        raise ValueError(f"grids of {n} modules a side do not fit a 64-bit line word")
+    grid = np.zeros((count, 2 * n, 64), dtype=np.uint8)
+    grid[:, :n, :n] = stack
+    grid[:, n:, :n] = stack.transpose(0, 2, 1)
+    dark = np.packbits(grid, bitorder="little").view("<u8").reshape(count, 2 * n)  # rows, then columns
+    light = ~dark & np.uint64((1 << n) - 1)
 
     # same-colour runs of 5 or more: 3 + (length - 5) each, which is 1 per
-    # same-colour window of five plus 2 for the window that opens the run
-    same = lines[..., 1:] == lines[..., :-1]
-    five = same[..., :-3] & same[..., 1:-2] & same[..., 2:-1] & same[..., 3:]
-    opens = five.copy()  # windows that start a run: at a line start or after a colour change
-    opens[..., 1:] &= ~same[..., : max(n - 5, 0)]
-    score = np.count_nonzero(five, axis=(1, 2)) + 2 * np.count_nonzero(opens, axis=(1, 2))
+    # same-colour window of five plus 2 for the window that opens the run;
+    # bit j of `same` says modules j and j + 1 match
+    same = ~(dark ^ (dark >> _U64[1])) & np.uint64((1 << n - 1) - 1)
+    five = same & (same >> _U64[1]) & (same >> _U64[2]) & (same >> _U64[3])
+    opens = five & ~(same << _U64[1])  # at a line start or after a colour change
 
-    # same-colour 2x2 blocks, overlapping: 3 each
-    corner = stack[:, :-1, :-1]
-    blocks = (corner == stack[:, :-1, 1:]) & (corner == stack[:, 1:, :-1]) & (corner == stack[:, 1:, 1:])
-    score += 3 * np.count_nonzero(blocks, axis=(1, 2))
+    # same-colour 2x2 blocks, overlapping: 3 each; the block at row r and
+    # column c needs modules c and c + 1 to match in rows r and r + 1, and
+    # rows r and r + 1 to match at column c
+    blocks = same[:, : n - 1] & same[:, 1:n] & ~(dark[:, : n - 1] ^ dark[:, 1:n])
+    parts, weights = [five, opens, blocks], [1, 2, 3]
 
-    # finder lookalikes: a 1:1:3:1:1 core with four light modules after or
-    # before it, 40 each
+    # finder lookalikes: an 11-module window reading 0b1011101 (a 1:1:3:1:1
+    # core then four light modules) or 0b1011101 << 4 (four light modules
+    # then the core), 40 each; the two cannot share a start, so their bits OR
     if n >= 11:
-        width = n - 10  # 11-module windows per line
-        is_dark = lines == 1
-        core = _starts(is_dark, (1, 0, 1, 1, 1, 0, 1), width + 4)
-        light = _starts(is_dark, (0, 0, 0, 0), width + 7)
-        finders = (core[..., :width] & light[..., 7:]) | (light[..., :width] & core[..., 4:])
-        score += 40 * np.count_nonzero(finders, axis=(1, 2))
+        light4 = light & (light >> _U64[1]) & (light >> _U64[2]) & (light >> _U64[3])
+        dark3 = dark & (dark >> _U64[1]) & (dark >> _U64[2])
+        core = dark & (light >> _U64[1]) & (dark3 >> _U64[2]) & (light >> _U64[5]) & (dark >> _U64[6])
+        parts.append((core & (light4 >> _U64[7])) | (light4 & (core >> _U64[4])))
+        weights.append(40)
+    bits = _popcount(np.concatenate(parts, axis=1))
+    score = bits @ np.repeat(np.array(weights, dtype=np.uint64), [part.shape[1] for part in parts])
 
     # dark/light imbalance: 10 per full 5% away from half
-    dark = stack.sum(axis=(1, 2), dtype=np.int64)
     total = n * n
-    score += 10 * (np.abs(100 * dark - 50 * total) // (5 * total))
-    return score
+    dark_count = _popcount(dark[:, :n]).sum(axis=1, dtype=np.int64)
+    return score.astype(np.int64) + 10 * (np.abs(100 * dark_count - 50 * total) // (5 * total))
 
 
 def penalty(modules: np.ndarray) -> int:

@@ -786,10 +786,12 @@ class TestDemoSessionGolden:
 
     MODEL_SHA256 = "c96fc292bf9f2a6455f6c03277472ece3daad6965f78f4a9b6f3e7a4d53a7ef3"
     RECTANGLE_SHA256 = "32a4f86b2c8cb126d05afb2fa0906901dea9e99d33090f50ac301082d876a3b1"
+    RED_SHA256 = "dfcf0625c52a565748fb9b41b3d7f9ebbe265a960f3d8886f14b47ea5ea8ed65"
 
     def test_model_and_recalled_bitmap_are_byte_identical(self, capsys, tmp_path):
         model, red, rectangle = tmp_path / "demo.cbrn", tmp_path / "red.pbm", tmp_path / "rectangle.pbm"
         assert run(capsys, "encode", "--label", "red", "--out", red)[0] == 0
+        assert hashlib.sha256(red.read_bytes()).hexdigest() == self.RED_SHA256
         assert run(capsys, "train", "--out", model)[0] == 0
         pairs = ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")
         code, stdout, _ = run(capsys, "pair", "--model", model, *(f"--pair={p}" for p in pairs))

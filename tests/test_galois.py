@@ -61,7 +61,26 @@ class TestGeneratorPoly:
         assert poly_eval(gen, x) != 0  # next power is not a root
 
 
+def rs_encode_oracle(data: bytes, ecc_len: int) -> bytes:
+    """Polynomial long division, one generator term at a time."""
+    gen = generator_poly(ecc_len)
+    rem = bytearray(len(data) + ecc_len)
+    rem[: len(data)] = data
+    for i in range(len(data)):
+        lead = rem[i]
+        if lead == 0:
+            continue
+        for j, coeff in enumerate(gen):
+            rem[i + j] ^= gf_mul(coeff, lead)
+    return bytes(data) + rem[len(data):]
+
+
 class TestRsEncode:
+    @given(st.binary(max_size=80), st.integers(0, 5), st.integers(1, 30))
+    def test_matches_long_division_oracle(self, data, zeros, ecc_len):
+        data = bytes(zeros) + data  # zero-led runs skip a division step in the oracle
+        assert rs_encode(data, ecc_len) == rs_encode_oracle(data, ecc_len)
+
     def test_known_vector(self):
         # independently published check values for a 16-byte payload, 10 ecc bytes
         data = bytes([16, 32, 12, 86, 97, 128, 236, 17, 236, 17, 236, 17, 236, 17, 236, 17])

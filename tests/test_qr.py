@@ -240,6 +240,11 @@ class TestPenalty:
         assert list(scores) == [qr.penalty(grid) for grid in stack]
         assert list(scores) == [penalty_oracle(grid) for grid in stack]
 
+    def test_stack_wider_than_64_modules_refused(self):
+        assert list(qr.penalties(np.zeros((2, 64, 64), dtype=np.uint8))) == [penalty_oracle(np.zeros((64, 64)))] * 2
+        with pytest.raises(ValueError, match="65 modules"):
+            qr.penalties(np.zeros((1, 65, 65), dtype=np.uint8))
+
     def test_mask_choice_matches_oracle(self):
         labels = [label for group in patterns.default_catalog() for label in group.labels]
         assert len(labels) == 21
