@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import os
 import sys
 from dataclasses import fields
@@ -178,21 +179,25 @@ def _build_config(opts: dict) -> SystemConfig:
         raise UsageError(str(exc)) from None
 
 
+def _side(system: MemorySystem) -> int:
+    """Pixels per side of the model's square bitmaps."""
+    side = math.isqrt(system.config.dim)
+    if side * side != system.config.dim:
+        raise UsageError(f"model dimension {system.config.dim} is not square; cannot read or write bitmaps")
+    return side
+
+
 def _load_probe(system: MemorySystem, path):
     pattern = load_pbm(path)
-    if pattern.dim != system.config.dim:
-        raise DimensionMismatch(
-            f"{path}: {pattern.width}x{pattern.height} has {pattern.dim} pixels,"
-            f" model dimension is {system.config.dim}"
-        )
+    side = _side(system)
+    if (pattern.width, pattern.height) != (side, side):
+        raise DimensionMismatch(f"{path}: is {pattern.width}x{pattern.height}, model bitmaps are {side}x{side}")
     return normalize(pattern)
 
 
 def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out) -> str:
     """Write a neuron's recalled pattern as a square bitmap; returns the notice that says so."""
-    side = int(round(system.config.dim ** 0.5))
-    if side * side != system.config.dim:
-        raise UsageError(f"model dimension {system.config.dim} is not square; cannot write a bitmap")
+    side = _side(system)
     save_pbm(to_pattern(system.recall_forward(ball_id, neuron), side, side), out)
     return f"wrote recalled pattern of {ball_id}:{neuron} -> {out}"
 

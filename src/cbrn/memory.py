@@ -249,17 +249,17 @@ class MemorySystem:
         ball = self.ball(ball_id)
         return self._response(ball.v @ self._check_vector(probe), threshold)
 
-    def learn_cue_weights(self, ball_id: str, neuron: int, y=None) -> UpdateReport:
+    def learn_cue_weights(self, ball_id: str, neuron: int) -> UpdateReport:
         """Delta-rule update of a neuron's cue row toward output theta.
 
-        `y` is the recall output presented back to the ball; by default the
+        The input y is the recall output presented back to the ball: the
         neuron's own stored row.  The step adds eps_v * (theta - q) * y.
         From zero weights with eps_v = 1 and unit-energy y, it puts the row at
         theta * y, whose response to y is theta to within rounding.
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
-        yv = self._check_vector(ball.w[neuron] if y is None else y)
+        yv = ball.w[neuron]
         cfg = self.config
         ball.v[neuron], report = self._delta_rule(
             f"v row {ball.id}:{neuron}", ball.v[neuron], cfg.eps_v, cfg.theta, lambda row: float(row @ yv), yv

@@ -24,10 +24,6 @@ from .errors import (
     PbmFormatError,
 )
 
-# A presentation vector: 1-D float64 array of row-major pixel values.
-PatternVector = np.ndarray
-
-
 def read_utf8(path, error) -> str:
     """The text of a UTF-8 file; a byte that is not UTF-8 raises `error`."""
     try:
@@ -51,7 +47,9 @@ class BinaryPattern:
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if bits.ndim != 2:
             raise DimensionMismatch(f"pattern bits must be 2-D, got {bits.ndim}-D")
-        if bits.size and bits.max() > 1:
+        if not bits.size:
+            raise DimensionMismatch(f"pattern bits must hold at least one pixel, got shape {bits.shape}")
+        if bits.max() > 1:
             raise ValueError("pattern bits must be 0 or 1")
         bits.setflags(write=False)
         self.bits = bits
@@ -85,7 +83,7 @@ class BinaryPattern:
         return f"BinaryPattern({self.width}x{self.height}, dark={self.popcount()})"
 
 
-def normalize(pattern: BinaryPattern) -> PatternVector:
+def normalize(pattern: BinaryPattern) -> np.ndarray:
     """Unit-energy presentation vector: every dark pixel becomes 1/sqrt(popcount).
 
     The squared components then sum to one, which is what makes a single
@@ -97,7 +95,7 @@ def normalize(pattern: BinaryPattern) -> PatternVector:
     return np.divide(pattern.bits.reshape(-1), math.sqrt(dark), dtype=np.float64)
 
 
-def to_pattern(vector: PatternVector, width: int, height: int) -> BinaryPattern:
+def to_pattern(vector: np.ndarray, width: int, height: int) -> BinaryPattern:
     """Threshold a recalled vector at half its peak to regenerate the bitmap.
 
     Exact for one-shot-stored patterns, whose recalled components are either
@@ -127,8 +125,8 @@ def save_pbm(pattern: BinaryPattern, path) -> None:
     Path(path).write_bytes(f"P1\n{pattern.width} {pattern.height}\n".encode("ascii") + body.tobytes())
 
 
-def load_pbm(path, expect: tuple[int, int] | None = None) -> BinaryPattern:
-    """Read a plain PBM file; `expect` optionally pins (width, height)."""
+def load_pbm(path) -> BinaryPattern:
+    """Read a plain PBM file."""
     text = Path(path).read_text(encoding="ascii", errors="replace")  # a non-ASCII byte is harmless in a comment
     tokens = [token for _, body in records(text) for token in body.split()]
     if not tokens or tokens[0] != "P1":
@@ -140,10 +138,6 @@ def load_pbm(path, expect: tuple[int, int] | None = None) -> BinaryPattern:
         raise PbmFormatError(f"{path}: missing or malformed dimensions") from None
     if width <= 0 or height <= 0:
         raise PbmFormatError(f"{path}: non-positive dimensions {width}x{height}")
-    if expect is not None and (width, height) != tuple(expect):
-        raise DimensionMismatch(
-            f"{path}: is {width}x{height}, expected {expect[0]}x{expect[1]}"
-        )
     pixels = tokens[3:]
     if len(pixels) != width * height:
         raise PbmFormatError(
@@ -168,10 +162,6 @@ class AttributeGroup:
     name: str
     labels: tuple[str, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class AttributeCatalog:
@@ -184,15 +174,6 @@ class AttributeCatalog:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def group(self, name: str) -> AttributeGroup:
-        for g in self.groups:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
-    def label(self, name: str, index: int) -> str:
-        return self.group(name).labels[index]
 
 
 def parse_catalog(text: str) -> AttributeCatalog:

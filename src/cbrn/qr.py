@@ -160,24 +160,13 @@ def _templates() -> np.ndarray:
     return stack
 
 
-_U64 = tuple(np.uint64(k) for k in range(8))  # shift counts, typed so uint64 words stay uint64
-_M1, _M2, _M4 = (np.uint64(m) for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
-_BYTE_SUM = np.uint64(0x0101010101010101)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word (SWAR; `np.bitwise_count` needs numpy 2)."""
-    words = words - ((words >> _U64[1]) & _M1)
-    words = (words & _M2) + ((words >> _U64[2]) & _M2)
-    words = (words + (words >> _U64[4])) & _M4
-    return (words * _BYTE_SUM) >> np.uint64(56)
-
-
 def penalties(stack: np.ndarray) -> np.ndarray:
-    """Penalty of each square grid in a (count, n, n) stack, n <= 64; see `penalty`.
+    """Penalty of each square grid in a (count, n, n) stack, n <= 64; lower is better.
 
-    Each row and each column is packed into one uint64 word, module j at bit
-    j, so every rule is a few shifts and ANDs over whole lines.
+    Scores long same-color runs, 2x2 blocks, finder-lookalike sequences, and
+    overall dark/light imbalance, the four ISO/IEC 18004 mask rules.  Each
+    row and each column is packed into one uint64 word, module j at bit j,
+    so every rule is a few shifts and ANDs over whole lines.
     """
     stack = np.asarray(stack, dtype=np.uint8)
     count, n, _ = stack.shape
@@ -187,14 +176,14 @@ def penalties(stack: np.ndarray) -> np.ndarray:
     grid[:, :n, :n] = stack
     grid[:, n:, :n] = stack.transpose(0, 2, 1)
     dark = np.packbits(grid, bitorder="little").view("<u8").reshape(count, 2 * n)  # rows, then columns
-    light = ~dark & np.uint64((1 << n) - 1)
+    light = ~dark & ((1 << n) - 1)
 
     # same-colour runs of 5 or more: 3 + (length - 5) each, which is 1 per
     # same-colour window of five plus 2 for the window that opens the run;
     # bit j of `same` says modules j and j + 1 match
-    same = ~(dark ^ (dark >> _U64[1])) & np.uint64((1 << n - 1) - 1)
-    five = same & (same >> _U64[1]) & (same >> _U64[2]) & (same >> _U64[3])
-    opens = five & ~(same << _U64[1])  # at a line start or after a colour change
+    same = ~(dark ^ (dark >> 1)) & ((1 << n - 1) - 1)
+    five = same & (same >> 1) & (same >> 2) & (same >> 3)
+    opens = five & ~(same << 1)  # at a line start or after a colour change
 
     # same-colour 2x2 blocks, overlapping: 3 each; the block at row r and
     # column c needs modules c and c + 1 to match in rows r and r + 1, and
@@ -206,27 +195,18 @@ def penalties(stack: np.ndarray) -> np.ndarray:
     # core then four light modules) or 0b1011101 << 4 (four light modules
     # then the core), 40 each; the two cannot share a start, so their bits OR
     if n >= 11:
-        light4 = light & (light >> _U64[1]) & (light >> _U64[2]) & (light >> _U64[3])
-        dark3 = dark & (dark >> _U64[1]) & (dark >> _U64[2])
-        core = dark & (light >> _U64[1]) & (dark3 >> _U64[2]) & (light >> _U64[5]) & (dark >> _U64[6])
-        parts.append((core & (light4 >> _U64[7])) | (light4 & (core >> _U64[4])))
+        light4 = light & (light >> 1) & (light >> 2) & (light >> 3)
+        dark3 = dark & (dark >> 1) & (dark >> 2)
+        core = dark & (light >> 1) & (dark3 >> 2) & (light >> 5) & (dark >> 6)
+        parts.append((core & (light4 >> 7)) | (light4 & (core >> 4)))
         weights.append(40)
-    bits = _popcount(np.concatenate(parts, axis=1))
-    score = bits @ np.repeat(np.array(weights, dtype=np.uint64), [part.shape[1] for part in parts])
+    bits = np.bitwise_count(np.concatenate(parts, axis=1))
+    score = bits @ np.repeat(np.array(weights, dtype=np.int64), [part.shape[1] for part in parts])
 
     # dark/light imbalance: 10 per full 5% away from half
     total = n * n
-    dark_count = _popcount(dark[:, :n]).sum(axis=1, dtype=np.int64)
-    return score.astype(np.int64) + 10 * (np.abs(100 * dark_count - 50 * total) // (5 * total))
-
-
-def penalty(modules: np.ndarray) -> int:
-    """Symbol quality score of one square grid; lower is better.
-
-    Scores long same-color runs, 2x2 blocks, finder-lookalike sequences, and
-    overall dark/light imbalance, the four ISO/IEC 18004 mask rules.
-    """
-    return int(penalties(np.asarray(modules)[None])[0])
+    dark_count = np.bitwise_count(dark[:, :n]).sum(axis=1, dtype=np.int64)
+    return score + 10 * (np.abs(100 * dark_count - 50 * total) // (5 * total))
 
 
 def encode_label(label: str, mask: int | None = None) -> QrMatrix:
@@ -262,13 +242,10 @@ def render(matrix: QrMatrix, scale: int = DEFAULT_SCALE) -> BinaryPattern:
 # ---------------------------------------------------------------------------
 
 
-def random_pattern(seed, width: int = 116, height: int = 116) -> BinaryPattern:
-    """Deterministic ~50%-density bitmap for experiments that don't need symbols."""
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(height, width), dtype=np.uint8)
-    if not bits.any():
-        bits[0, 0] = 1
-    return BinaryPattern(bits)
+def random_pattern(seed) -> BinaryPattern:
+    """Deterministic ~50%-density bitmap of a rendered symbol's size, for experiments without symbols."""
+    side = SIZE * DEFAULT_SCALE
+    return BinaryPattern(np.random.default_rng(seed).integers(0, 2, size=(side, side), dtype=np.uint8))
 
 
 def label_pattern(label: str, provider: str = "qr", seed: int = 0) -> BinaryPattern:

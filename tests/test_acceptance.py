@@ -50,7 +50,7 @@ def demo(catalog):
 
 def assert_one_shot_exactness(system, catalog, bitmaps, vectors):
     for group in catalog:
-        for index in range(group.size):
+        for index in range(len(group.labels)):
             key = (group.name, index)
             recalled = system.recall_forward(group.name, index)
             assert np.abs(recalled - vectors[key]).max() <= 1e-12
@@ -60,7 +60,7 @@ def assert_one_shot_exactness(system, catalog, bitmaps, vectors):
 
 def assert_cue_recognition(system, catalog, vectors):
     for group in catalog:
-        for index in range(group.size):
+        for index in range(len(group.labels)):
             response = system.cue_response(group.name, vectors[(group.name, index)])
             assert abs(response.q[index] - THETA) <= 1e-9
             assert response.argmax == index
@@ -142,7 +142,7 @@ class TestAcceptance:
             # recall rows reach their target bit-exactly for every real pattern
             system = train_full_system()
             for group in catalog:
-                for index in range(group.size):
+                for index in range(len(group.labels)):
                     target = system.recall_forward(group.name, index)
                     again = system.learn_recall_weights(group.name, index, target)
                     assert again.max_delta == 0.0

@@ -409,6 +409,20 @@ class TestRecall:
                          "--pattern", probe)
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ("recall", "--ball", "color"),
+        ("associate", "--from", "color", "--to", "style"),
+    ], ids=["recall", "associate"])
+    def test_probe_of_the_right_size_but_wrong_shape_is_refused(self, capsys, model_path, tmp_path, command):
+        # red's own pixels, 232 wide and 58 high: the model's pixel count, not its 116x116 shape
+        probe = write_pbm(tmp_path / "wide.pbm", qr.render(qr.encode_label("red")).bits.reshape(58, 232))
+        out = tmp_path / "out.pbm"
+        code, stdout, stderr = run(capsys, command[0], "--model", model_path, *command[1:], "--pattern", probe,
+                                   "--out", out)
+        assert (code, stdout) == (3, "")
+        assert "232x58" in stderr and "116x116" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         ("v 0 ", lambda line: " ".join(["v", "0", "nan", "inf", *line.split()[4:]])),
         ("dim ", lambda line: "dim 1000000000000000"),  # needs petabytes if allocated
@@ -779,6 +793,15 @@ class TestClosedStdout:
             os.close(write)
         assert (done.returncode, done.stderr) == (0, b"")
         assert out.exists()
+
+
+def test_readme_library_example_prints_what_its_comment_says():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(cbrn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3 100.0\n", "")
 
 
 class TestDemoSessionGolden:

@@ -331,16 +331,16 @@ class TestOverflow:
         assert np.isfinite(system.balls["A"].v[0]).all()
 
     def test_overflowing_cue_step_raises_and_keeps_the_row(self):
-        # the first step leaves a finite row whose response to y overflows,
-        # so the second step's error is -inf
+        # a huge stored row: the first cue step leaves a finite row whose
+        # response to it overflows, so the second step's error is -inf
         system = small_system()
-        y = [1e300, 1e300]
         with pytest.warns(RuntimeWarning, match="overflow"):
-            system.learn_cue_weights("A", 0, y)
+            system.learn_recall_weights("A", 0, [1e300, 1e300])
+            system.learn_cue_weights("A", 0)
         row = system.balls["A"].v[0].copy()
         assert np.isfinite(row).all()
         with pytest.raises(NonFiniteWeight, match="v row A:0 at rate 1"), pytest.warns(RuntimeWarning):
-            system.learn_cue_weights("A", 0, y)
+            system.learn_cue_weights("A", 0)
         np.testing.assert_array_equal(system.balls["A"].v[0], row)
 
     def test_overflowing_cross_step_raises_and_keeps_both_links(self):

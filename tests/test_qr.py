@@ -169,11 +169,16 @@ class TestCodewords:
             qr.encode_label("")
 
 
+def penalty(grid) -> int:
+    """Score of one grid, from a stack of one."""
+    return int(qr.penalties(np.asarray(grid)[None])[0])
+
+
 class TestMaskChoice:
     def test_chosen_mask_minimizes_penalty(self, matrices):
         for label, chosen in matrices.items():
-            scores = [qr.penalty(qr.encode_label(label, mask=m).modules) for m in range(8)]
-            assert qr.penalty(chosen.modules) == min(scores)
+            scores = [penalty(qr.encode_label(label, mask=m).modules) for m in range(8)]
+            assert penalty(chosen.modules) == min(scores)
             assert chosen.mask == scores.index(min(scores))  # lowest index wins ties
 
     def test_forced_mask_respected(self):
@@ -210,26 +215,26 @@ def penalty_oracle(grid) -> int:
 class TestPenalty:
     def test_all_dark_4x4(self):
         # rule 2 on nine 2x2 blocks plus maximal imbalance
-        assert qr.penalty(np.ones((4, 4), dtype=np.uint8)) == 9 * 3 + 100
+        assert penalty(np.ones((4, 4), dtype=np.uint8)) == 9 * 3 + 100
 
     def test_checkerboard_is_free(self):
         grid = np.indices((6, 6)).sum(axis=0) % 2
-        assert qr.penalty(grid.astype(np.uint8)) == 0
+        assert penalty(grid.astype(np.uint8)) == 0
 
     def test_long_run_scoring(self):
         grid = np.indices((6, 6)).sum(axis=0) % 2
         grid[0, :] = 1  # one all-dark row: run of 6 -> 4 points, plus 2x2 blocks
-        assert qr.penalty(grid.astype(np.uint8)) == penalty_oracle(grid)
+        assert penalty(grid.astype(np.uint8)) == penalty_oracle(grid)
 
     @given(arrays(np.uint8, (13, 13), elements=st.integers(0, 1)))
     @settings(max_examples=40)
     def test_matches_line_oracle(self, grid):
-        assert qr.penalty(grid) == penalty_oracle(grid)
+        assert penalty(grid) == penalty_oracle(grid)
 
     @given(arrays(np.uint8, (29, 29), elements=st.integers(0, 1)))
     @settings(max_examples=40, deadline=None)
     def test_matches_line_oracle_at_symbol_size(self, grid):
-        assert qr.penalty(grid) == penalty_oracle(grid)
+        assert penalty(grid) == penalty_oracle(grid)
 
     @given(st.integers(1, 34).flatmap(
         lambda n: arrays(np.uint8, (3, n, n), elements=st.integers(0, 1))))
@@ -237,7 +242,7 @@ class TestPenalty:
     def test_batched_scores_equal_per_grid_scores(self, stack):
         scores = qr.penalties(stack)
         assert scores.shape == (3,)
-        assert list(scores) == [qr.penalty(grid) for grid in stack]
+        assert list(scores) == [penalty(grid) for grid in stack]
         assert list(scores) == [penalty_oracle(grid) for grid in stack]
 
     def test_stack_wider_than_64_modules_refused(self):
