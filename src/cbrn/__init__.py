@@ -45,7 +45,7 @@ from .patterns import (
     save_pbm,
     to_pattern,
 )
-from .qr import QrMatrix, encode_label, label_pattern, random_pattern, render
+from .qr import QrMatrix, encode_label, random_pattern, render
 from .store import load, loads, save, dumps
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "default_catalog",
     "dumps",
     "encode_label",
-    "label_pattern",
     "load",
     "load_catalog",
     "load_pbm",

@@ -37,7 +37,6 @@ from .memory import MemorySystem, SystemConfig
 from .patterns import load_pbm, normalize, save_pbm, to_pattern
 
 ENV_PREFIX = "CBRN_"
-PROVIDERS = ("qr", "random")
 
 # report defaults: probe neuron per ball position (classic demo layout)
 _DEFAULT_PROBE_NEURONS = (0, 3, 6)
@@ -88,15 +87,9 @@ def _threshold_override(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:  # the random provider's generator takes no negative seed
-        raise UsageError(f"seed must be at least 0, got {value}")
-    return value
-
-
 def _parse_ref(text: str, what: str) -> tuple[str, int]:
     ball, sep, index = text.partition(":")
+    ball = ball.strip()
     if not sep or not ball:
         raise UsageError(f"bad {what} {text!r}, expected BALL:INDEX")
     try:
@@ -130,8 +123,6 @@ OPTIONS = (
     ("eps_w", float, ("train",), SystemConfig.eps_w, "recall learning rate, in (0, 1]"),
     ("eps_v", float, ("train",), SystemConfig.eps_v, "cue learning rate, in (0, 1]"),
     ("lambda_cb", float, ("train",), SystemConfig.lambda_cb, "cross learning rate, in (0, 1]"),
-    ("provider", _one_of("provider", PROVIDERS), ("train",), "qr", "pattern source: qr or random"),
-    ("seed", _seed, ("train",), 0, "seed for the random provider"),
     ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
     ("threshold", _threshold_override, _QUERIES, None, "override the model's firing threshold"),
     ("format", _one_of("format", ("table", "csv")), _FORMATTED, "table", "table or csv"),
@@ -244,8 +235,11 @@ def cmd_train(args, opts: dict) -> int:
     rows = [f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}"]
     for group in catalog:
         for index, label in enumerate(group.labels):
-            bitmap = qr.label_pattern(label, provider=opts["provider"], seed=opts["seed"])
-            w_report, v_report = system.store(group.name, index, normalize(bitmap))
+            try:
+                matrix = qr.encode_label(label)
+            except LabelTooLong as exc:  # in a long catalog, say which entry
+                raise LabelTooLong(f"{group.name}:{index}: {exc}") from None
+            w_report, v_report = system.store(group.name, index, normalize(qr.render(matrix)))
             rows.append(f"{group.name:<10} {index:>6} {label:<14} "
                         f"{w_report.final_error:>12.6g} {v_report.final_error:>12.6g}")
     store.save(system, args.out)

@@ -3,13 +3,13 @@
 Symbols are always version 3 (29x29 modules) at error-correction level L,
 more than enough capacity for attribute labels (53 payload bytes).  They are
 rendered without a quiet zone so the default 4-pixel module scale yields the
-116x116 bitmap the memory pipeline expects.  A seeded random provider is
-also exposed so memory experiments can run without symbol structure.
+116x116 bitmap the memory pipeline expects.  `random_pattern` is a library
+source of seeded random bitmaps of the same size, for memory experiments
+without symbol structure; `train` stores only symbols.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -237,21 +237,8 @@ def render(matrix: QrMatrix, scale: int = DEFAULT_SCALE) -> BinaryPattern:
     return BinaryPattern(bits)
 
 
-# ---------------------------------------------------------------------------
-# Pattern providers.
-# ---------------------------------------------------------------------------
-
-
 def random_pattern(seed) -> BinaryPattern:
-    """Deterministic ~50%-density bitmap of a rendered symbol's size, for experiments without symbols."""
+    """Deterministic ~50%-density bitmap of a rendered symbol's size: a library source, not a `train` option."""
     side = SIZE * DEFAULT_SCALE
     return BinaryPattern(np.random.default_rng(seed).integers(0, 2, size=(side, side), dtype=np.uint8))
 
-
-def label_pattern(label: str, provider: str = "qr", seed: int = 0) -> BinaryPattern:
-    """Pattern source used for training: real symbols or seeded random bitmaps."""
-    if provider == "qr":
-        return render(encode_label(label))
-    if provider == "random":
-        return random_pattern((int(seed) << 32) ^ zlib.crc32(label.encode("utf-8")))
-    raise ValueError(f"unknown provider {provider!r}")

@@ -7,14 +7,13 @@ from cbrn.memory import MemorySystem, SystemConfig
 CLASSIC_PAIRS = (("Color", 0, "Style", 3), ("Style", 3, "Volume", 6), ("Volume", 6, "Color", 1))
 
 
-def train_full_system(provider: str = "qr") -> MemorySystem:
+def train_full_system() -> MemorySystem:
     """Fresh system holding all 21 bundled catalog patterns."""
     catalog = patterns.default_catalog()
     system = MemorySystem.from_catalog(catalog, SystemConfig())
     for group in catalog:
         for index, label in enumerate(group.labels):
-            bitmap = qr.label_pattern(label, provider=provider)
-            system.store(group.name, index, patterns.normalize(bitmap))
+            system.store(group.name, index, patterns.normalize(qr.render(qr.encode_label(label))))
     return system
 
 

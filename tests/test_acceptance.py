@@ -288,6 +288,37 @@ class TestAcceptance:
                                 assert (result.source_neuron, result.target_neuron) == expected
 
 
+class TestReadmeRecognitionFigures:
+    """The figures README "How it works" gives for the clean stored probes of the bundled labels."""
+
+    TIE_GROUPS = ({"orange", "blue", "purple"}, {"yellow", "indigo"}, {"oval", "triangle"},
+                  {"medium", "small-medium", "mini"})
+
+    def test_fired_sets_own_q_and_worst_overlap(self, demo, catalog):
+        system, _, vectors = demo
+        alone, below_theta, overlaps = [], [], {}
+        for group in catalog:
+            for index, label in enumerate(group.labels):
+                response = system.cue_response(group.name, vectors[(group.name, index)])
+                assert response.threshold == D
+                fired = {group.labels[i] for i in response.fired}
+                if fired == {label}:
+                    alone.append(label)
+                else:
+                    assert fired in self.TIE_GROUPS, (label, fired)
+                    assert label in fired
+                if response.q[index] < THETA:
+                    below_theta.append(label)
+                for other in range(index):
+                    overlap = float(vectors[(group.name, index)] @ vectors[(group.name, other)])
+                    overlaps[group.name, group.labels[other], label] = overlap
+        assert len(alone) == 11
+        assert len(below_theta) == 9  # so `recall --threshold 100` fires nothing on the demo model
+        worst = max(overlaps, key=overlaps.get)
+        assert worst == ("Color", "yellow", "indigo")
+        assert round(overlaps[worst], 3) == 0.909
+
+
 def unit_vector(rng, dim):
     v = rng.uniform(0.05, 1.0, size=dim)
     return v / np.linalg.norm(v)

@@ -133,23 +133,33 @@ class TestTrain:
         assert code == 3
         assert "no patterns" in stderr
 
-    def test_random_provider_deterministic(self, capsys, tmp_path):
-        a, b = tmp_path / "a.cbrn", tmp_path / "b.cbrn"
-        run(capsys, "train", "--out", a, "--provider", "random", "--seed", "9")
-        run(capsys, "train", "--out", b, "--provider", "random", "--seed", "9")
-        assert a.read_bytes() == b.read_bytes()
-
-    @pytest.mark.parametrize("source", ["flag", "environment", "config file"])
-    def test_negative_seed_is_usage_error_and_writes_no_model(self, capsys, tmp_path, monkeypatch, source):
-        # NumPy's generator takes no negative seed; the qr provider ignores the seed but gets the same error
-        (tmp_path / "opts.conf").write_text("seed = -1\n")
-        extra = {"flag": ("--seed", "-1"), "environment": (), "config file": ("--config", tmp_path / "opts.conf")}
-        if source == "environment":
-            monkeypatch.setenv("CBRN_SEED", "-1")
+    def test_too_long_label_is_named_and_writes_no_model(self, capsys, tmp_path):
+        # in a long catalog the message says which entry is too long
+        cat = tmp_path / "cat.txt"
+        cat.write_text("A:0:one\nB:0:two\nB:1:" + "x" * 60 + "\n")
         out = tmp_path / "m.cbrn"
-        for provider in ("random", "qr"):
-            code, stdout, stderr = run(capsys, "train", "--provider", provider, "--out", out, *extra[source])
-            assert (code, stdout, stderr) == (2, "", "error: seed must be at least 0, got -1\n")
+        code, stdout, stderr = run(capsys, "train", "--out", out, "--catalog", cat)
+        assert (code, stdout, stderr) == (2, "", "error: B:1: label is 60 bytes encoded; the symbol holds 53\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
+    def test_provider_and_seed_are_no_options(self, capsys, tmp_path, monkeypatch, source):
+        # every model stores QR symbols: --provider, --seed and their keys are usage errors that write
+        # no model, and CBRN_PROVIDER and CBRN_SEED are ignored like any unknown name
+        out = tmp_path / "m.cbrn"
+        if source == "environment":
+            plain = tmp_path / "plain.cbrn"
+            assert run(capsys, "train", "--out", plain)[0] == 0
+            monkeypatch.setenv("CBRN_PROVIDER", "random")
+            monkeypatch.setenv("CBRN_SEED", "-1")
+            assert run(capsys, "train", "--out", out)[0] == 0
+            assert out.read_bytes() == plain.read_bytes()
+            return
+        for key, value in (("provider", "random"), ("seed", "0")):
+            (tmp_path / "opts.conf").write_text(f"{key} = {value}\n")
+            extra = (f"--{key}", value) if source == "flag" else ("--config", tmp_path / "opts.conf")
+            code, stdout, _ = run(capsys, "train", "--out", out, *extra)
+            assert (code, stdout) == (2, ""), key
             assert not out.exists()
 
     def test_flag_overrides_env_overrides_config(self, capsys, tmp_path, monkeypatch):
@@ -176,11 +186,11 @@ class TestTrain:
         (tmp_path / "opts.conf").write_text("normalized = false\n")
         out = tmp_path / "m.cbrn"
         for extra in (("--unnormalized",), ("--config", tmp_path / "opts.conf")):
-            code, stdout, _ = run(capsys, "train", "--out", out, "--provider", "random", *extra)
+            code, stdout, _ = run(capsys, "train", "--out", out, *extra)
             assert (code, stdout) == (2, "")
             assert not out.exists()
         monkeypatch.setenv("CBRN_NORMALIZED", "false")
-        assert run(capsys, "train", "--out", out, "--provider", "random")[0] == 0
+        assert run(capsys, "train", "--out", out)[0] == 0
         assert out.read_text(encoding="utf-8").splitlines()[8] == "normalized true"
 
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
@@ -227,7 +237,7 @@ class TestTrain:
 
     def test_overflowing_learning_rate_writes_no_model(self, capsys, tmp_path):
         out = tmp_path / "m.cbrn"
-        code, _, stderr = run(capsys, "train", "--out", out, "--provider", "random", "--eps-v", "1e308")
+        code, _, stderr = run(capsys, "train", "--out", out, "--eps-v", "1e308")
         assert code == 2
         assert stderr == "error: eps_v must lie in (0, 1], got 1e+308\n"
         assert not out.exists()
@@ -242,7 +252,7 @@ class TestTrain:
     ])
     def test_setting_under_which_nothing_trained_fires_writes_no_model(self, capsys, tmp_path, argv, message):
         out = tmp_path / "m.cbrn"
-        code, stdout, stderr = run(capsys, "train", "--out", out, "--provider", "random", *argv)
+        code, stdout, stderr = run(capsys, "train", "--out", out, *argv)
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
         assert not out.exists()
@@ -254,7 +264,7 @@ class TestTrain:
         extra = {"flag": ("--epochs", "2"), "config file": ("--config", tmp_path / "opts.conf"), "environment": ()}
         monkeypatch.setenv("CBRN_EPOCHS", "3")
         out = tmp_path / "m.cbrn"
-        code, _, stderr = run(capsys, "train", "--out", out, "--provider", "random", *extra[source])
+        code, _, stderr = run(capsys, "train", "--out", out, *extra[source])
         assert code == (0 if source == "environment" else 2)
         assert out.exists() == (source == "environment")
 
@@ -320,6 +330,16 @@ class TestPair:
         assert code == 0
         links = store.load(model).links
         assert links["A", "B"][1, 2] != 0.0 and links["B", "A"][0, 2] != 0.0
+
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_spaces_around_a_ball_name_are_stripped(self, capsys, tmp_path, source):
+        # as int() strips the index, so the ball name is stripped: "A:1 = B:2" pairs A:1 with B:2
+        model = toy_model(tmp_path)
+        (tmp_path / "opts.conf").write_text("pairs = A:1 = B:2\n")
+        extra = ("--pair", "A:1 = B:2") if source == "flag" else ("--config", tmp_path / "opts.conf")
+        code, stdout, _ = run(capsys, "pair", "--model", model, *extra)
+        assert code == 0 and "A:1 -> B:2" in stdout
+        assert store.load(model).links["A", "B"][1, 2] == 100.0
 
     def test_repeated_config_key_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -561,7 +581,7 @@ class TestReport:
     def test_figure4_shows_links_at_theta_times_lambda(self, capsys, tmp_path):
         # a link trained once sits at theta * lambda_cb, and the grid is all figure 4 prints
         model = tmp_path / "m.cbrn"
-        assert run(capsys, "train", "--out", model, "--provider", "random", "--lambda-cb", "0.9")[0] == 0
+        assert run(capsys, "train", "--out", model, "--lambda-cb", "0.9")[0] == 0
         assert run(capsys, "pair", "--model", model, "--pair", "color:0=style:3")[0] == 0
         code, stdout, _ = run(capsys, "report", "--model", model, "--figure", "4")
         assert code == 0
@@ -732,7 +752,7 @@ class TestOptionTable:
 
     def test_hyphenated_config_key_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "opts.conf"
-        cfg.write_text("eps-w = 0.9\nprovider = random\n")
+        cfg.write_text("eps-w = 0.9\n")
         out = tmp_path / "m.cbrn"
         assert run(capsys, "train", "--out", out, "--config", cfg)[0] == 0
         assert store.load(out).config.eps_w == 0.9

@@ -332,12 +332,3 @@ class TestProviders:
         ratio = pattern.popcount() / pattern.dim
         assert 0.45 < ratio < 0.55
         assert (pattern.width, pattern.height) == (116, 116)
-
-    def test_label_pattern_dispatch(self):
-        assert qr.label_pattern("red") == qr.render(qr.encode_label("red"))
-        r1 = qr.label_pattern("red", provider="random", seed=3)
-        r2 = qr.label_pattern("red", provider="random", seed=3)
-        assert r1 == r2
-        assert r1 != qr.label_pattern("blue", provider="random", seed=3)
-        with pytest.raises(ValueError):
-            qr.label_pattern("red", provider="dice")
