@@ -18,7 +18,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -120,9 +119,6 @@ OPTIONS = (
     ("catalog", str, ("train",), None, "catalog file (default: the bundled one)"),
     ("theta", float, ("train",), SystemConfig.theta, "learning value"),
     ("threshold", float, ("train",), SystemConfig.threshold, "firing threshold"),
-    ("eps_w", float, ("train",), SystemConfig.eps_w, "recall learning rate, in (0, 1]"),
-    ("eps_v", float, ("train",), SystemConfig.eps_v, "cue learning rate, in (0, 1]"),
-    ("lambda_cb", float, ("train",), SystemConfig.lambda_cb, "cross learning rate, in (0, 1]"),
     ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
     ("threshold", _threshold_override, _QUERIES, None, "override the model's firing threshold"),
     ("format", _one_of("format", ("table", "csv")), _FORMATTED, "table", "table or csv"),
@@ -165,7 +161,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
 
 def _build_config(opts: dict) -> SystemConfig:
     try:
-        return SystemConfig(**{field.name: opts[field.name] for field in fields(SystemConfig) if field.name in opts})
+        return SystemConfig(theta=opts["theta"], threshold=opts["threshold"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -226,19 +222,15 @@ def cmd_encode(args, opts: dict) -> int:
 
 def cmd_train(args, opts: dict) -> int:
     config = _build_config(opts)
-    catalog_path = opts["catalog"]
-    catalog = patterns.load_catalog(catalog_path) if catalog_path else patterns.default_catalog()
+    catalog = patterns.load_catalog(opts["catalog"]) if opts["catalog"] else patterns.default_catalog()
     if not len(catalog):
-        raise CbrnError("no patterns: the catalog is empty")
+        raise CbrnError(f"{opts['catalog']}: no patterns: the catalog is empty")
 
     system = MemorySystem.from_catalog(catalog, config)
     rows = [f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}"]
     for group in catalog:
         for index, label in enumerate(group.labels):
-            try:
-                matrix = qr.encode_label(label)
-            except LabelTooLong as exc:  # in a long catalog, say which entry
-                raise LabelTooLong(f"{group.name}:{index}: {exc}") from None
+            matrix = qr.encode_label(label)
             w_report, v_report = system.store(group.name, index, normalize(qr.render(matrix)))
             rows.append(f"{group.name:<10} {index:>6} {label:<14} "
                         f"{w_report.final_error:>12.6g} {v_report.final_error:>12.6g}")

@@ -8,12 +8,12 @@ learning value theta.  Cross weights couple cue neurons across balls, one
 dense array per ordered ball pair, so a recognized pattern in one ball
 recalls its linked pattern in another.
 
-All three learning rules are one Widrow-Hoff step,
-`delta = rate * (target - output) * input`: the recall rule targets the
-pattern with input 1, the cue rule targets theta with the recalled pattern
-as input, and the cross rule targets theta with input 1.  With
-zero-initialized weights and unit learning rates, every rule reaches its
-target in a single update and is a strict no-op afterwards.
+All three learning rules are one Widrow-Hoff step at rate 1,
+`delta = (target - output) * input`: the recall rule targets the pattern
+with input 1, the cue rule targets theta with the recalled pattern as
+input, and the cross rule targets theta with input 1.  From zero-initialized
+weights every rule reaches its target in a single update and is a strict
+no-op afterwards.
 
 A system instance is single-writer while learning.  Response and recall
 calls never mutate state, so a trained system may be queried concurrently.
@@ -45,9 +45,6 @@ class SystemConfig:
     dim: int = 13_456
     theta: float = 100.0  # learning value: target pre-threshold output
     threshold: float = 72.0  # firing cutoff of the cue step function
-    eps_w: float = 1.0  # recall-weight learning rate
-    eps_v: float = 1.0  # cue-weight learning rate
-    lambda_cb: float = 1.0  # cross-weight learning rate
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -55,19 +52,11 @@ class SystemConfig:
         for field in fields(self):
             if type(field.default) is float and not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
-        for name in ("eps_w", "eps_v", "lambda_cb"):
-            if not 0 < getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        # One step from zero puts a link at theta*lambda_cb and a clean unit probe at
-        # q = theta*eps_w*eps_v, and no later step at a rate in (0, 1] passes its
-        # target.  Rounding leaves a unit probe within 1.05e-12 of its value, some
-        # below, so a 1e-9 margin is ample.
-        floor = self.threshold * (1 + 1e-9)
-        for what, lowest in (("theta*eps_w*eps_v", self.theta * self.eps_w * self.eps_v),
-                             ("theta*lambda_cb", self.theta * self.lambda_cb)):
-            if not lowest > floor > 0:
-                raise ValueError(f"need {what} = {lowest:g} > threshold = {self.threshold:g} > 0,"
-                                 " otherwise trained neurons never fire")
+        # One step from zero puts a link and a clean unit probe's q at theta; rounding
+        # leaves the probe within 1.05e-12 of it, some below, so a 1e-9 margin is ample.
+        if not self.theta > self.threshold * (1 + 1e-9) > 0:
+            raise ValueError(f"need theta = {self.theta:g} > threshold = {self.threshold:g} > 0,"
+                             " otherwise trained neurons never fire")
 
 
 class Ball:
@@ -196,8 +185,8 @@ class MemorySystem:
             )
         return v
 
-    def _delta_rule(self, where: str, weight, rate: float, target, output=lambda w: w, x=1.0):
-        """One Widrow-Hoff step `weight + rate * (target - output(weight)) * x`.
+    def _delta_rule(self, where: str, weight, target, output=lambda w: w, x=1.0):
+        """One Widrow-Hoff step `weight + (target - output(weight)) * x`.
 
         `weight` is a row or a float and is not modified.  Returns the new
         weight and the report: the half squared error before and after the
@@ -205,14 +194,14 @@ class MemorySystem:
         overflows, so the caller stores nothing.
         """
         err = target - output(weight)
-        step = rate * err * x  # a new array or float
+        step = err * x  # a new array or float
         max_delta = float(np.maximum.reduce(np.abs(step), axis=None))
         step += weight  # so the sum lands in it, not in the caller's row
         final = _half_square(target - output(step))
         # an inf or nan weight makes the final error inf or nan, so only
         # then is the weight itself scanned
         if not math.isfinite(final) and not np.isfinite(step).all():
-            raise NonFiniteWeight(f"learning {where} at rate {rate:g} left a non-finite weight")
+            raise NonFiniteWeight(f"learning {where} left a non-finite weight")
         return step, UpdateReport(_half_square(err), final, max_delta)
 
     # -- recall path --------------------------------------------------------
@@ -231,15 +220,13 @@ class MemorySystem:
         """Delta-rule update of a neuron's recall row toward the target vector.
 
         The neuron's output is held at 1 while learning, so the step adds
-        eps_w * (target - row).  From zero weights with eps_w = 1 one step
-        stores the target exactly and a repeat is a no-op.
+        target - row.  From zero weights one step stores the target exactly
+        and a repeat is a no-op.
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
         t = self._check_vector(target)
-        ball.w[neuron], report = self._delta_rule(
-            f"w row {ball.id}:{neuron}", ball.w[neuron], self.config.eps_w, t
-        )
+        ball.w[neuron], report = self._delta_rule(f"w row {ball.id}:{neuron}", ball.w[neuron], t)
         return report
 
     # -- cue path -----------------------------------------------------------
@@ -253,17 +240,15 @@ class MemorySystem:
         """Delta-rule update of a neuron's cue row toward output theta.
 
         The input y is the recall output presented back to the ball: the
-        neuron's own stored row.  The step adds eps_v * (theta - q) * y.
-        From zero weights with eps_v = 1 and unit-energy y, it puts the row at
-        theta * y, whose response to y is theta to within rounding.
+        neuron's own stored row.  The step adds (theta - q) * y.  From zero
+        weights and unit-energy y, it puts the row at theta * y, whose
+        response to y is theta to within rounding.
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
         yv = ball.w[neuron]
-        cfg = self.config
-        ball.v[neuron], report = self._delta_rule(
-            f"v row {ball.id}:{neuron}", ball.v[neuron], cfg.eps_v, cfg.theta, lambda row: float(row @ yv), yv
-        )
+        ball.v[neuron], report = self._delta_rule(f"v row {ball.id}:{neuron}", ball.v[neuron], self.config.theta,
+                                                  lambda row: float(row @ yv), yv)
         return report
 
     # -- cross path ---------------------------------------------------------
@@ -294,8 +279,8 @@ class MemorySystem:
 
         The source neuron's output is 1, so a link responds with its own
         weight.  Each direction starts from zero and reaches theta in one
-        step with lambda_cb = 1; the reverse direction is trained by swapping
-        the roles of the two balls.
+        step; the reverse direction is trained by swapping the roles of the
+        two balls.
         """
         a = self.ball(ball_a)
         b = self.ball(ball_b)
@@ -305,10 +290,9 @@ class MemorySystem:
             )
         self._check_neuron(a, k)
         self._check_neuron(b, l)
-        rate, theta = self.config.lambda_cb, self.config.theta
-        forward, backward = self.links[a.id, b.id], self.links[b.id, a.id]
-        u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l), rate, theta)
-        u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k), rate, theta)
+        forward, backward, theta = self.links[a.id, b.id], self.links[b.id, a.id], self.config.theta
+        u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l), theta)
+        u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k), theta)
         forward[k, l], backward[l, k] = u_ab, u_ba
         return forward_report, backward_report
 

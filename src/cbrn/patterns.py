@@ -178,6 +178,7 @@ class AttributeCatalog:
 
 def parse_catalog(text: str) -> AttributeCatalog:
     """Parse `group:index:label` lines; `#` comments and blank lines are skipped."""
+    from .qr import CONTENT_CAPACITY  # here, because qr imports this module
     entries: dict[str, dict[int, str]] = {}  # group -> index -> label, groups in first-seen order
     seen: set[tuple[str, str]] = set()  # (group, label) of every entry, for the duplicate check
     for lineno, body in records(text):
@@ -195,6 +196,8 @@ def parse_catalog(text: str) -> AttributeCatalog:
             raise CatalogError(f"line {lineno}: index {index} is negative")
         if not label:
             raise CatalogError(f"line {lineno}: empty label")
+        if (size := len(label.encode("utf-8"))) > CONTENT_CAPACITY:  # one QR symbol
+            raise CatalogError(f"line {lineno}: label is {size} bytes encoded; the symbol holds {CONTENT_CAPACITY}")
         group = entries.setdefault(name, {})
         if index in group:
             raise DuplicateEntry(f"line {lineno}: duplicate entry {name}:{index}")
@@ -217,8 +220,12 @@ def parse_catalog(text: str) -> AttributeCatalog:
 
 
 def load_catalog(path) -> AttributeCatalog:
-    """Load an attribute catalog from a text file."""
-    return parse_catalog(read_utf8(path, CatalogError))
+    """Load an attribute catalog from a text file; every error names the file."""
+    text = read_utf8(path, CatalogError)
+    try:
+        return parse_catalog(text)
+    except CatalogError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def default_catalog() -> AttributeCatalog:

@@ -109,8 +109,10 @@ def save(system: MemorySystem, path) -> None:
             out.write(header)
             out.writelines(lines)
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno:  # name the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -183,9 +185,9 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
 # fields in declaration order, each written and parsed by its default's type
 _CODECS = {int: (str, _parse_int), float: (_fmt, _parse_float)}
 _HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(SystemConfig))
-# the header's last lines, written verbatim: one learning step on unit-energy
-# vectors is the only training this program does; they go with CBRN1
-_CONSTANT = "epochs 1", "normalized true"
+# the header's last lines, written verbatim: one learning step at rate 1 on
+# unit-energy vectors is the only training this program does; they go with CBRN1
+_CONSTANT = "eps_w 1.0", "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true"
 
 
 def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _FloatMemo) -> None:

@@ -130,34 +130,39 @@ class TestTrain:
         cat = tmp_path / "cat.txt"
         cat.write_text("# nothing\n")
         code, _, stderr = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--catalog", cat)
-        assert code == 3
-        assert "no patterns" in stderr
+        assert (code, stderr) == (3, f"error: {cat}: no patterns: the catalog is empty\n")
 
     def test_too_long_label_is_named_and_writes_no_model(self, capsys, tmp_path):
-        # in a long catalog the message says which entry is too long
+        # a catalog fault names the file and line and, like an empty label, is a malformed file (exit 3)
         cat = tmp_path / "cat.txt"
-        cat.write_text("A:0:one\nB:0:two\nB:1:" + "x" * 60 + "\n")
         out = tmp_path / "m.cbrn"
-        code, stdout, stderr = run(capsys, "train", "--out", out, "--catalog", cat)
-        assert (code, stdout, stderr) == (2, "", "error: B:1: label is 60 bytes encoded; the symbol holds 53\n")
-        assert not out.exists()
+        for text, fault in (("A:0:one\nB:0:two\nB:1:" + "x" * 60 + "\n",
+                             "line 3: label is 60 bytes encoded; the symbol holds 53"),
+                            ("A:0:" + "é" * 27 + "\n", "line 1: label is 54 bytes encoded; the symbol holds 53"),
+                            ("A:0:one\nB:0:\n", "line 2: empty label")):
+            cat.write_text(text, encoding="utf-8")
+            code, stdout, stderr = run(capsys, "train", "--out", out, "--catalog", cat)
+            assert (code, stdout, stderr) == (3, "", f"error: {cat}: {fault}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
     def test_provider_and_seed_are_no_options(self, capsys, tmp_path, monkeypatch, source):
-        # every model stores QR symbols: --provider, --seed and their keys are usage errors that write
-        # no model, and CBRN_PROVIDER and CBRN_SEED are ignored like any unknown name
+        # every model stores QR symbols learnt in one step at rate 1: --provider, --seed, --eps-w,
+        # --eps-v, --lambda-cb and their keys are usage errors that write no model, and their CBRN_*
+        # names are ignored like any unknown name
         out = tmp_path / "m.cbrn"
+        gone = (("provider", "random"), ("seed", "0"), ("eps_w", "0.5"), ("eps_v", "0.5"), ("lambda_cb", "0.5"))
         if source == "environment":
             plain = tmp_path / "plain.cbrn"
             assert run(capsys, "train", "--out", plain)[0] == 0
-            monkeypatch.setenv("CBRN_PROVIDER", "random")
-            monkeypatch.setenv("CBRN_SEED", "-1")
+            for key, value in gone:
+                monkeypatch.setenv("CBRN_" + key.upper(), value)
             assert run(capsys, "train", "--out", out)[0] == 0
             assert out.read_bytes() == plain.read_bytes()
             return
-        for key, value in (("provider", "random"), ("seed", "0")):
+        for key, value in gone:
             (tmp_path / "opts.conf").write_text(f"{key} = {value}\n")
-            extra = (f"--{key}", value) if source == "flag" else ("--config", tmp_path / "opts.conf")
+            extra = ("--" + key.replace("_", "-"), value) if source == "flag" else ("--config", tmp_path / "opts.conf")
             code, stdout, _ = run(capsys, "train", "--out", out, *extra)
             assert (code, stdout) == (2, ""), key
             assert not out.exists()
@@ -214,6 +219,16 @@ class TestTrain:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1 and "not UTF-8" in stderr
         assert not (tmp_path / "m.cbrn").exists()
 
+    @pytest.mark.parametrize("target, strerror", [("no/dir/m.cbrn", "No such file or directory"),
+                                                  ("outdir", "Is a directory")])
+    def test_failed_save_names_the_target_and_leaves_no_temporary_file(self, capsys, tmp_path, target, strerror):
+        (tmp_path / "outdir").mkdir()
+        out = tmp_path / target
+        code, stdout, stderr = run(capsys, "train", "--out", out)
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error: [Errno ") and stderr.endswith(f"] {strerror}: {str(out)!r}\n")
+        assert [path.name for path in tmp_path.rglob("*")] == ["outdir"]
+
     def test_huge_theta_trains_a_model_that_recalls(self, capsys, tmp_path, red_pbm):
         # the first cue step's error, theta squared, overflows to inf; the weights stay finite
         out = tmp_path / "m.cbrn"
@@ -235,20 +250,11 @@ class TestTrain:
             assert code == 0 and "e+30" in stdout
             assert max(map(len, stdout.splitlines())) <= 80, argv
 
-    def test_overflowing_learning_rate_writes_no_model(self, capsys, tmp_path):
-        out = tmp_path / "m.cbrn"
-        code, _, stderr = run(capsys, "train", "--out", out, "--eps-v", "1e308")
-        assert code == 2
-        assert stderr == "error: eps_v must lie in (0, 1], got 1e+308\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv, message", [
-        (("--eps-v", "0.5"), "theta*eps_w*eps_v = 50 > threshold = 72"),
-        (("--eps-w", "0.7", "--eps-v", "0.9"), "theta*eps_w*eps_v = 63 > threshold = 72"),
-        (("--lambda-cb", "0.5"), "theta*lambda_cb = 50 > threshold = 72"),
-        (("--threshold", "100"), "theta*eps_w*eps_v = 100 > threshold = 100"),
-        (("--eps-w", "0"), "eps_w must lie in (0, 1], got 0.0"),
-        (("--lambda-cb", "2"), "lambda_cb must lie in (0, 1], got 2.0"),
+        (("--theta", "50"), "theta = 50 > threshold = 72 > 0"),
+        (("--theta", "72.00000001"), "theta = 72 > threshold = 72 > 0"),  # above by less than the 1e-9 margin
+        (("--threshold", "0"), "theta = 100 > threshold = 0 > 0"),
+        (("--threshold", "100"), "theta = 100 > threshold = 100 > 0"),
     ])
     def test_setting_under_which_nothing_trained_fires_writes_no_model(self, capsys, tmp_path, argv, message):
         out = tmp_path / "m.cbrn"
@@ -578,10 +584,10 @@ class TestReport:
         assert ("Color", "0", "Style", "3") in hits
         assert ("Volume", "6", "Color", "1") in hits
 
-    def test_figure4_shows_links_at_theta_times_lambda(self, capsys, tmp_path):
-        # a link trained once sits at theta * lambda_cb, and the grid is all figure 4 prints
+    def test_figure4_shows_links_at_theta(self, capsys, tmp_path):
+        # a link trained once sits at theta, and the grid is all figure 4 prints
         model = tmp_path / "m.cbrn"
-        assert run(capsys, "train", "--out", model, "--lambda-cb", "0.9")[0] == 0
+        assert run(capsys, "train", "--out", model, "--theta", "90")[0] == 0
         assert run(capsys, "pair", "--model", model, "--pair", "color:0=style:3")[0] == 0
         code, stdout, _ = run(capsys, "report", "--model", model, "--figure", "4")
         assert code == 0
@@ -750,13 +756,6 @@ class TestOptionTable:
         code, stdout, _ = run(capsys, *QUERIES["recall"], "--model", model_path, "--pattern", red_pbm)
         assert code == 0 and "threshold 72.0" in stdout
 
-    def test_hyphenated_config_key_is_accepted(self, capsys, tmp_path):
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text("eps-w = 0.9\n")
-        out = tmp_path / "m.cbrn"
-        assert run(capsys, "train", "--out", out, "--config", cfg)[0] == 0
-        assert store.load(out).config.eps_w == 0.9
-
     @pytest.mark.parametrize("source", ["flag", "config file"])
     def test_flag_and_config_give_the_environment_error(self, capsys, model_path, tmp_path, source):
         # TestQueryOptions checks the same message for CBRN_FORMAT=xml
@@ -769,11 +768,10 @@ class TestOptionTable:
         code, stdout, _ = run(capsys, "train", "--help")
         assert code == 0
         text = " ".join(stdout.split())  # argparse wraps help lines
-        for flag, default in (("--theta", SystemConfig.theta), ("--threshold", SystemConfig.threshold),
-                              ("--eps-w", SystemConfig.eps_w), ("--lambda-cb", SystemConfig.lambda_cb)):
+        for flag, default in (("--theta", SystemConfig.theta), ("--threshold", SystemConfig.threshold)):
             assert flag in text and f"(default: {default})" in text
 
-    @pytest.mark.parametrize("flag", ["--theta", "--threshold", "--eps-w", "--eps-v", "--lambda-cb"])
+    @pytest.mark.parametrize("flag", ["--theta", "--threshold"])
     def test_non_finite_constant_writes_no_model(self, capsys, tmp_path, flag):
         out = tmp_path / "m.cbrn"
         code, stdout, stderr = run(capsys, "train", "--out", out, flag, "inf")

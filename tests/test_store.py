@@ -124,14 +124,14 @@ class TestRoundTrip:
         assert (tmp_path / "m.cbrn").read_bytes() == store.dumps(system).encode("utf-8")
 
     def test_link_trained_to_zero_is_not_saved(self):
-        # at lambda_cb 0.8 one step takes a link loaded at -400 to -400 + 0.8 * 500 = 0
-        system = MemorySystem(SystemConfig(dim=2, lambda_cb=0.8))
+        # one step takes a link loaded at -1e20 to -1e20 + (100 + 1e20), which rounds to exactly 0
+        system = MemorySystem(SystemConfig(dim=2))
         system.add_ball("A", ["a"])
         system.add_ball("B", ["b"])
-        system.links["A", "B"][0, 0] = -400.0
+        system.links["A", "B"][0, 0] = -1e20
         forward, _ = system.learn_cross_weights("A", 0, "B", 0)
-        assert forward.error == 125_000.0 and forward.final_error == 5000.0
-        assert system.links["A", "B"][0, 0] == 0.0 and system.trained_links() == [("B", 0, "A", 0, 80.0)]
+        assert forward.error == 5e39 and forward.final_error == 5000.0
+        assert system.links["A", "B"][0, 0] == 0.0 and system.trained_links() == [("B", 0, "A", 0, 100.0)]
         text = store.dumps(system)
         assert "link A" not in text
         assert store.dumps(store.loads(text)) == text
@@ -144,15 +144,15 @@ class TestRoundTrip:
 
 
 class TestHeader:
-    # every field off its default, and the three learning rates told apart
-    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25, eps_w=0.9375, eps_v=0.875, lambda_cb=0.75)
-    # the fields in order, then the constant lines `epochs 1` and `normalized true`
-    KEYS = [field.name for field in fields(SystemConfig)] + ["epochs", "normalized"]
+    # every field off its default
+    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25)
+    # the fields in order, then the constant lines
+    KEYS = [field.name for field in fields(SystemConfig)] + ["eps_w", "eps_v", "lambda_cb", "epochs", "normalized"]
 
     def test_every_field_is_written_in_field_order_and_reads_back(self):
         text = store.dumps(MemorySystem(self.CONFIG))
-        assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 0.9375",
-                                     "eps_v 0.875", "lambda_cb 0.75", "epochs 1", "normalized true", "end"]
+        assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 1.0",
+                                     "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true", "end"]
         assert [line.split()[0] for line in text.splitlines()[1:-1]] == self.KEYS
         assert store.loads(text).config == self.CONFIG
 
@@ -322,9 +322,12 @@ class TestRejects:
         ("epochs 1", "epochs 3", r"^line 8: epochs 3: this program writes only 'epochs 1'; retrain the model$"),
         ("normalized true", "normalized false",
          r"^line 9: normalized false: this program writes only 'normalized true'; retrain the model$"),
-        ("eps_v 1.0", "eps_v 0.5", r"^inconsistent header: need theta\*eps_w\*eps_v = 50 > threshold = 72"),
-        ("lambda_cb 1.0", "lambda_cb 1.5", r"^inconsistent header: lambda_cb must lie in \(0, 1\], got 1.5$"),
-    ], ids=["epochs 3", "normalized false", "eps_v 0.5", "lambda_cb 1.5"])
+        ("eps_v 1.0", "eps_v 0.5", r"^line 6: eps_v 0.5: this program writes only 'eps_v 1.0'; retrain the model$"),
+        ("lambda_cb 1.0", "lambda_cb 1.5",
+         r"^line 7: lambda_cb 1.5: this program writes only 'lambda_cb 1.0'; retrain the model$"),
+        ("lambda_cb 1.0", "lambda_cb 1",
+         r"^line 7: lambda_cb 1: this program writes only 'lambda_cb 1.0'; retrain the model$"),
+    ], ids=["epochs 3", "normalized false", "eps_v 0.5", "lambda_cb 1.5", "lambda_cb 1"])
     def test_header_this_program_cannot_train_rejected(self, old, new, message):
         text = store.dumps(toy())
         with pytest.raises(ModelFormatError, match=message):
