@@ -1,13 +1,8 @@
 """Command-line surface: encode patterns, train, pair, recall, associate, report.
 
-Every tunable option, one row of `OPTIONS`, can also come from a `key = value`
-config file (--config) or an environment variable with the CBRN_ prefix;
-explicit flags win over the environment, which wins over the config file.
-The other arguments (paths, labels, balls, probes, the figure) are flags
-only.  A config-file key that no row names is an error; environment
-variables are not checked, because a shell exports them for every command.
-Exit codes are stable: 0 on success, 2 for invalid usage or argument values,
-3 for runtime failures (I/O, malformed files, failed recognition).
+Every option is a command-line flag; no environment variable or file sets
+one.  Exit codes are stable: 0 on success, 2 for invalid usage or argument
+values, 3 for runtime failures (I/O, malformed files, failed recognition).
 """
 
 from __future__ import annotations
@@ -35,54 +30,25 @@ from .errors import (
 from .memory import MemorySystem, SystemConfig
 from .patterns import load_pbm, normalize, save_pbm, to_pattern
 
-ENV_PREFIX = "CBRN_"
-
 # report defaults: probe neuron per ball position (classic demo layout)
 _DEFAULT_PROBE_NEURONS = (0, 3, 6)
 
 
 class UsageError(Exception):
-    """Bad command-line or config values; maps to exit code 2."""
+    """Bad command-line values; maps to exit code 2."""
 
 
 _USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnknownBall, NeuronIndexError, IntraBallLink)
 
 
-# ---------------------------------------------------------------------------
-# Option table and resolution: flag > environment > config file > default.
-# ---------------------------------------------------------------------------
-
-
-def read_config_file(path) -> dict[str, str]:
-    """Parse `key = value` lines; `#` comments and blank lines are ignored.
-
-    A key may appear once (`-` and `_` are the same in keys).
-    """
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    for lineno, body in patterns.records(patterns.read_utf8(path, UsageError)):
-        key, sep, value = body.partition("=")
-        if not sep:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {body!r}")
-        key = key.strip().replace("-", "_")
-        if key in values:
-            raise UsageError(f"{path}:{lineno}: key {key!r} was already set on line {first_line[key]}")
-        values[key], first_line[key] = value.strip(), lineno
-    return values
-
-
-def _one_of(what: str, choices: tuple[str, ...]):
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise UsageError(f"unknown {what} {text!r}")
-        return text
-    return parse
-
-
 def _threshold_override(text: str) -> float:
-    value = float(text)
+    """A query's `--threshold`: a positive number (argparse reports the error and exits 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not value > 0:  # also refuses nan
-        raise UsageError(f"threshold must be positive, got {value}")
+        raise argparse.ArgumentTypeError(f"threshold must be positive, got {value}")
     return value
 
 
@@ -97,73 +63,12 @@ def _parse_ref(text: str, what: str) -> tuple[str, int]:
         raise UsageError(f"bad {what} index in {text!r}") from None
 
 
-def _parse_pairs(text: str) -> list[tuple[tuple[str, int], tuple[str, int]]]:
-    """A comma list of `A:K=B:L` pairs."""
-    pairs = []
-    for spec in filter(None, (p.strip() for p in text.split(","))):
-        left, sep, right = spec.partition("=")
-        if not sep:
-            raise UsageError(f"bad pair {spec!r}, expected A:K=B:L")
-        pairs.append((_parse_ref(left, "pair"), _parse_ref(right, "pair")))
-    return pairs
-
-
-_QUERIES = ("recall", "associate")
-_FORMATTED = ("recall", "associate", "report")
-
-# One row per tunable option: (name, parse, commands, default, help).  A row
-# is the flag --<name> (`_` spelt `-`), the environment variable CBRN_<NAME>,
-# the config-file key <name> and the check `parse` makes of a value from any
-# of them; a default is never parsed.  The SystemConfig defaults are its own.
-OPTIONS = (
-    ("catalog", str, ("train",), None, "catalog file (default: the bundled one)"),
-    ("theta", float, ("train",), SystemConfig.theta, "learning value"),
-    ("threshold", float, ("train",), SystemConfig.threshold, "firing threshold"),
-    ("pairs", _parse_pairs, ("pair",), None, "pair to link (repeatable; config key: a comma list)"),
-    ("threshold", _threshold_override, _QUERIES, None, "override the model's firing threshold"),
-    ("format", _one_of("format", ("table", "csv")), _FORMATTED, "table", "table or csv"),
-)
-
-# flags spelt other than --<name>; their values still go through the row's parse
-_FLAGS = {
-    "pairs": ("--pair", {"action": "append", "metavar": "A:K=B:L"}),
-}
-_KEYS = sorted({row[0] for row in OPTIONS})
-
-
-def resolve_options(command: str, args: argparse.Namespace) -> dict:
-    """The values of `command`'s rows: flag > environment > config file > default."""
-    file = read_config_file(args.config) if args.config else {}
-    for key in file:
-        if key not in _KEYS:  # a key of another command is fine: one file may serve several
-            import difflib  # only on this error path: every command process imports this module
-
-            close = difflib.get_close_matches(key, _KEYS, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise UsageError(f"{args.config}: unknown key {key!r}{hint}")
-    values = {}
-    for name, parse, commands, default, _ in OPTIONS:
-        if command not in commands:
-            continue
-        flag = getattr(args, name)
-        raw = ",".join(flag) if isinstance(flag, list) else flag  # a repeated flag
-        if raw is None:
-            raw = os.environ.get(ENV_PREFIX + name.upper(), file.get(name))
-        if raw is None:
-            values[name] = default
-            continue
-        try:
-            values[name] = parse(raw)
-        except ValueError:
-            raise UsageError(f"bad value for {name!r}: {raw!r}") from None
-    return values
-
-
-def _build_config(opts: dict) -> SystemConfig:
-    try:
-        return SystemConfig(theta=opts["theta"], threshold=opts["threshold"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _parse_pair(text: str) -> tuple[tuple[str, int], tuple[str, int]]:
+    """One `A:K=B:L` pair."""
+    left, sep, right = text.partition("=")
+    if not sep:
+        raise UsageError(f"bad pair {text!r}, expected A:K=B:L")
+    return _parse_ref(left, "pair"), _parse_ref(right, "pair")
 
 
 def _side(system: MemorySystem) -> int:
@@ -209,7 +114,7 @@ def _csv_writer(fmt: str, *header: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_encode(args, opts: dict) -> int:
+def cmd_encode(args) -> int:
     matrix = qr.encode_label(args.label)
     pattern = qr.render(matrix)
     save_pbm(pattern, args.out)
@@ -220,11 +125,14 @@ def cmd_encode(args, opts: dict) -> int:
     return 0
 
 
-def cmd_train(args, opts: dict) -> int:
-    config = _build_config(opts)
-    catalog = patterns.load_catalog(opts["catalog"]) if opts["catalog"] else patterns.default_catalog()
+def cmd_train(args) -> int:
+    try:
+        config = SystemConfig(theta=args.theta, threshold=args.threshold)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    catalog = patterns.load_catalog(args.catalog) if args.catalog else patterns.default_catalog()
     if not len(catalog):
-        raise CbrnError(f"{opts['catalog']}: no patterns: the catalog is empty")
+        raise CbrnError(f"{args.catalog}: no patterns: the catalog is empty")
 
     system = MemorySystem.from_catalog(catalog, config)
     rows = [f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}"]
@@ -240,12 +148,11 @@ def cmd_train(args, opts: dict) -> int:
     return 0
 
 
-def cmd_pair(args, opts: dict) -> int:
-    if not opts["pairs"]:
-        raise UsageError("no pairs given; use --pair A:K=B:L")
+def cmd_pair(args) -> int:
+    pairs = [_parse_pair(text) for text in args.pair]
     system = store.load(args.model)
     rows = [f"{'direction':<24} {'eta_before':>12} {'eta_after':>12} {'u':>10}"]
-    for (ball_a, k), (ball_b, l) in opts["pairs"]:
+    for (ball_a, k), (ball_b, l) in pairs:
         a = system.resolve_ball(ball_a)
         b = system.resolve_ball(ball_b)
         forward, backward = system.learn_cross_weights(a, k, b, l)
@@ -260,11 +167,11 @@ def cmd_pair(args, opts: dict) -> int:
     return 0
 
 
-def cmd_recall(args, opts: dict) -> int:
-    fmt = opts["format"]
+def cmd_recall(args) -> int:
+    fmt = args.format
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
-    response = system.cue_response(ball_id, _load_probe(system, args.pattern), opts["threshold"])
+    response = system.cue_response(ball_id, _load_probe(system, args.pattern), args.threshold)
     notice = _write_recalled(system, ball_id, response.argmax, args.out) if args.out and response.fired else ""
 
     writer = _csv_writer(fmt, "ball", "neuron", "label", "q", "fired")
@@ -280,13 +187,13 @@ def cmd_recall(args, opts: dict) -> int:
     return 0
 
 
-def cmd_associate(args, opts: dict) -> int:
-    fmt = opts["format"]
+def cmd_associate(args) -> int:
+    fmt = args.format
     system = store.load(args.model)
     from_ball = system.resolve_ball(args.from_ball)
     to_ball = system.resolve_ball(args.to_ball)
     probe = _load_probe(system, args.pattern)
-    result = system.associate(from_ball, probe, to_ball, opts["threshold"])
+    result = system.associate(from_ball, probe, to_ball, args.threshold)
 
     k, l = result.source_neuron, result.target_neuron
     notice = _write_recalled(system, to_ball, l, args.out) if args.out else ""
@@ -320,8 +227,8 @@ def _print_q(writer, prefix: tuple, ball, response, title: str) -> None:
         print(f"{i:>6} {label:<14} {_fixed(q, 14, 6)} {'*' if fired else '':<5}{argmax}")
 
 
-def cmd_report(args, opts: dict) -> int:
-    fmt = opts["format"]
+def cmd_report(args) -> int:
+    fmt = args.format
     if args.figure == 4 and args.probe:
         raise UsageError("--probe applies to figure 3 only")
     system = store.load(args.model)
@@ -373,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="key = value option file")
         p.set_defaults(func=func)
         return p
 
@@ -383,10 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", cmd_train, "store every catalog pattern into a fresh model")
     p.add_argument("--out", required=True, help="output model path")
+    p.add_argument("--catalog", help="catalog file (default: the bundled one)")
+    p.add_argument("--theta", type=float, default=SystemConfig.theta, help="learning value (default: %(default)s)")
+    p.add_argument("--threshold", type=float, default=SystemConfig.threshold,
+                   help="firing threshold (default: %(default)s)")
 
     p = command("pair", cmd_pair, "train cross links between cue neurons")
     p.add_argument("--model", required=True, help="model file to update")
     p.add_argument("--out", help="write the updated model here instead of in place")
+    p.add_argument("--pair", action="append", required=True, metavar="A:K=B:L", help="pair to link (repeatable)")
 
     p = command("recall", cmd_recall, "present a pattern to one ball and show responses")
     p.add_argument("--model", required=True)
@@ -408,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", action="append", metavar="BALL:INDEX",
                    help="probe override for figure 3 (repeatable)")
 
-    for name, _, commands, default, help in OPTIONS:
-        flag, kwargs = _FLAGS.get(name, ("--" + name.replace("_", "-"), {}))
-        if default is not None:
-            help = f"{help} (default: {default})"
-        for name_of_command in commands:
-            sub.choices[name_of_command].add_argument(flag, dest=name, help=help, **kwargs)
+    for name in ("recall", "associate"):
+        sub.choices[name].add_argument("--threshold", type=_threshold_override,
+                                       help="override the model's firing threshold")
+    for name in ("recall", "associate", "report"):
+        sub.choices[name].add_argument("--format", choices=("table", "csv"), default="table",
+                                       help="output format (default: %(default)s)")
     return parser
 
 
@@ -427,7 +338,7 @@ def main(argv=None) -> int:
         # an overflowing learning step either reports an inf error or raises
         # NonFiniteWeight; NumPy's RuntimeWarnings would add nothing to either
         with np.errstate(over="ignore", invalid="ignore"):
-            code = args.func(args, resolve_options(args.command, args))
+            code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not in the interpreter's exit flush
         return code
     except BrokenPipeError:  # the reader closed stdout early (`| head`); every file is already written

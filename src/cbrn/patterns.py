@@ -138,15 +138,13 @@ def load_pbm(path) -> BinaryPattern:
         raise PbmFormatError(f"{path}: missing or malformed dimensions") from None
     if width <= 0 or height <= 0:
         raise PbmFormatError(f"{path}: non-positive dimensions {width}x{height}")
-    pixels = tokens[3:]
-    if len(pixels) != width * height:
-        raise PbmFormatError(
-            f"{path}: has {len(pixels)} pixel tokens, expected {width * height}"
-        )
-    if any(tok not in ("0", "1") for tok in pixels):
-        bad = next(tok for tok in pixels if tok not in ("0", "1"))
-        raise PbmFormatError(f"{path}: pixel token {bad!r} is not 0 or 1")
-    bits = np.fromiter((tok == "1" for tok in pixels), dtype=np.uint8, count=len(pixels))
+    raster = "".join(tokens[3:])  # whitespace between pixels is optional
+    if len(raster) != width * height:
+        raise PbmFormatError(f"{path}: has {len(raster)} pixels, expected {width * height}")
+    bad = raster.strip("01")
+    if bad:
+        raise PbmFormatError(f"{path}: pixel {bad[0]!r} is not 0 or 1")
+    bits = np.frombuffer(raster.encode("ascii"), dtype=np.uint8) - ord("0")
     return BinaryPattern(bits.reshape(height, width))
 
 

@@ -8,12 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cbrn
 from cbrn import patterns, qr, store
-from cbrn.cli import OPTIONS, UsageError, main, read_config_file
+from cbrn.cli import build_parser, main
 from cbrn.memory import MemorySystem, SystemConfig
 from conftest import pair_classic, train_full_system
 
@@ -147,47 +145,29 @@ class TestTrain:
 
     @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
     def test_provider_and_seed_are_no_options(self, capsys, tmp_path, monkeypatch, source):
-        # every model stores QR symbols learnt in one step at rate 1: --provider, --seed, --eps-w,
-        # --eps-v, --lambda-cb and their keys are usage errors that write no model, and their CBRN_*
-        # names are ignored like any unknown name
+        # every model stores QR symbols learnt in one step at rate 1, and every option is a flag:
+        # --provider, --seed, --eps-w, --eps-v, --lambda-cb and --config are usage errors that write
+        # no model, and no CBRN_* name, not even one of a flag that exists, changes the model
         out = tmp_path / "m.cbrn"
         gone = (("provider", "random"), ("seed", "0"), ("eps_w", "0.5"), ("eps_v", "0.5"), ("lambda_cb", "0.5"))
         if source == "environment":
             plain = tmp_path / "plain.cbrn"
             assert run(capsys, "train", "--out", plain)[0] == 0
-            for key, value in gone:
-                monkeypatch.setenv("CBRN_" + key.upper(), value)
+            (tmp_path / "cat.txt").write_text("A:0:one\n")
+            for key, value in (*gone, ("theta", "80"), ("threshold", "50"), ("catalog", tmp_path / "cat.txt")):
+                monkeypatch.setenv("CBRN_" + key.upper(), str(value))
             assert run(capsys, "train", "--out", out)[0] == 0
             assert out.read_bytes() == plain.read_bytes()
             return
-        for key, value in gone:
-            (tmp_path / "opts.conf").write_text(f"{key} = {value}\n")
-            extra = ("--" + key.replace("_", "-"), value) if source == "flag" else ("--config", tmp_path / "opts.conf")
+        (tmp_path / "opts.conf").write_text("theta = 90\n")
+        flags = [("--" + key.replace("_", "-"), value) for key, value in gone]
+        for extra in flags if source == "flag" else [("--config", tmp_path / "opts.conf")]:
             code, stdout, _ = run(capsys, "train", "--out", out, *extra)
-            assert (code, stdout) == (2, ""), key
+            assert (code, stdout) == (2, ""), extra
             assert not out.exists()
 
-    def test_flag_overrides_env_overrides_config(self, capsys, tmp_path, monkeypatch):
-        cat = tmp_path / "cat.txt"
-        cat.write_text("A:0:one\n")
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text(f"theta = 80\nthreshold = 50\ncatalog = {cat}\n")
-        monkeypatch.setenv("CBRN_THETA", "90")
-
-        out = tmp_path / "m.cbrn"
-        code, _, _ = run(capsys, "train", "--out", out, "--config", cfg)
-        assert code == 0
-        assert store.load(out).config.theta == 90.0  # env beats config file
-
-        code, _, _ = run(capsys, "train", "--out", out, "--config", cfg, "--theta", "95")
-        assert code == 0
-        loaded = store.load(out)
-        assert loaded.config.theta == 95.0  # flag beats env
-        assert loaded.config.threshold == 50.0  # config file still applies
-        assert list(loaded.balls) == ["A"]
-
     def test_unnormalized_is_no_option(self, capsys, tmp_path, monkeypatch):
-        # every probe is a unit vector: --unnormalized and the key are usage errors, CBRN_NORMALIZED is ignored
+        # every probe is a unit vector: --unnormalized and --config are usage errors, CBRN_NORMALIZED is ignored
         (tmp_path / "opts.conf").write_text("normalized = false\n")
         out = tmp_path / "m.cbrn"
         for extra in (("--unnormalized",), ("--config", tmp_path / "opts.conf")):
@@ -197,19 +177,6 @@ class TestTrain:
         monkeypatch.setenv("CBRN_NORMALIZED", "false")
         assert run(capsys, "train", "--out", out)[0] == 0
         assert out.read_text(encoding="utf-8").splitlines()[8] == "normalized true"
-
-    def test_bad_config_value_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text("theta = banana\n")
-        code, _, _ = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--config", cfg)
-        assert code == 2
-
-    def test_non_utf8_config_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "opts.conf"
-        cfg.write_bytes(b"theta = 9\xff\n")
-        code, _, stderr = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--config", cfg)
-        assert code == 2
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and "not UTF-8" in stderr
 
     def test_non_utf8_catalog_is_runtime_error(self, capsys, tmp_path):
         cat = tmp_path / "cat.txt"
@@ -265,7 +232,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
     def test_epochs_is_no_option(self, capsys, tmp_path, monkeypatch, source):
-        # learning is one step: --epochs and the key are usage errors, CBRN_EPOCHS is ignored like any unknown name
+        # learning is one step: --epochs and --config are usage errors, CBRN_EPOCHS is ignored like any CBRN_* name
         (tmp_path / "opts.conf").write_text("epochs = 1\n")
         extra = {"flag": ("--epochs", "2"), "config file": ("--config", tmp_path / "opts.conf"), "environment": ()}
         monkeypatch.setenv("CBRN_EPOCHS", "3")
@@ -306,6 +273,8 @@ class TestPair:
         model = toy_model(tmp_path)
         assert run(capsys, "pair", "--model", model, "--pair", "A:0-B:1")[0] == 2
         assert run(capsys, "pair", "--model", model, "--pair", "A:x=B:1")[0] == 2
+        # one --pair value is one pair, so a comma inside it is an error
+        assert run(capsys, "pair", "--model", model, "--pair", "A:1=B:2,A:2=B:0")[0] == 2
 
     def test_unknown_index_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -328,41 +297,12 @@ class TestPair:
         assert model.read_bytes() == before
         assert store.load(out).links["A", "B"][2, 1] != 0.0
 
-    def test_pairs_from_config_file(self, capsys, tmp_path):
-        model = toy_model(tmp_path)
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text("pairs = A:1=B:2, A:2=B:0\n")
-        code, _, _ = run(capsys, "pair", "--model", model, "--config", cfg)
-        assert code == 0
-        links = store.load(model).links
-        assert links["A", "B"][1, 2] != 0.0 and links["B", "A"][0, 2] != 0.0
-
-    @pytest.mark.parametrize("source", ["flag", "config file"])
-    def test_spaces_around_a_ball_name_are_stripped(self, capsys, tmp_path, source):
+    def test_spaces_around_a_ball_name_are_stripped(self, capsys, tmp_path):
         # as int() strips the index, so the ball name is stripped: "A:1 = B:2" pairs A:1 with B:2
         model = toy_model(tmp_path)
-        (tmp_path / "opts.conf").write_text("pairs = A:1 = B:2\n")
-        extra = ("--pair", "A:1 = B:2") if source == "flag" else ("--config", tmp_path / "opts.conf")
-        code, stdout, _ = run(capsys, "pair", "--model", model, *extra)
+        code, stdout, _ = run(capsys, "pair", "--model", model, "--pair", "A:1 = B:2")
         assert code == 0 and "A:1 -> B:2" in stdout
         assert store.load(model).links["A", "B"][1, 2] == 100.0
-
-    def test_repeated_config_key_is_usage_error(self, capsys, tmp_path):
-        model = toy_model(tmp_path)
-        before = model.read_bytes()
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text("pairs = A:1=B:2\n# the second list used to win\npairs = A:2=B:0\n")
-        code, stdout, stderr = run(capsys, "pair", "--model", model, "--config", cfg)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error: {cfg}:3: key 'pairs' was already set on line 1\n"
-        assert model.read_bytes() == before
-
-    def test_pairs_from_environment(self, capsys, tmp_path, monkeypatch):
-        model = toy_model(tmp_path)
-        monkeypatch.setenv("CBRN_PAIRS", "A:3=B:1")
-        code, _, _ = run(capsys, "pair", "--model", model)
-        assert code == 0
-        assert store.load(model).links["A", "B"][3, 1] != 0.0
 
     def test_no_pairs_anywhere_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -672,28 +612,6 @@ class TestCsvOutput:
         assert [row[3] for row in rows] == ["red, dark", '"blue"', "box"]
 
 
-CONFIG_PIECES = [b"theta", b"format", b"=", b" ", b"\t", b"\n", b"\r", b"#", b"-", b"x", b"\xff", b"\xe2\x80\xa8"]
-
-
-class TestConfigFile:
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.lists(st.sampled_from(CONFIG_PIECES), max_size=30).map(b"".join), st.binary(max_size=60)))
-    def test_any_config_file_reads_or_raises_usage_error(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("conf") / "opts.conf"
-        path.write_bytes(data)
-        try:
-            values = read_config_file(path)
-        except UsageError:
-            return
-        assert all(isinstance(k, str) and isinstance(v, str) for k, v in values.items())
-
-    def test_key_repeated_after_hyphen_folding_names_both_lines(self, tmp_path):
-        path = tmp_path / "opts.conf"
-        path.write_text("eps-w = 1\n\neps_w = 2\n")
-        with pytest.raises(UsageError, match=r"opts.conf:3: key 'eps_w' was already set on line 1$"):
-            read_config_file(path)
-
-
 QUERIES = {
     "recall": ("recall", "--ball", "color"),
     "associate": ("associate", "--from", "color", "--to", "volume"),
@@ -708,61 +626,42 @@ class TestQueryOptions:
         code, stdout, stderr = run(capsys, *QUERIES[command], "--model", model_path, "--pattern", red_pbm,
                                    f"--threshold={threshold}")
         assert (code, stdout) == (2, "")
-        assert stderr.startswith("error: threshold must be positive") and stderr.count("\n") == 1
+        assert "argument --threshold: threshold must be positive" in stderr and "Traceback" not in stderr
 
-    @pytest.mark.parametrize("command", sorted(QUERIES))
-    def test_threshold_nan_from_environment_is_usage_error(self, capsys, model_path, red_pbm, command,
-                                                           monkeypatch):
+    @staticmethod
+    def plain_query(command, red_pbm):
+        return {"recall": (*QUERIES["recall"], "--pattern", red_pbm),
+                "associate": ("associate", "--from", "color", "--to", "style", "--pattern", red_pbm),
+                "report": ("report", "--figure", "3")}[command]
+
+    @pytest.mark.parametrize("command", ["recall", "associate"])
+    def test_threshold_nan_from_environment_is_ignored(self, capsys, model_path, red_pbm, command, monkeypatch):
+        # a value the flag refuses: no CBRN_* variable is read, whatever the shell exports
+        argv = (*self.plain_query(command, red_pbm), "--model", model_path)
+        plain = run(capsys, *argv)
         monkeypatch.setenv("CBRN_THRESHOLD", "nan")
-        code, _, stderr = run(capsys, *QUERIES[command], "--model", model_path, "--pattern", red_pbm)
-        assert code == 2 and "threshold must be positive" in stderr
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
 
     @pytest.mark.parametrize("command", ["recall", "associate", "report"])
-    def test_unknown_format_from_environment_is_usage_error(self, capsys, model_path, red_pbm, command,
-                                                            monkeypatch):
+    def test_unknown_format_from_environment_is_ignored(self, capsys, model_path, red_pbm, command, monkeypatch):
+        argv = (*self.plain_query(command, red_pbm), "--model", model_path)
+        plain = run(capsys, *argv)
         monkeypatch.setenv("CBRN_FORMAT", "xml")
-        argv = ("report", "--figure", "3") if command == "report" else (*QUERIES[command], "--pattern", red_pbm)
-        code, stdout, stderr = run(capsys, *argv, "--model", model_path)
-        assert (code, stdout, stderr) == (2, "", "error: unknown format 'xml'\n")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
 
 
 class TestOptionTable:
-    @pytest.mark.parametrize("command", ["recall", "train"])
-    def test_misspelt_config_key_is_usage_error(self, capsys, model_path, red_pbm, tmp_path, command):
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text("theta = 90\nthresold = 99\n")
-        out = tmp_path / "m.cbrn"
-        if command == "train":
-            argv = ("train", "--out", out)
-        else:
-            argv = (*QUERIES["recall"], "--model", model_path, "--pattern", red_pbm)
-        code, stdout, stderr = run(capsys, *argv, "--config", cfg)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error: {cfg}: unknown key 'thresold'; did you mean 'threshold'?\n"
-        assert not out.exists()
-
-    def test_one_config_file_serves_train_and_recall(self, capsys, red_pbm, tmp_path):
-        cfg = tmp_path / "opts.conf"
-        cfg.write_text("theta = 90\nformat = csv\n")
-        model = tmp_path / "m.cbrn"
-        assert run(capsys, "train", "--out", model, "--config", cfg)[0] == 0
-        assert store.load(model).config.theta == 90.0
-        code, stdout, _ = run(capsys, *QUERIES["recall"], "--model", model, "--pattern", red_pbm, "--config", cfg)
-        assert code == 0
-        assert stdout.splitlines()[0] == "ball,neuron,label,q,fired"
-
     def test_unknown_environment_variable_is_ignored(self, capsys, model_path, red_pbm, monkeypatch):
         monkeypatch.setenv("CBRN_THRESOLD", "99")
         code, stdout, _ = run(capsys, *QUERIES["recall"], "--model", model_path, "--pattern", red_pbm)
         assert code == 0 and "threshold 72.0" in stdout
 
-    @pytest.mark.parametrize("source", ["flag", "config file"])
-    def test_flag_and_config_give_the_environment_error(self, capsys, model_path, tmp_path, source):
-        # TestQueryOptions checks the same message for CBRN_FORMAT=xml
-        (tmp_path / "opts.conf").write_text("format = xml\n")
-        extra = ("--format", "xml") if source == "flag" else ("--config", tmp_path / "opts.conf")
-        code, stdout, stderr = run(capsys, "report", "--model", model_path, "--figure", "3", *extra)
-        assert (code, stdout, stderr) == (2, "", "error: unknown format 'xml'\n")
+    def test_unknown_format_is_usage_error(self, capsys, model_path):
+        code, stdout, stderr = run(capsys, "report", "--model", model_path, "--figure", "3", "--format", "xml")
+        assert (code, stdout) == (2, "")
+        assert "argument --format: invalid choice: 'xml'" in stderr and "Traceback" not in stderr
 
     def test_train_help_shows_system_config_defaults(self, capsys):
         code, stdout, _ = run(capsys, "train", "--help")
@@ -780,12 +679,20 @@ class TestOptionTable:
         assert not out.exists()
 
     def test_readme_lists_every_option(self):
+        # every flag of every command is a row of the options table that names the command,
+        # or one of the other flags the section lists after the table
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        section = readme.split("### Options, config files, environment", 1)[1].split("\n#", 1)[0]
-        rows = [line for line in section.splitlines() if line.startswith("| `")]
-        for name, _, commands, _, _ in OPTIONS:
-            assert any(row.startswith(f"| `{name}`") and all(f"`{c}`" in row for c in commands)
-                       for row in rows), name
+        section = readme.split("### Options", 1)[1].split("\n#", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `--")]
+        others = " ".join(section.split()).split("The other flags", 1)[1].split(")", 1)[0]
+        subparsers = next(action for action in build_parser()._actions if action.choices)
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                flag = action.option_strings[-1]
+                if flag == "--help":
+                    continue
+                assert (any(row.startswith(f"| `{flag}`") and f"`{command}`" in row for row in rows)
+                        or f"`{flag}`" in others), (command, flag)
 
 
 class TestClosedStdout:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cbrn import patterns, qr, store
-from cbrn.cli import read_config_file
 from cbrn.errors import (
     CatalogError,
     CbrnError,
@@ -88,9 +87,11 @@ class TestToPattern:
 class TestPbm:
     def test_literal_format(self, tmp_path):
         path = tmp_path / "p.pbm"
-        path.write_text("P1\n2 2\n1 0\n0 1\n")
-        pattern = patterns.load_pbm(path)
-        np.testing.assert_array_equal(pattern.bits, [[1, 0], [0, 1]])
+        for text, bits in (("P1\n2 2\n1 0\n0 1\n", [[1, 0], [0, 1]]),
+                           # pbm(5): whitespace between the pixels of a plain raster is optional
+                           ("P1\n4 2\n0101\n1100\n", [[0, 1, 0, 1], [1, 1, 0, 0]])):
+            path.write_text(text)
+            np.testing.assert_array_equal(patterns.load_pbm(path).bits, bits)
 
     def test_save_then_load_identity(self, tmp_path):
         pattern = qr.render(qr.encode_label("red"))
@@ -181,11 +182,10 @@ class TestCatalog:
         (lambda path: store.dumps(store.load(path)),
          "CBRN1\ndim 2\ntheta 100.0\nthreshold 72.0\neps_w 1.0\neps_v 1.0\nlambda_cb 1.0\nepochs 1\n"
          "normalized true\nball A 1\nlabel 0 two words\nw 0 0.6 0.8\nv 0 60.0 80.0\nend\n"),
-        (read_config_file, "theta = 90\nformat = csv\n"),
         (patterns.load_catalog, "color:0:red\ncolor:1:dark blue\nstyle:0:bold\n"),
         (patterns.load_pbm, "P1\n3 2\n1 0 1\n0 1 0\n"),
     ],
-    ids=["model", "config", "catalog", "pbm"],
+    ids=["model", "catalog", "pbm"],
 )
 def test_every_text_format_reads_crlf_comments_and_blank_lines_alike(tmp_path, read, text):
     """One line rule: CRLF breaks, a trailing `# comment` and a whitespace-only line change nothing."""
