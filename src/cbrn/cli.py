@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import math
 import os
@@ -275,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbrn",
         description="Attribute-wise associative memory over QR-coded labels.",
+        allow_abbrev=False,  # a flag has one spelling: `--thet` is not `--theta`
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
 
@@ -352,5 +354,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry of `cbrn` and `python -m cbrn.cli`: `main`, then exit with its code.
+
+    Every object left when `main` returns lives until the process ends, so
+    `gc.freeze` moves them out of reach of the interpreter's last collection,
+    which would walk them all (NumPy's included) and free none.  `main` itself
+    leaves the collector alone, for callers that run it in process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,11 +33,13 @@ def read_utf8(path, error) -> str:
 
 
 def records(text: str):
-    """(line number, body) of each non-blank body: a line's text before any `#`, stripped."""
-    for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body
+    """(line number, body) of each non-blank body: a line's text before any `#`, stripped.
+
+    The lines are split off at once and the iterator keeps them, not `text`,
+    so a caller that drops `text` frees it while the records are read.
+    """
+    return ((lineno, body) for lineno, line in enumerate(text.splitlines(), 1)
+            if (body := line.partition("#")[0].strip()))
 
 
 class BinaryPattern:

@@ -14,10 +14,12 @@ spellings are normalised.  See docs/model-format.md for the grammar.
 
 A weight row holds few distinct values (a one-shot-stored row holds two), so
 both directions work per distinct value: a row is printed with one `repr`
-per distinct bit pattern, and `loads` calls `float` once per distinct token
-of a file.  `save` streams the lines to a temporary file beside the target
-and then renames it over the target, so the whole text is never held in
-memory and a save that fails leaves an existing file as it was.
+per distinct bit pattern, and `loads` finds a row's tokens in its bytes with
+NumPy, groups equal tokens, and calls `float` once per distinct token of the
+row (there is no memo across rows), so no Python object is made per value.
+`save` streams the lines to a temporary file beside the target and then
+renames it over the target, so the whole text is never held in memory and a
+save that fails leaves an existing file as it was.
 """
 
 from __future__ import annotations
@@ -116,14 +118,6 @@ def save(system: MemorySystem, path) -> None:
         raise
 
 
-class _FloatMemo(dict):
-    """Token -> float for one file; `float` runs once per distinct token."""
-
-    def __missing__(self, token: str) -> float:
-        value = self[token] = float(token)
-        return value
-
-
 _EOF = (0, "", "")  # what `next(records, _EOF)` returns past the last record
 
 
@@ -147,16 +141,80 @@ def _check_index(number: str, index: int, word: str, lineno: int) -> None:
         raise _misplaced(lineno, f"'{word} {index}'", f"{word} {number}")
 
 
-def _take_row(records, word: str, index: int, dim: int, floats: _FloatMemo) -> np.ndarray:
+# the ASCII bytes `str.split` splits at that a line can still hold: every
+# other one (`\n`, `\r`, `\x0b`, `\x0c`, `\x1c`-`\x1e`) breaks the line
+_SEPARATORS = b" \t\x1f"
+# a token is keyed by its length and its first 24 bytes, which hold every
+# `repr` of a double (the longest is -2.2250738585072014e-308), read as three
+# little-endian words; _MASKS[k][length] keeps the token's bytes of word k
+_KEY_BYTES = 24
+_MASKS = np.array([[(1 << 8 * min(max(length - 8 * k, 0), 8)) - 1 for length in range(_KEY_BYTES + 1)]
+                   for k in range(_KEY_BYTES // 8)], np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd (2**64 over the golden ratio), so each multiply mixes without loss
+
+
+def _tokens(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end offsets of the tokens of `data`, which `_SEPARATORS` separate."""
+    raw = np.frombuffer(data, np.uint8)
+    gap = np.ones(len(raw) + 2, bool)  # with a gap before and after the row
+    np.equal(raw, _SEPARATORS[0], out=gap[1:-1])
+    for byte in _SEPARATORS[1:]:
+        if byte in data:
+            gap[1:-1] |= raw == byte
+    edges = np.flatnonzero(gap[1:] != gap[:-1])  # token starts and ends, alternating
+    return edges[::2], edges[1::2]
+
+
+def _floats(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """`float` of each token of `data`, run once per group of equal tokens.
+
+    Tokens are sorted by a hash of their key, and a new group starts
+    wherever the key differs from the previous token's.  A hash collision
+    can split one group in two, which costs a `float` call but never gives a
+    wrong value.  A token longer than the key's 24 bytes is a group of its
+    own: its index stands in for its first key word.
+    """
+    count = len(starts)
+    lengths = ends - starts
+    # the 24 bytes from every offset, as unaligned records over a padded copy of the row
+    windows = np.ndarray((len(data) + 1,), f"V{_KEY_BYTES}", data + bytes(_KEY_BYTES), strides=(1,))
+    words = windows[starts].view("<u8").reshape(count, -1)
+    capped = np.minimum(lengths, _KEY_BYTES)
+    for k, masks in enumerate(_MASKS):
+        words[:, k] &= masks[capped]
+    long = np.flatnonzero(lengths > _KEY_BYTES)
+    words[long, 0] = long
+    keys = lengths.view(np.uint64), *words.T
+    mixed = np.zeros(count, np.uint64)
+    for key in keys:
+        mixed ^= key
+        mixed *= _MIX
+    order = np.argsort(mixed)
+    new = np.zeros(count, bool)
+    new[0] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    heads = np.flatnonzero(new)
+    firsts = order[heads]
+    values = [float(data[s:e].decode()) for s, e in zip(starts[firsts].tolist(), ends[firsts].tolist())]
+    row = np.empty(count)
+    row[order] = np.repeat(values, np.diff(heads, append=count))
+    return row
+
+
+def _take_row(records, word: str, index: int, dim: int) -> np.ndarray:
     """The next record, which must be row `index` of a ball's `w` or `v` block."""
     lineno, rest = _take(records, word, index)
-    parts = rest.split(None, 1)
-    _check_index(parts[0] if parts else "", index, word, lineno)
-    values = parts[1].split() if len(parts) > 1 else []
-    if len(values) != dim:
-        raise DimensionMismatch(f"line {lineno}: {word} row has {len(values)} values, header dim is {dim}")
+    if not rest.isascii():  # `str.split` finds the Unicode spaces; single spaces then separate the values
+        rest = " ".join(rest.split())
+    data = rest.encode()
+    starts, ends = _tokens(data)
+    _check_index(data[starts[0]:ends[0]].decode() if len(starts) else "", index, word, lineno)
+    if len(starts) - 1 != dim:
+        raise DimensionMismatch(f"line {lineno}: {word} row has {len(starts) - 1} values, header dim is {dim}")
     try:
-        row = np.fromiter(map(floats.__getitem__, values), np.float64, dim)
+        row = _floats(data, starts[1:], ends[1:])
     except ValueError:
         raise ModelFormatError(f"line {lineno}: malformed float in {word} row") from None
     if not np.isfinite(row).all():
@@ -190,7 +248,7 @@ _HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(
 _CONSTANT = "eps_w 1.0", "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true"
 
 
-def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _FloatMemo) -> None:
+def _load_ball(system: MemorySystem, records, lineno: int, rest: str) -> None:
     """Read the section a `ball <id> <n>` record opens: n labels, n w rows, n v rows."""
     parts = rest.split()
     if len(parts) != 2:
@@ -208,13 +266,13 @@ def _load_ball(system: MemorySystem, records, lineno: int, rest: str, floats: _F
         labels.append(label)
     dim = system.config.dim
     # the first row is checked against the header dim before (n, dim) arrays exist
-    first = _take_row(records, "w", 0, dim, floats)
+    first = _take_row(records, "w", 0, dim)
     ball = system.add_ball(ball_id, labels)
     ball.w[0] = first
     for i in range(1, n):
-        ball.w[i] = _take_row(records, "w", i, dim, floats)
+        ball.w[i] = _take_row(records, "w", i, dim)
     for i in range(n):
-        ball.v[i] = _take_row(records, "v", i, dim, floats)
+        ball.v[i] = _take_row(records, "v", i, dim)
 
 
 def loads(text: str) -> MemorySystem:
@@ -228,6 +286,7 @@ def loads(text: str) -> MemorySystem:
     if next(bodies, None) != (1, MAGIC):
         found = (text.splitlines() or ["<empty>"])[0].strip()
         raise UnsupportedVersion(f"bad magic {found!r}, expected {MAGIC}")
+    del text  # the records hold every line; a caller that keeps no reference to the text frees it here
     # (line number, first word, rest) of each record after the magic
     records = ((lineno, *body.partition(" ")[::2]) for lineno, body in bodies)
     settings = {}
@@ -245,10 +304,9 @@ def loads(text: str) -> MemorySystem:
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent header: {exc}") from None
 
-    floats = _FloatMemo()
     lineno, word, rest = next(records, _EOF)
     while word == "ball":
-        _load_ball(system, records, lineno, rest, floats)
+        _load_ball(system, records, lineno, rest)
         lineno, word, rest = next(records, _EOF)
     last_link: tuple = ()
     while word == "link":

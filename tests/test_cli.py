@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cbrn
-from cbrn import patterns, qr, store
+from cbrn import cli, patterns, qr, store
 from cbrn.cli import build_parser, main
 from cbrn.memory import MemorySystem, SystemConfig
 from conftest import pair_classic, train_full_system
@@ -678,6 +679,19 @@ class TestOptionTable:
         assert stderr.startswith("error: ") and "must be finite" in stderr
         assert not out.exists()
 
+    def test_abbreviated_flag_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "m.cbrn"
+        code, stdout, stderr = run(capsys, "train", "--out", out, "--thet", "80", "--thresh", "60")
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments: --thet 80 --thresh 60" in stderr
+        assert not out.exists()
+
+    def test_abbreviated_query_flag_is_usage_error(self, capsys, model_path, red_pbm):
+        argv = (*QUERIES["recall"], "--model", model_path, "--pattern", red_pbm, "--form", "csv")
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert "unrecognized arguments: --form csv" in stderr
+
     def test_readme_lists_every_option(self):
         # every flag of every command is a row of the options table that names the command,
         # or one of the other flags the section lists after the table
@@ -718,6 +732,44 @@ class TestClosedStdout:
             os.close(write)
         assert (done.returncode, done.stderr) == (0, b"")
         assert out.exists()
+
+
+def cli_process(*argv) -> subprocess.CompletedProcess:
+    """`python -m cbrn.cli argv` as a fresh process, on the package under test."""
+    src = str(Path(cbrn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "cbrn.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestProcessEntry:
+    """`run`, the process entry: `main`'s exit code and output, with the collector frozen at exit."""
+
+    def test_exit_code_and_stdout_reach_the_parent(self, capsys, tmp_path, model_path, red_pbm):
+        cases = {
+            0: ("report", "--model", model_path, "--figure", "4", "--format", "csv"),
+            2: ("train", "--thet", "80", "--out", tmp_path / "abbreviated.cbrn"),
+            3: ("recall", "--model", tmp_path / "missing.cbrn", "--ball", "color", "--pattern", red_pbm),
+        }
+        for code, argv in cases.items():
+            done = cli_process(*argv)
+            assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
+            assert done.returncode == code
+        assert not (tmp_path / "abbreviated.cbrn").exists()
+
+    def test_run_freezes_the_collector_then_exits_with_mains_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cbrn", "train", "--thet", "80", "--out", str(tmp_path / "m.cbrn")])
+        try:
+            with pytest.raises(SystemExit) as raised:
+                cli.run()
+            assert raised.value.code == 2 and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_main_leaves_the_collector_alone(self, capsys, model_path, red_pbm):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, *QUERIES["recall"], "--model", model_path, "--pattern", red_pbm)[0] == 0
+        assert gc.get_freeze_count() == frozen
 
 
 def test_readme_library_example_prints_what_its_comment_says():

@@ -361,6 +361,75 @@ class TestRejects:
         assert set(loaded.balls) == {"A", "B"}
 
 
+def read_row(rest: str, dim: int) -> np.ndarray:
+    """`_take_row` on a `w 0` record on line 14 whose text after the word is `rest`."""
+    return store._take_row(iter([(14, "w", rest)]), "w", 0, dim)
+
+
+def assert_reads_as_split(rest: str):
+    """Each value of the row is `float` of its `str.split` token, bit for bit."""
+    expected = [float(token) for token in rest.split()[1:]]
+    assert_same_bits(read_row(rest, len(expected)), np.array(expected))
+
+
+# spellings `float` reads: signed zeros, the smallest subnormal, repr's
+# longest (24 bytes), and spellings longer than the 24-byte key that share it
+SPELLINGS = ["0.0", "-0.0", "0", "-0", "5e-324", "-5e-324", "-2.2250738585072014e-308",
+             "1.7976931348623157e+308", "1.000000000000000000000000000e0", "1.000000000000000000000000000e1",
+             "0.25", "+.25", "2.5E-1", "1_0.5", "1e3"]
+# what `str.split` splits at inside a line, alone and in runs
+SEPARATORS = [" ", "  ", "\t", "\x1f", " \t\x1f ", "\u00a0", "\u3000", " \u00a0 "]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRowReader:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_values_are_float_of_each_split_token(self, data):
+        spelling = st.one_of(st.sampled_from(SPELLINGS), FINITE.map(repr), FINITE.map("{:.30e}".format))
+        tokens = data.draw(st.lists(spelling, min_size=1, max_size=60))
+        separators = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+        assert_reads_as_split("0" + "".join(sep + token for sep, token in zip(separators, tokens)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=300, unique_by=repr))
+    def test_row_of_distinct_values(self, values):
+        assert_reads_as_split("0 " + " ".join(map(repr, values)))
+
+    def test_full_row_of_distinct_values(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(13_456) * 10.0 ** rng.integers(-300, 300, 13_456)
+        assert len(set(values.tolist())) == 13_456
+        assert_same_bits(read_row("0 " + " ".join(map(repr, values.tolist())), 13_456), values)
+
+    def test_unicode_digits_and_spaces_read_as_float_reads_them(self):
+        rest = "0\u3000\u0661.\u0665 \u00a0\uff12\uff15\t1.5"
+        assert_reads_as_split(rest)
+        assert read_row(rest, 3).tolist() == [1.5, 25.0, 1.5]
+
+    @pytest.mark.parametrize("rest, count", [
+        ("0 1.0 2.0 3.0", 3), ("0", 0), ("0\u00a01.0\u3000 2.0", 2), ("0 1.0\t\t2.0\x1f3.0  4.0 5.0", 5),
+    ])
+    def test_wrong_count_is_a_dimension_error(self, rest, count):
+        with pytest.raises(DimensionMismatch, match=rf"^line 14: w row has {count} values, header dim is 4$"):
+            read_row(rest, 4)
+
+    @pytest.mark.parametrize("token", ["abc", "1.0.0", "1\x00", "0x10", "--1", "1__0",
+                                       "1.000000000000000000000000000x"])
+    def test_bad_token_is_malformed(self, token):
+        # beside tokens that share its first bytes: `1` its key's bytes, the long one its 24-byte key
+        with pytest.raises(ModelFormatError, match=r"^line 14: malformed float in w row$"):
+            read_row(f"0 1 {token} 1.000000000000000000000000000e0 1.0", 4)
+
+    def test_loads_names_the_row_line(self):
+        lines = store.dumps(toy()).splitlines()
+        assert lines[13].startswith("w 0 ")
+        with pytest.raises(DimensionMismatch, match=r"^line 14: w row has 7 values, header dim is 6$"):
+            store.loads("\n".join([*lines[:13], lines[13] + " 0.5", *lines[14:]]) + "\n")
+        with pytest.raises(ModelFormatError, match=r"^line 14: malformed float in w row$"):
+            store.loads("\n".join([*lines[:13], lines[13].rsplit(" ", 1)[0] + " 0,5", *lines[14:]]) + "\n")
+
+
 class TestSave:
     @pytest.mark.parametrize("label", ["a#b", "a\nb", "a\rb", "a\u2028b", "a\n", "x ", "x\t"])
     def test_unsavable_label_leaves_existing_file_untouched(self, tmp_path, label):
