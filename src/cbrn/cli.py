@@ -43,13 +43,13 @@ _USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnknownBall, NeuronIndexE
 
 
 def _threshold_override(text: str) -> float:
-    """A query's `--threshold`: a positive number (argparse reports the error and exits 2)."""
+    """A query's `--threshold`: a positive finite number (argparse reports the error and exits 2)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"threshold must be positive, got {value}")
+    if not 0 < value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"threshold must be positive and finite, got {value}")
     return value
 
 

@@ -267,8 +267,8 @@ class MemorySystem:
     def _response(self, q: np.ndarray, threshold: float | None) -> CueResponse:
         """Outputs `q` thresholded at `threshold`, or at the configured one if None."""
         thr = self.config.threshold if threshold is None else float(threshold)
-        if not thr > 0:  # also false for nan
-            raise ValueError(f"threshold must be positive, got {thr}")
+        if not 0 < thr < math.inf:  # also false for nan
+            raise ValueError(f"threshold must be positive and finite, got {thr}")
         fired = tuple(int(i) for i in np.flatnonzero(q >= thr))
         return CueResponse(q=q, fired=fired, argmax=int(np.argmax(q)), threshold=thr)
 

@@ -24,21 +24,48 @@ from .errors import (
     PbmFormatError,
 )
 
-def read_utf8(path, error) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 raises `error`."""
+# how much of a file `utf8_lines` holds at a time: loading the demo model, 1 MiB
+# chunks cost 1.5 MB more peak RSS and more page faults, and smaller ones saved nothing
+CHUNK_BYTES = 1 << 18
+
+
+def utf8_lines(file, error):
+    """The lines of UTF-8 text in a binary file, as `str.splitlines` splits them, read `CHUNK_BYTES` at a time.
+
+    The bytes are cut after each `\\n`, which no multi-byte character holds,
+    and each piece is decoded and split on its own: a `\\r\\n` ends a piece
+    whole and every other break `str.splitlines` knows lies inside one, so the
+    lines are those of the whole text.  A byte that is not UTF-8 raises
+    `error("byte N is not UTF-8 text")`, N its offset in the file, when the
+    line that holds it is reached.
+    """
+    offset = 0  # of the line being cut, in the file
+    head = []  # the start of a line that runs past the chunks read so far
+    while chunk := file.read(CHUNK_BYTES):
+        start = 0
+        while end := chunk.find(b"\n", start) + 1:
+            piece = b"".join((*head, chunk[start:end])) if head else chunk[start:end]
+            yield from _decode(piece, offset, error)
+            offset += len(piece)
+            head, start = [], end
+        if start < len(chunk):
+            head.append(chunk[start:])
+    yield from _decode(b"".join(head), offset, error)
+
+
+def _decode(piece: bytes, offset: int, error) -> list[str]:
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return piece.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: byte {exc.start} is not UTF-8 text") from None
+        raise error(f"byte {offset + exc.start} is not UTF-8 text") from None
 
 
-def records(text: str):
+def records(lines, start: int = 1):
     """(line number, body) of each non-blank body: a line's text before any `#`, stripped.
 
-    The lines are split off at once and the iterator keeps them, not `text`,
-    so a caller that drops `text` frees it while the records are read.
+    Lines are numbered from `start`.
     """
-    return ((lineno, body) for lineno, line in enumerate(text.splitlines(), 1)
+    return ((lineno, body) for lineno, line in enumerate(lines, start)
             if (body := line.partition("#")[0].strip()))
 
 
@@ -130,7 +157,7 @@ def save_pbm(pattern: BinaryPattern, path) -> None:
 def load_pbm(path) -> BinaryPattern:
     """Read a plain PBM file."""
     text = Path(path).read_text(encoding="ascii", errors="replace")  # a non-ASCII byte is harmless in a comment
-    tokens = [token for _, body in records(text) for token in body.split()]
+    tokens = [token for _, body in records(text.splitlines()) for token in body.split()]
     if not tokens or tokens[0] != "P1":
         magic = tokens[0] if tokens else "<empty>"
         raise PbmFormatError(f"{path}: bad magic {magic!r}, expected P1")
@@ -178,10 +205,14 @@ class AttributeCatalog:
 
 def parse_catalog(text: str) -> AttributeCatalog:
     """Parse `group:index:label` lines; `#` comments and blank lines are skipped."""
+    return _parse_catalog(text.splitlines())
+
+
+def _parse_catalog(lines) -> AttributeCatalog:
     from .qr import CONTENT_CAPACITY  # here, because qr imports this module
     entries: dict[str, dict[int, str]] = {}  # group -> index -> label, groups in first-seen order
     seen: set[tuple[str, str]] = set()  # (group, label) of every entry, for the duplicate check
-    for lineno, body in records(text):
+    for lineno, body in records(lines):
         parts = body.split(":", 2)
         if len(parts) != 3:
             raise CatalogError(f"line {lineno}: expected group:index:label, got {body!r}")
@@ -221,9 +252,9 @@ def parse_catalog(text: str) -> AttributeCatalog:
 
 def load_catalog(path) -> AttributeCatalog:
     """Load an attribute catalog from a text file; every error names the file."""
-    text = read_utf8(path, CatalogError)
     try:
-        return parse_catalog(text)
+        with open(path, "rb") as file:
+            return _parse_catalog(utf8_lines(file, CatalogError))
     except CatalogError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 

@@ -16,7 +16,10 @@ A weight row holds few distinct values (a one-shot-stored row holds two), so
 both directions work per distinct value: a row is printed with one `repr`
 per distinct bit pattern, and `loads` finds a row's tokens in its bytes with
 NumPy, groups equal tokens, and calls `float` once per distinct token of the
-row (there is no memo across rows), so no Python object is made per value.
+row (there is no memo across rows), so no Python object is made per value;
+the NumPy work arrays serve every row of a load.  `load` hands `loads` the
+file's lines as `patterns.utf8_lines` reads them, a chunk at a time, so a
+load holds the weights and one chunk of text, never the whole text.
 `save` streams the lines to a temporary file beside the target and then
 renames it over the target, so the whole text is never held in memory and a
 save that fails leaves an existing file as it was.
@@ -151,75 +154,123 @@ _KEY_BYTES = 24
 _MASKS = np.array([[(1 << 8 * min(max(length - 8 * k, 0), 8)) - 1 for length in range(_KEY_BYTES + 1)]
                    for k in range(_KEY_BYTES // 8)], np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd (2**64 over the golden ratio), so each multiply mixes without loss
+_GATHER = 2048  # tokens whose keys are gathered at a time: the copy a gather makes stays small
 
 
-def _tokens(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end offsets of the tokens of `data`, which `_SEPARATORS` separate."""
-    raw = np.frombuffer(data, np.uint8)
-    gap = np.ones(len(raw) + 2, bool)  # with a gap before and after the row
-    np.equal(raw, _SEPARATORS[0], out=gap[1:-1])
-    for byte in _SEPARATORS[1:]:
-        if byte in data:
-            gap[1:-1] |= raw == byte
-    edges = np.flatnonzero(gap[1:] != gap[:-1])  # token starts and ends, alternating
-    return edges[::2], edges[1::2]
+def _at_least(buffer: np.ndarray, size: int) -> np.ndarray:
+    """`buffer` if it holds `size` items, else a new one of at least twice its length."""
+    return buffer if len(buffer) >= size else np.empty(max(size, 2 * len(buffer)), buffer.dtype)
 
 
-def _floats(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """`float` of each token of `data`, run once per group of equal tokens.
+class _RowReader:
+    """Reads the `w` and `v` rows of one load, every row into the same work arrays.
 
-    Tokens are sorted by a hash of their key, and a new group starts
-    wherever the key differs from the previous token's.  A hash collision
-    can split one group in two, which costs a `float` call but never gives a
-    wrong value.  A token longer than the key's 24 bytes is a group of its
-    own: its index stands in for its first key word.
+    Arrays made anew for each row would be freed at the row's end, and while
+    glibc's trim threshold is low, as it is in a process that has not yet
+    freed a large block, it hands them back to the system and the next row
+    faults them in again.
     """
-    count = len(starts)
-    lengths = ends - starts
-    # the 24 bytes from every offset, as unaligned records over a padded copy of the row
-    windows = np.ndarray((len(data) + 1,), f"V{_KEY_BYTES}", data + bytes(_KEY_BYTES), strides=(1,))
-    words = windows[starts].view("<u8").reshape(count, -1)
-    capped = np.minimum(lengths, _KEY_BYTES)
-    for k, masks in enumerate(_MASKS):
-        words[:, k] &= masks[capped]
-    long = np.flatnonzero(lengths > _KEY_BYTES)
-    words[long, 0] = long
-    keys = lengths.view(np.uint64), *words.T
-    mixed = np.zeros(count, np.uint64)
-    for key in keys:
-        mixed ^= key
-        mixed *= _MIX
-    order = np.argsort(mixed)
-    new = np.zeros(count, bool)
-    new[0] = True
-    for key in keys:
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    heads = np.flatnonzero(new)
-    firsts = order[heads]
-    values = [float(data[s:e].decode()) for s, e in zip(starts[firsts].tolist(), ends[firsts].tolist())]
-    row = np.empty(count)
-    row[order] = np.repeat(values, np.diff(heads, append=count))
-    return row
 
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.padded = np.empty(0, np.uint8)  # a row's bytes, then the zeros its last key reads
+        self.gap = np.empty(0, bool)
+        self.edge = np.empty(0, bool)
+        self.row = None  # the arrays of one item per value are made at the first row that has `dim` values
 
-def _take_row(records, word: str, index: int, dim: int) -> np.ndarray:
-    """The next record, which must be row `index` of a ball's `w` or `v` block."""
-    lineno, rest = _take(records, word, index)
-    if not rest.isascii():  # `str.split` finds the Unicode spaces; single spaces then separate the values
-        rest = " ".join(rest.split())
-    data = rest.encode()
-    starts, ends = _tokens(data)
-    _check_index(data[starts[0]:ends[0]].decode() if len(starts) else "", index, word, lineno)
-    if len(starts) - 1 != dim:
-        raise DimensionMismatch(f"line {lineno}: {word} row has {len(starts) - 1} values, header dim is {dim}")
-    try:
-        row = _floats(data, starts[1:], ends[1:])
-    except ValueError:
-        raise ModelFormatError(f"line {lineno}: malformed float in {word} row") from None
-    if not np.isfinite(row).all():
-        raise ModelFormatError(f"line {lineno}: non-finite value in {word} row")
-    return row
+    def take(self, records, word: str, index: int) -> np.ndarray:
+        """The next record, which must be row `index` of a ball's `w` or `v` block.
+
+        The row returned is overwritten by the next call.
+        """
+        lineno, rest = _take(records, word, index)
+        if not rest.isascii():  # `str.split` finds the Unicode spaces; single spaces then separate the values
+            rest = " ".join(rest.split())
+        data = rest.encode()
+        starts, ends = self._tokens(data)
+        _check_index(data[starts[0]:ends[0]].decode() if len(starts) else "", index, word, lineno)
+        if (count := len(starts) - 1) != self.dim:
+            raise DimensionMismatch(f"line {lineno}: {word} row has {count} values, header dim is {self.dim}")
+        try:
+            row = self._floats(data, starts[1:], ends[1:])
+        except ValueError:
+            raise ModelFormatError(f"line {lineno}: malformed float in {word} row") from None
+        if not np.isfinite(row).all():
+            raise ModelFormatError(f"line {lineno}: non-finite value in {word} row")
+        return row
+
+    def _tokens(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end offsets of the tokens of `data`, which `_SEPARATORS` separate."""
+        size = len(data)
+        self.padded = _at_least(self.padded, size + _KEY_BYTES)
+        raw = self.padded[:size]
+        raw[:] = np.frombuffer(data, np.uint8)
+        self.padded[size:size + _KEY_BYTES] = 0
+        self.gap = _at_least(self.gap, size + 2)
+        gap = self.gap[:size + 2]  # with a gap before and after the row
+        gap[0] = gap[-1] = True
+        np.equal(raw, _SEPARATORS[0], out=gap[1:-1])
+        for byte in _SEPARATORS[1:]:
+            if byte in data:
+                gap[1:-1] |= raw == byte
+        self.edge = _at_least(self.edge, size + 1)
+        edges = np.flatnonzero(np.not_equal(gap[1:], gap[:-1], out=self.edge[:size + 1]))
+        return edges[::2], edges[1::2]  # token starts and ends alternate
+
+    def _floats(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """`float` of each token of `data`, run once per group of equal tokens.
+
+        Tokens are sorted by a hash of their key, whose low bits are replaced
+        by the token's index so that an in-place sort gives the order, and a
+        new group starts wherever the key differs from the previous token's.
+        A hash collision can split one group in two, which costs a `float`
+        call but never gives a wrong value.  A token longer than the key's 24
+        bytes is a group of its own: its index stands in for its first key word.
+        """
+        count = len(starts)
+        if self.row is None:
+            self.words = np.empty((_KEY_BYTES // 8, count), np.uint64)
+            self.lengths, self.capped, self.order, self.groups = (np.empty(count, np.int64) for _ in range(4))
+            self.mixed, self.scratch = np.empty(count, np.uint64), np.empty(count, np.uint64)
+            self.index = np.arange(count, dtype=np.uint64)
+            self.new, self.differ = np.empty(count, bool), np.empty(count - 1, bool)
+            self.spread, self.row = np.empty(count), np.empty(count)
+        lengths = np.subtract(ends, starts, out=self.lengths)
+        capped = np.minimum(lengths, _KEY_BYTES, out=self.capped)
+        # the 24 bytes from each start, as unaligned records over the padded row, gathered a block at a time
+        windows = np.ndarray((len(data) + 1,), f"V{_KEY_BYTES}", self.padded, strides=(1,))
+        words = self.words
+        for i in range(0, count, _GATHER):
+            words[:, i:i + _GATHER] = windows[starts[i:i + _GATHER]].view("<u8").reshape(-1, len(words)).T
+        # every index is in range; "clip" only keeps `take` from copying into a buffer before `out`
+        for word, masks in zip(words, _MASKS):
+            word &= np.take(masks, capped, out=self.scratch, mode="clip")
+        long = np.flatnonzero(lengths > _KEY_BYTES)
+        words[0, long] = long
+        keys = lengths.view(np.uint64), *words
+        mixed = self.mixed
+        mixed[:] = 0
+        for key in keys:
+            mixed ^= key
+            mixed *= _MIX
+        bits = np.uint64(count.bit_length())  # the low bits that hold any index
+        mixed >>= bits
+        mixed <<= bits
+        mixed |= self.index
+        mixed.sort()
+        order = self.order
+        np.bitwise_and(mixed, (1 << bits) - 1, out=order.view(np.uint64))
+        new = self.new
+        new[:] = False
+        new[0] = True
+        for key in keys:
+            ordered = np.take(key, order, out=self.scratch, mode="clip")
+            new[1:] |= np.not_equal(ordered[1:], ordered[:-1], out=self.differ)
+        firsts = order[new]
+        values = [float(data[s:e].decode()) for s, e in zip(starts[firsts].tolist(), ends[firsts].tolist())]
+        groups = np.cumsum(new, out=self.groups)  # 1 in the first group, 2 in the next, ...
+        self.row[order] = np.take(np.array([0.0, *values]), groups, out=self.spread, mode="clip")
+        return self.row
 
 
 def _parse_int(text: str, lineno: int, what: str) -> int:
@@ -248,7 +299,7 @@ _HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(
 _CONSTANT = "eps_w 1.0", "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true"
 
 
-def _load_ball(system: MemorySystem, records, lineno: int, rest: str) -> None:
+def _load_ball(system: MemorySystem, records, reader: _RowReader, lineno: int, rest: str) -> None:
     """Read the section a `ball <id> <n>` record opens: n labels, n w rows, n v rows."""
     parts = rest.split()
     if len(parts) != 2:
@@ -264,31 +315,33 @@ def _load_ball(system: MemorySystem, records, lineno: int, rest: str) -> None:
         number, _, label = rest.partition(" ")
         _check_index(number, i, "label", lineno)
         labels.append(label)
-    dim = system.config.dim
     # the first row is checked against the header dim before (n, dim) arrays exist
-    first = _take_row(records, "w", 0, dim)
+    first = reader.take(records, "w", 0)
     ball = system.add_ball(ball_id, labels)
     ball.w[0] = first
     for i in range(1, n):
-        ball.w[i] = _take_row(records, "w", i, dim)
+        ball.w[i] = reader.take(records, "w", i)
     for i in range(n):
-        ball.v[i] = _take_row(records, "v", i, dim)
+        ball.v[i] = reader.take(records, "v", i)
 
 
-def loads(text: str) -> MemorySystem:
-    """Parse CBRN1 text into a system.
+def loads(text) -> MemorySystem:
+    """Parse CBRN1 text into a system; `text` is a str, or an iterable of its lines as `load` passes.
 
     One forward pass takes the records in the order `_lines` writes them:
     the magic, the header keys, each ball's section, the links, `end`.  A
     record out of place is an error that names the record expected there.
+    A line is taken only when the pass reaches it, so from a file the first
+    fault in file order is the one reported.
     """
-    bodies = patterns.records(text)
-    if next(bodies, None) != (1, MAGIC):
-        found = (text.splitlines() or ["<empty>"])[0].strip()
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    del text  # a caller that keeps no reference to the text frees it here
+    first = next(lines, None)
+    if first is None or first.partition("#")[0].strip() != MAGIC:
+        found = "<empty>" if first is None else first.strip()
         raise UnsupportedVersion(f"bad magic {found!r}, expected {MAGIC}")
-    del text  # the records hold every line; a caller that keeps no reference to the text frees it here
     # (line number, first word, rest) of each record after the magic
-    records = ((lineno, *body.partition(" ")[::2]) for lineno, body in bodies)
+    records = ((lineno, *body.partition(" ")[::2]) for lineno, body in patterns.records(lines, 2))
     settings = {}
     for key, _, parse in _HEADER:
         lineno, value = _take(records, key)
@@ -304,9 +357,10 @@ def loads(text: str) -> MemorySystem:
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent header: {exc}") from None
 
+    reader = _RowReader(system.config.dim)
     lineno, word, rest = next(records, _EOF)
     while word == "ball":
-        _load_ball(system, records, lineno, rest)
+        _load_ball(system, records, reader, lineno, rest)
         lineno, word, rest = next(records, _EOF)
     last_link: tuple = ()
     while word == "link":
@@ -345,5 +399,6 @@ def loads(text: str) -> MemorySystem:
 
 
 def load(path) -> MemorySystem:
-    """Read a system from disk."""
-    return loads(patterns.read_utf8(path, ModelFormatError))
+    """Read a system from disk, holding one chunk of its text at a time (`patterns.utf8_lines`)."""
+    with open(path, "rb") as file:
+        return loads(patterns.utf8_lines(file, lambda message: ModelFormatError(f"{path}: {message}")))

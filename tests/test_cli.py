@@ -620,7 +620,7 @@ QUERIES = {
 
 
 class TestQueryOptions:
-    @pytest.mark.parametrize("threshold", ["0", "-5", "nan"])
+    @pytest.mark.parametrize("threshold", ["0", "-5", "nan", "inf", "1e400"])
     @pytest.mark.parametrize("command", sorted(QUERIES))
     def test_threshold_not_above_zero_is_usage_error(self, capsys, model_path, red_pbm, command, threshold):
         # at 0, Color:0 -> Volume:0 used to "associate" over an untrained link with q = 0
@@ -734,12 +734,16 @@ class TestClosedStdout:
         assert out.exists()
 
 
+def package_env() -> dict[str, str]:
+    """The environment with the package under test first on PYTHONPATH."""
+    src = str(Path(cbrn.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def cli_process(*argv) -> subprocess.CompletedProcess:
     """`python -m cbrn.cli argv` as a fresh process, on the package under test."""
-    src = str(Path(cbrn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, "-m", "cbrn.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=package_env(), timeout=120)
 
 
 class TestProcessEntry:
@@ -772,12 +776,40 @@ class TestProcessEntry:
         assert gc.get_freeze_count() == frozen
 
 
+# run as `python -c PEAK_RSS argv...`: runs argv and prints its peak RSS (KiB on Linux)
+PEAK_RSS = """import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"""
+
+
+def peak_rss_kib(*argv) -> int:
+    """The peak RSS of a fresh `python argv` process, measured by a wrapper process of its own."""
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, *map(str, argv)],
+                          capture_output=True, text=True, env=package_env(), timeout=120, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_a_query_holds_the_weights_not_the_model_text(capsys, tmp_path):
+    # one 4-byte label makes a str of the whole text take 4 bytes a character
+    labels = {ball: [f"{ball} {i}" for i in range(20)] for ball in ("a", "b", "c")}
+    labels["b"][7] = "die \U0001f3b2"
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text("".join(f"{ball}:{i}:{label}\n" for ball, group in labels.items()
+                               for i, label in enumerate(group)), encoding="utf-8")
+    model, probe = tmp_path / "m.cbrn", tmp_path / "die.pbm"
+    assert run(capsys, "train", "--catalog", catalog, "--out", model)[0] == 0
+    assert run(capsys, "encode", "--label", labels["b"][7], "--out", probe)[0] == 0
+    weight_bytes = sum(ball.w.nbytes + ball.v.nbytes for ball in store.load(model).balls.values())
+    query = peak_rss_kib("-m", "cbrn.cli", "recall", "--model", model, "--ball", "b", "--pattern", probe)
+    assert (query - peak_rss_kib("-c", "import cbrn.cli")) * 1024 < 2 * weight_bytes
+
+
 def test_readme_library_example_prints_what_its_comment_says():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    src = str(Path(cbrn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", example], capture_output=True, text=True, env=package_env(),
+                          timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "3 100.0\n", "")
 
 

@@ -165,7 +165,7 @@ class TestCuePath:
         assert system.cue_response("A", probe).fired == ()
         assert system.cue_response("A", probe, threshold=10.0).fired == (0,)
 
-    @pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan])
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
     def test_threshold_override_must_be_positive(self, threshold):
         # at a threshold <= 0 an untrained link (q = 0) would fire
         system = small_system()

@@ -1,3 +1,6 @@
+import re
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,3 +236,43 @@ class TestFuzz:
             return
         for group in catalog:
             assert group.labels and len(set(group.labels)) == len(group.labels)
+
+
+# byte strings a file's lines are made of: every break `str.splitlines` knows,
+# multi-byte characters, a BOM, and bytes that are not UTF-8 (a lone
+# continuation byte, a cut sequence, an encoded surrogate)
+BYTE_PIECES = [b"a", b" ", b"#", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+               *(ch.encode("utf-8") for ch in "\x85\u2028\u2029\xe9\u4e2d\U0001f3b2\ufeff"),
+               b"\xff", b"\x80", b"\xe4\xb8", b"\xed\xa0\x80"]
+
+
+def lines_read(path, chunk: int) -> list[str]:
+    with patch.object(patterns, "CHUNK_BYTES", chunk), open(path, "rb") as file:
+        return list(patterns.utf8_lines(file, CatalogError))
+
+
+class TestUtf8Lines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(BYTE_PIECES), max_size=30).map(b"".join), st.sampled_from([1, 2, 3, 7, 1 << 18]))
+    def test_lines_of_the_whole_text_or_its_first_bad_byte(self, tmp_path_factory, data, chunk):
+        path = tmp_path_factory.mktemp("lines") / "t.txt"
+        path.write_bytes(data)
+        try:
+            expected = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(CatalogError, match=rf"^byte {exc.start} is not UTF-8 text$"):
+                lines_read(path, chunk)
+        else:
+            assert lines_read(path, chunk) == expected
+
+    def test_line_longer_than_a_chunk(self, tmp_path):
+        text = "x" * 3000 + "\u4e2d" * 1000 + "\r\n\n" + "y" * 5000
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert lines_read(path, 1024) == text.splitlines()
+
+    def test_catalog_error_names_the_file_once(self, tmp_path):
+        path = tmp_path / "cat.txt"
+        path.write_bytes(b"A:0:red\nA:1:caf\xc3\n")
+        with pytest.raises(CatalogError, match=rf"^{re.escape(str(path))}: byte 15 is not UTF-8 text$"):
+            patterns.load_catalog(path)

@@ -1,6 +1,7 @@
 import re
 from dataclasses import fields
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbrn import store
+from cbrn import patterns, store
 from cbrn.errors import (
     CbrnError,
     DimensionMismatch,
@@ -362,8 +363,8 @@ class TestRejects:
 
 
 def read_row(rest: str, dim: int) -> np.ndarray:
-    """`_take_row` on a `w 0` record on line 14 whose text after the word is `rest`."""
-    return store._take_row(iter([(14, "w", rest)]), "w", 0, dim)
+    """The row reader on a `w 0` record on line 14 whose text after the word is `rest`."""
+    return store._RowReader(dim).take(iter([(14, "w", rest)]), "w", 0)
 
 
 def assert_reads_as_split(rest: str):
@@ -401,6 +402,18 @@ class TestRowReader:
         values = rng.standard_normal(13_456) * 10.0 ** rng.integers(-300, 300, 13_456)
         assert len(set(values.tolist())) == 13_456
         assert_same_bits(read_row("0 " + " ".join(map(repr, values.tolist())), 13_456), values)
+
+    def test_one_reader_reads_rows_of_any_length_in_turn(self):
+        # the reader's work arrays serve every row of a load: nothing of one row may reach the next
+        rng = np.random.default_rng(7)
+        rows = [np.zeros(50), rng.standard_normal(50) * 1e300, np.repeat(rng.standard_normal(3), [10, 20, 20]),
+                -np.zeros(50), rng.standard_normal(50)]
+        spacing = ["\t", " " * 40, " ", "\x1f", "  "]
+        records = iter([(14 + i, "w", spacing[i].join([str(i), *map(repr, row.tolist())]))
+                        for i, row in enumerate(rows)])
+        reader = store._RowReader(50)
+        for i, row in enumerate(rows):
+            assert_same_bits(reader.take(records, "w", i), row)
 
     def test_unicode_digits_and_spaces_read_as_float_reads_them(self):
         rest = "0\u3000\u0661.\u0665 \u00a0\uff12\uff15\t1.5"
@@ -504,6 +517,87 @@ def assert_loads_or_raises_cbrn_error(lines: list[str], resaves_exactly: bool = 
         assert saved == text
 
 
+def loads_as(text: str):
+    """The text `store.loads` saves back, or the type and message of the error it raises."""
+    try:
+        return store.dumps(store.loads(text))
+    except CbrnError as exc:
+        return type(exc), str(exc)
+
+
+def load_as(path, chunk: int):
+    """`loads_as` for `store.load(path)`, reading the file `chunk` bytes at a time."""
+    with patch.object(patterns, "CHUNK_BYTES", chunk):
+        try:
+            return store.dumps(store.load(path))
+        except CbrnError as exc:
+            return type(exc), str(exc)
+
+
+def multibyte_base() -> str:
+    """A small model whose labels hold 2-, 3- and 4-byte characters."""
+    system = MemorySystem(SystemConfig(dim=2))
+    system.add_ball("A", ["caf\xe9", "\u4e2d\u6587 \U0001f3b2"])
+    system.add_ball("B", ["\U0001f600"])
+    system.store("A", 0, [0.6, 0.8])
+    system.store("A", 1, [1.0, 0.0])
+    system.store("B", 0, [0.0, 1.0])
+    system.learn_cross_weights("A", 1, "B", 0)
+    return store.dumps(system)
+
+
+def with_comments(text: str) -> str:
+    lines = text.splitlines()
+    return "\n".join([lines[0], "# \xfc comment", "", *(f"{line}  # n\xf6te" for line in lines[1:])]) + "\n"
+
+
+BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+STREAMED = {
+    "plain": lambda text: text,
+    **{f"lines end {ascii(b)}": (lambda b: lambda text: text.replace("\n", b))(b) for b in BREAKS},
+    "comments": with_comments,
+    "no final newline": lambda text: text[:-1],
+    "empty": lambda text: "",
+    "BOM": lambda text: "\ufeff" + text,
+    "break in a label": lambda text: text.replace("caf\xe9", "ca\x85f"),
+    "fault before the end": lambda text: text.replace("\nend\n", "\nball C x\nend\n"),
+}
+
+
+class TestStreamedLoad:
+    """`load(path)` reads the file a chunk at a time and gets what `loads` gets from the whole text."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, patterns.CHUNK_BYTES])
+    @pytest.mark.parametrize("variant", STREAMED)
+    def test_load_matches_loads(self, tmp_path, variant, chunk):
+        text = STREAMED[variant](multibyte_base())
+        path = tmp_path / "m.cbrn"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_as(path, chunk) == loads_as(text)
+
+    def test_every_break_loads_the_same_system(self):
+        base = multibyte_base()
+        for variant in ("comments", "no final newline", *(f"lines end {ascii(b)}" for b in BREAKS)):
+            assert loads_as(STREAMED[variant](base)) == base
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, patterns.CHUNK_BYTES])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\x80", b"\xe4\xb8", b"\xed\xa0\x80", b"\xf0\x9f\x8e"])
+    def test_bad_byte_is_named_by_its_offset_in_the_file(self, tmp_path, chunk, bad):
+        data = multibyte_base().encode("utf-8")
+        for spoilt in (data.replace("\U0001f3b2".encode("utf-8"), bad), data[:-1] + bad):
+            with pytest.raises(UnicodeDecodeError) as decoded:
+                spoilt.decode("utf-8")
+            path = tmp_path / "m.cbrn"
+            path.write_bytes(spoilt)
+            assert load_as(path, chunk) == (ModelFormatError, f"{path}: byte {decoded.value.start} is not UTF-8 text")
+
+    def test_fault_before_a_bad_byte_is_the_one_reported(self, tmp_path):
+        path = tmp_path / "m.cbrn"
+        path.write_bytes(store.dumps(toy()).replace("dim 6", "dim x").encode("utf-8") + b"# \xff\n")
+        with pytest.raises(ModelFormatError, match=r"^line 2: dim 'x' is not an integer$"):
+            store.load(path)
+
+
 class TestFuzz:
     def test_every_single_token_edit(self):
         lines = fuzz_base().splitlines()
@@ -527,7 +621,7 @@ class TestFuzz:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_mutated_model_loads_or_raises_cbrn_error(self, data):
+    def test_mutated_model_loads_or_raises_cbrn_error(self, tmp_path_factory, data):
         lines = fuzz_base().splitlines()
         for _ in range(data.draw(st.integers(1, 4))):
             i = data.draw(st.integers(0, len(lines) - 1))
@@ -547,3 +641,8 @@ class TestFuzz:
             elif op == "cut":
                 lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
         assert_loads_or_raises_cbrn_error(lines)
+        # the same text from a file: the same system, or the same error
+        text = "\n".join(lines) + "\n"
+        path = tmp_path_factory.mktemp("fuzz") / "m.cbrn"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_as(path, data.draw(st.sampled_from([1, 3, 7, patterns.CHUNK_BYTES]))) == loads_as(text)
