@@ -217,8 +217,8 @@ def _parse_catalog(lines) -> AttributeCatalog:
         if len(parts) != 3:
             raise CatalogError(f"line {lineno}: expected group:index:label, got {body!r}")
         name, index_text, label = parts[0].strip(), parts[1].strip(), parts[2].strip()
-        if not name or any(ch.isspace() for ch in name):
-            raise CatalogError(f"line {lineno}: group name {name!r} must be one word")
+        if not name or not name.isprintable() or " " in name:  # a BOM or a tab is not printable
+            raise CatalogError(f"line {lineno}: group name {name!r} must be one printable word")
         try:
             index = int(index_text)
         except ValueError:

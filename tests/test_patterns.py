@@ -171,6 +171,13 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             patterns.parse_catalog("Cue Ball:0:red\n")
 
+    def test_byte_order_mark_is_refused_on_line_1(self, tmp_path):
+        # Notepad's UTF-8 BOM would otherwise join the first group's name and split it from its own group
+        path = tmp_path / "cat.txt"
+        path.write_bytes("Color:0:red\nStyle:0:box\n".encode("utf-8-sig"))
+        with pytest.raises(CatalogError, match=re.escape("line 1: group name '\\ufeffColor' must be one printable word")):
+            patterns.load_catalog(path)
+
     def test_load_catalog_from_file(self, tmp_path):
         path = tmp_path / "cat.txt"
         path.write_text("A:0:one\nA:1:two\nB:0:three\n")
@@ -209,7 +216,7 @@ def joined(pieces: list[str], *, first=st.just("")):
 PBM_PIECES = ["P1", "P4", "0", "1", "2", "3", "-1", "01", "9" * 5000, "x", "#", " ", "\t", "\n", "\r", "\x85",
               "\xff"]
 CATALOG_PIECES = ["A", "B", "Cue Ball", ":", "0", "1", "2", "-1", "+1", "1_0", "\u0661", "red", " ", "\t", "\n",
-                  "\r", "\u2028", "#"]
+                  "\r", "\u2028", "\ufeff", "#"]
 
 
 class TestFuzz:
@@ -235,6 +242,7 @@ class TestFuzz:
         except CbrnError:
             return
         for group in catalog:
+            assert group.name.isprintable() and " " not in group.name
             assert group.labels and len(set(group.labels)) == len(group.labels)
 
 
