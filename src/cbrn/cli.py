@@ -76,7 +76,7 @@ def _side(system: MemorySystem) -> int:
     """Pixels per side of the model's square bitmaps."""
     side = math.isqrt(system.config.dim)
     if side * side != system.config.dim:
-        raise UsageError(f"model dimension {system.config.dim} is not square; cannot read or write bitmaps")
+        raise DimensionMismatch(f"model dimension {system.config.dim} is not square; cannot read or write bitmaps")
     return side
 
 

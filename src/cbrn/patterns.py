@@ -24,40 +24,29 @@ from .errors import (
     PbmFormatError,
 )
 
-# how much of a file `utf8_lines` holds at a time: loading the demo model, 1 MiB
-# chunks cost 1.5 MB more peak RSS and more page faults, and smaller ones saved nothing
+# the read buffer of a model load (`store.load`): loading the demo model, 1 MiB cost
+# 0.7 MB more peak RSS and more page faults, and Python's default 8 KiB about 7 ms
 CHUNK_BYTES = 1 << 18
 
 
 def utf8_lines(file, error):
-    """The lines of UTF-8 text in a binary file, as `str.splitlines` splits them, read `CHUNK_BYTES` at a time.
+    """The lines of UTF-8 text in a binary file as `str.splitlines` splits them, holding the read buffer and one line.
 
-    The bytes are cut after each `\\n`, which no multi-byte character holds,
-    and each piece is decoded and split on its own: a `\\r\\n` ends a piece
-    whole and every other break `str.splitlines` knows lies inside one, so the
-    lines are those of the whole text.  A byte that is not UTF-8 raises
+    A binary file's lines end at `\\n`, which no multi-byte character holds,
+    and each is decoded and split on its own: a `\\r\\n` ends one whole and
+    every other break `str.splitlines` knows lies inside one, so the lines
+    are those of the whole text.  A byte that is not UTF-8 raises
     `error("byte N is not UTF-8 text")`, N its offset in the file, when the
     line that holds it is reached.
     """
-    offset = 0  # of the line being cut, in the file
-    head = []  # the start of a line that runs past the chunks read so far
-    while chunk := file.read(CHUNK_BYTES):
-        start = 0
-        while end := chunk.find(b"\n", start) + 1:
-            piece = b"".join((*head, chunk[start:end])) if head else chunk[start:end]
-            yield from _decode(piece, offset, error)
-            offset += len(piece)
-            head, start = [], end
-        if start < len(chunk):
-            head.append(chunk[start:])
-    yield from _decode(b"".join(head), offset, error)
-
-
-def _decode(piece: bytes, offset: int, error) -> list[str]:
-    try:
-        return piece.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise error(f"byte {offset + exc.start} is not UTF-8 text") from None
+    offset = 0  # of `piece`, in the file
+    for piece in file:
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"byte {offset + exc.start} is not UTF-8 text") from None
+        yield from text.splitlines()
+        offset += len(piece)
 
 
 def records(lines, start: int = 1):

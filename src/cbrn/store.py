@@ -18,8 +18,9 @@ per distinct bit pattern, and `loads` finds a row's tokens in its bytes with
 NumPy, groups equal tokens, and calls `float` once per distinct token of the
 row (there is no memo across rows), so no Python object is made per value;
 the NumPy work arrays serve every row of a load.  `load` hands `loads` the
-file's lines as `patterns.utf8_lines` reads them, a chunk at a time, so a
-load holds the weights and one chunk of text, never the whole text.
+file's lines one at a time, as `patterns.utf8_lines` reads them through a
+`patterns.CHUNK_BYTES` read buffer: a load holds the weights plus that
+buffer and one line, never the whole text.
 `save` streams the lines to a temporary file beside the target and then
 renames it over the target, so the whole text is never held in memory and a
 save that fails leaves an existing file as it was.
@@ -144,9 +145,6 @@ def _check_index(number: str, index: int, word: str, lineno: int) -> None:
         raise _misplaced(lineno, f"'{word} {index}'", f"{word} {number}")
 
 
-# the ASCII bytes `str.split` splits at that a line can still hold: every
-# other one (`\n`, `\r`, `\x0b`, `\x0c`, `\x1c`-`\x1e`) breaks the line
-_SEPARATORS = b" \t\x1f"
 # a token is keyed by its length and its first 24 bytes, which hold every
 # `repr` of a double (the longest is -2.2250738585072014e-308), read as three
 # little-endian words; _MASKS[k][length] keeps the token's bytes of word k
@@ -184,7 +182,8 @@ class _RowReader:
         The row returned is overwritten by the next call.
         """
         lineno, rest = _take(records, word, index)
-        if not rest.isascii():  # `str.split` finds the Unicode spaces; single spaces then separate the values
+        # `str.split` also splits at `\t`, `\x1f` and the Unicode spaces; single spaces then separate the values
+        if not rest.isascii() or "\t" in rest or "\x1f" in rest:
             rest = " ".join(rest.split())
         data = rest.encode()
         starts, ends = self._tokens(data)
@@ -200,7 +199,7 @@ class _RowReader:
         return row
 
     def _tokens(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """The start and end offsets of the tokens of `data`, which `_SEPARATORS` separate."""
+        """The start and end offsets of the tokens of `data`, which spaces separate."""
         size = len(data)
         self.padded = _at_least(self.padded, size + _KEY_BYTES)
         raw = self.padded[:size]
@@ -209,10 +208,7 @@ class _RowReader:
         self.gap = _at_least(self.gap, size + 2)
         gap = self.gap[:size + 2]  # with a gap before and after the row
         gap[0] = gap[-1] = True
-        np.equal(raw, _SEPARATORS[0], out=gap[1:-1])
-        for byte in _SEPARATORS[1:]:
-            if byte in data:
-                gap[1:-1] |= raw == byte
+        np.equal(raw, ord(" "), out=gap[1:-1])
         self.edge = _at_least(self.edge, size + 1)
         edges = np.flatnonzero(np.not_equal(gap[1:], gap[:-1], out=self.edge[:size + 1]))
         return edges[::2], edges[1::2]  # token starts and ends alternate
@@ -399,6 +395,6 @@ def loads(text) -> MemorySystem:
 
 
 def load(path) -> MemorySystem:
-    """Read a system from disk, holding one chunk of its text at a time (`patterns.utf8_lines`)."""
-    with open(path, "rb") as file:
+    """Read a system from disk; holds the weights, a `patterns.CHUNK_BYTES` read buffer and one line of text."""
+    with open(path, "rb", buffering=patterns.CHUNK_BYTES) as file:
         return loads(patterns.utf8_lines(file, lambda message: ModelFormatError(f"{path}: {message}")))

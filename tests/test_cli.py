@@ -390,6 +390,21 @@ class TestRecall:
         assert "232x58" in stderr and "116x116" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("recall", "--ball", "A"),
+        ("associate", "--from", "A", "--to", "B"),
+    ], ids=["recall", "associate"])
+    def test_model_of_non_square_dimension_is_runtime_error(self, capsys, tmp_path, command):
+        # a library can save any dim; bitmaps need a square one, as a wrong-shape probe does
+        model = toy_model(tmp_path, dim=5)
+        probe = write_pbm(tmp_path / "probe.pbm", np.ones((2, 2), dtype=np.uint8))
+        out = tmp_path / "out.pbm"
+        code, stdout, stderr = run(capsys, command[0], "--model", model, *command[1:], "--pattern", probe,
+                                   "--out", out)
+        assert (code, stdout) == (3, "")
+        assert stderr == "error: model dimension 5 is not square; cannot read or write bitmaps\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         ("v 0 ", lambda line: " ".join(["v", "0", "nan", "inf", *line.split()[4:]])),
         ("dim ", lambda line: "dim 1000000000000000"),  # needs petabytes if allocated
@@ -560,6 +575,17 @@ class TestReport:
                                    "--probe", "color:0")
         assert (code, stdout, stderr) == (2, "", "error: --probe applies to figure 3 only\n")
 
+    @pytest.mark.parametrize("argv, error", [
+        (("report", "--figure", "3", "--probe", "color"), "bad probe 'color'"),
+        (("pair", "--pair", "color=style:3"), "bad pair 'color'"),
+    ], ids=["report", "pair"])
+    def test_reference_without_an_index_is_usage_error(self, capsys, model_path, tmp_path, argv, error):
+        out = tmp_path / "paired.cbrn"  # pair writes here, never over the shared model
+        extra = ("--out", out) if argv[0] == "pair" else ()
+        code, stdout, stderr = run(capsys, *argv, "--model", model_path, *extra)
+        assert (code, stdout, stderr) == (2, "", f"error: {error}, expected BALL:INDEX\n")
+        assert not out.exists()
+
     def test_every_probe_is_checked_before_anything_prints(self, capsys, model_path):
         code, stdout, stderr = run(capsys, "report", "--model", model_path, "--figure", "3",
                                    "--probe", "color:0", "--probe", "color:9")
@@ -628,6 +654,13 @@ class TestQueryOptions:
                                    f"--threshold={threshold}")
         assert (code, stdout) == (2, "")
         assert "argument --threshold: threshold must be positive" in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command", sorted(QUERIES))
+    def test_threshold_that_is_no_number_is_usage_error(self, capsys, model_path, red_pbm, command):
+        code, stdout, stderr = run(capsys, *QUERIES[command], "--model", model_path, "--pattern", red_pbm,
+                                   "--threshold", "abc")
+        assert (code, stdout) == (2, "")
+        assert "argument --threshold: not a number: 'abc'" in stderr and "Traceback" not in stderr
 
     @staticmethod
     def plain_query(command, red_pbm):

@@ -379,6 +379,19 @@ class TestEveryAcceptedSettingFires:
             system.store("A", k, stored["A"][k])  # a repeated store may only raise the own q
 
 
+class TestAddBall:
+    @pytest.mark.parametrize("ball_id, labels, message", [
+        ("A", ["x"], "ball 'A' already exists"),
+        ("C", [], "ball 'C' needs at least one neuron"),
+    ], ids=["existing id", "no labels"])
+    def test_refused_without_a_change(self, ball_id, labels, message):
+        system = small_system()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            system.add_ball(ball_id, labels)
+        assert list(system.balls) == ["A", "B"] and system.balls["A"].labels == ["a0", "a1", "a2"]
+        assert sorted(system.links) == [("A", "B"), ("B", "A")]
+
+
 class TestResolveBall:
     def test_case_insensitive(self):
         system = small_system()

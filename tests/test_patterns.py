@@ -1,5 +1,4 @@
 import re
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -71,6 +70,14 @@ class TestBinaryPattern:
         with pytest.raises(DimensionMismatch, match="at least one pixel"):
             BinaryPattern(np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bits, error, message", [
+        (np.zeros((2, 2, 2)), DimensionMismatch, "pattern bits must be 2-D, got 3-D"),
+        ([[0, 1], [2, 0]], ValueError, "pattern bits must be 0 or 1"),
+    ], ids=["3-D", "pixel value 2"])
+    def test_bits_other_than_a_grid_of_0_and_1_refused(self, bits, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            BinaryPattern(bits)
+
 
 class TestToPattern:
     def test_roundtrip_of_stored_level(self):
@@ -128,6 +135,13 @@ class TestPbm:
         with pytest.raises(PbmFormatError):
             patterns.load_pbm(path)
 
+    @pytest.mark.parametrize("text, size", [("P1\n0 5\n", "0x5"), ("P1\n-1 2\n", "-1x2")])
+    def test_non_positive_dimensions(self, tmp_path, text, size):
+        path = tmp_path / "p.pbm"
+        path.write_text(text)
+        with pytest.raises(PbmFormatError, match=f"^{re.escape(str(path))}: non-positive dimensions {size}$"):
+            patterns.load_pbm(path)
+
     def test_comments_are_ignored(self, tmp_path):
         path = tmp_path / "p.pbm"
         path.write_text("P1\n# a comment\n2 2 # trailing\n1 0\n0 1\n")
@@ -162,6 +176,10 @@ class TestCatalog:
     def test_index_gap_rejected(self):
         with pytest.raises(CatalogError):
             patterns.parse_catalog("Color:0:red\nColor:2:blue\n")
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(CatalogError, match="^line 1: index -1 is negative$"):
+            patterns.parse_catalog("Color:-1:red\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(CatalogError):
@@ -255,7 +273,8 @@ BYTE_PIECES = [b"a", b" ", b"#", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c
 
 
 def lines_read(path, chunk: int) -> list[str]:
-    with patch.object(patterns, "CHUNK_BYTES", chunk), open(path, "rb") as file:
+    """The lines `utf8_lines` reads through a `chunk`-byte buffer; 1 reads unbuffered, a byte at a time."""
+    with open(path, "rb", buffering=chunk if chunk > 1 else 0) as file:
         return list(patterns.utf8_lines(file, CatalogError))
 
 

@@ -526,8 +526,12 @@ def loads_as(text: str):
 
 
 def load_as(path, chunk: int):
-    """`loads_as` for `store.load(path)`, reading the file `chunk` bytes at a time."""
-    with patch.object(patterns, "CHUNK_BYTES", chunk):
+    """`loads_as` for `store.load(path)`, reading the file `chunk` bytes at a time.
+
+    `chunk` is the file's read buffer; 1 opens the file unbuffered, whose lines
+    are read a byte at a time (binary mode refuses a buffer of 1 as line buffering).
+    """
+    with patch.object(patterns, "CHUNK_BYTES", chunk if chunk > 1 else 0):
         try:
             return store.dumps(store.load(path))
         except CbrnError as exc:
@@ -565,7 +569,7 @@ STREAMED = {
 
 
 class TestStreamedLoad:
-    """`load(path)` reads the file a chunk at a time and gets what `loads` gets from the whole text."""
+    """`load(path)` reads the file a line at a time and gets what `loads` gets from the whole text."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, patterns.CHUNK_BYTES])
     @pytest.mark.parametrize("variant", STREAMED)
