@@ -3,6 +3,13 @@
 Every option is a command-line flag; no environment variable or file sets
 one.  Exit codes are stable: 0 on success, 2 for invalid usage or argument
 values, 3 for runtime failures (I/O, malformed files, failed recognition).
+
+Each command is a fresh process, so it imports only the modules it runs.
+This module loads NumPy, `errors` and `memory`, which every command uses
+(`main`'s `np.errstate`, the parser's `SystemConfig` defaults); a command
+imports `patterns`, `qr` and `store` itself, where it calls them.  So
+`encode` never loads `store`, and the model commands never load `qr` or
+`galois`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import sys
 
 import numpy as np
 
-from . import patterns, qr, store
 from .errors import (
     CbrnError,
     DimensionMismatch,
@@ -29,7 +35,6 @@ from .errors import (
     UnknownBall,
 )
 from .memory import MemorySystem, SystemConfig
-from .patterns import load_pbm, normalize, save_pbm, to_pattern
 
 # report defaults: probe neuron per ball position (classic demo layout)
 _DEFAULT_PROBE_NEURONS = (0, 3, 6)
@@ -81,6 +86,8 @@ def _side(system: MemorySystem) -> int:
 
 
 def _load_probe(system: MemorySystem, path):
+    from .patterns import load_pbm, normalize
+
     pattern = load_pbm(path)
     side = _side(system)
     if (pattern.width, pattern.height) != (side, side):
@@ -90,6 +97,8 @@ def _load_probe(system: MemorySystem, path):
 
 def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out) -> str:
     """Write a neuron's recalled pattern as a square bitmap; returns the notice that says so."""
+    from .patterns import save_pbm, to_pattern
+
     side = _side(system)
     save_pbm(to_pattern(system.recall_forward(ball_id, neuron), side, side), out)
     return f"wrote recalled pattern of {ball_id}:{neuron} -> {out}"
@@ -116,6 +125,9 @@ def _csv_writer(fmt: str, *header: str):
 
 
 def cmd_encode(args) -> int:
+    from . import qr
+    from .patterns import save_pbm
+
     matrix = qr.encode_label(args.label)
     pattern = qr.render(matrix)
     save_pbm(pattern, args.out)
@@ -127,6 +139,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import patterns, qr, store
+
     try:
         config = SystemConfig(theta=args.theta, threshold=args.threshold)
     except ValueError as exc:
@@ -140,7 +154,7 @@ def cmd_train(args) -> int:
     for group in catalog:
         for index, label in enumerate(group.labels):
             matrix = qr.encode_label(label)
-            w_report, v_report = system.store(group.name, index, normalize(qr.render(matrix)))
+            w_report, v_report = system.store(group.name, index, patterns.normalize(qr.render(matrix)))
             rows.append(f"{group.name:<10} {index:>6} {label:<14} "
                         f"{w_report.final_error:>12.6g} {v_report.final_error:>12.6g}")
     store.save(system, args.out)
@@ -150,6 +164,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    from . import store
+
     pairs = [_parse_pair(text) for text in args.pair]
     system = store.load(args.model)
     rows = [f"{'direction':<24} {'eta_before':>12} {'eta_after':>12} {'u':>10}"]
@@ -169,6 +185,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_recall(args) -> int:
+    from . import store
+
     fmt = args.format
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
@@ -189,6 +207,8 @@ def cmd_recall(args) -> int:
 
 
 def cmd_associate(args) -> int:
+    from . import store
+
     fmt = args.format
     system = store.load(args.model)
     from_ball = system.resolve_ball(args.from_ball)
@@ -229,6 +249,8 @@ def _print_q(writer, prefix: tuple, ball, response, title: str) -> None:
 
 
 def cmd_report(args) -> int:
+    from . import store
+
     fmt = args.format
     if args.figure == 4 and args.probe:
         raise UsageError("--probe applies to figure 3 only")

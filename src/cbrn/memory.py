@@ -12,8 +12,10 @@ All three learning rules are one Widrow-Hoff step at rate 1,
 `delta = (target - output) * input`: the recall rule targets the pattern
 with input 1, the cue rule targets theta with the recalled pattern as
 input, and the cross rule targets theta with input 1.  From zero-initialized
-weights every rule reaches its target in a single update and is a strict
-no-op afterwards.
+weights the recall and cross rules reach their targets in a single update,
+and a repeat is an exact no-op.  The cue rule lands within rounding of its
+target: a repeat on the bundled labels' QR rows moves each `v` row by
+5.2e-16 to 3.0e-15 and changes no fired set.
 
 A system instance is single-writer while learning.  Response and recall
 calls never mutate state, so a trained system may be queried concurrently.
@@ -35,7 +37,6 @@ from .errors import (
     NonFiniteWeight,
     UnknownBall,
 )
-from .patterns import AttributeCatalog
 
 
 @dataclass
@@ -123,7 +124,8 @@ class MemorySystem:
         self.links: dict[tuple[str, str], np.ndarray] = {}
 
     @classmethod
-    def from_catalog(cls, catalog: AttributeCatalog, config: SystemConfig | None = None):
+    def from_catalog(cls, catalog, config: SystemConfig | None = None):
+        """A system with one empty ball per group of an `AttributeCatalog`, in catalog order."""
         system = cls(config)
         for group in catalog:
             system.add_ball(group.name, group.labels)
@@ -307,7 +309,13 @@ class MemorySystem:
     def associate(
         self, from_ball: str, probe, to_ball: str, threshold: float | None = None
     ) -> AssociationResult:
-        """Recognize a probe in one ball and recall its linked pattern in another."""
+        """Recognize a probe in one ball and recall its linked pattern in another.
+
+        A ball has no links to itself, so `from_ball == to_ball` raises
+        IntraBallLink before the probe is looked at, whatever it is.
+        """
+        if to_ball == self.ball(from_ball).id:
+            raise IntraBallLink("cue neurons within one ball are not connected")
         response = self.cue_response(from_ball, probe, threshold)
         if not response.fired:
             raise NoRecognition(

@@ -138,7 +138,7 @@ class TestAcceptance:
             ]
 
     def test_criterion_4_fixed_point_suite(self, catalog):
-        with criterion(4, "repeating any learn op is a zero-delta no-op"):
+        with criterion(4, "a repeated recall or cross op is a zero-delta no-op, a cue op on an exact unit vector too"):
             # recall rows reach their target bit-exactly for every real pattern
             system = train_full_system()
             for group in catalog:

@@ -1,6 +1,7 @@
 import csv
 import gc
 import hashlib
+import importlib
 import io
 import os
 import subprocess
@@ -504,6 +505,18 @@ class TestAssociate:
                          "--pattern", probe, "--to", "style")
         assert code == 3
 
+    @pytest.mark.parametrize("probe", ["red", "diagonal"])
+    def test_same_ball_is_usage_error_whatever_the_probe(self, capsys, model_path, red_pbm, tmp_path, probe):
+        if probe == "diagonal":  # recognized by no neuron
+            pattern = write_pbm(tmp_path / "noise.pbm", np.eye(116, dtype=np.uint8))
+        else:
+            pattern = red_pbm
+        code, stdout, stderr = run(capsys, "associate", "--model", model_path, "--from", "color",
+                                   "--pattern", pattern, "--to", "Color", "--out", tmp_path / "x.pbm")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: cue neurons within one ball are not connected\n"
+        assert not (tmp_path / "x.pbm").exists()
+
 
 class TestReport:
     def test_figure3_argmax_positions(self, capsys, model_path):
@@ -777,6 +790,95 @@ def cli_process(*argv) -> subprocess.CompletedProcess:
     """`python -m cbrn.cli argv` as a fresh process, on the package under test."""
     return subprocess.run([sys.executable, "-m", "cbrn.cli", *map(str, argv)],
                           capture_output=True, text=True, env=package_env(), timeout=120)
+
+
+# run as `python -c CODE + LIST_CBRN_MODULES`: prints the cbrn modules CODE left loaded, on the last line
+LIST_CBRN_MODULES = """
+import sys
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "cbrn"))"""
+
+
+def cbrn_modules_after(code: str) -> set[str]:
+    """The cbrn modules that a fresh interpreter holds after it runs `code`."""
+    done = subprocess.run([sys.executable, "-c", code + LIST_CBRN_MODULES], capture_output=True, text=True,
+                          env=package_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestImportContract:
+    """A fresh process loads the cbrn modules that it runs, and no other."""
+
+    def test_import_cbrn_loads_only_errors(self):
+        assert cbrn_modules_after("import cbrn") == {"cbrn", "cbrn.errors"}
+
+    def test_import_cli_loads_no_command_module(self):
+        assert cbrn_modules_after("import cbrn.cli") == {"cbrn", "cbrn.cli", "cbrn.errors", "cbrn.memory"}
+
+    @pytest.mark.parametrize("command", ["encode", "pair", "recall", "associate", "report"])
+    def test_a_command_loads_only_what_it_runs(self, tmp_path, model_path, red_pbm, command):
+        argv = {
+            "encode": ("encode", "--label", "red", "--out", tmp_path / "red.pbm"),
+            "pair": ("pair", "--model", model_path, "--pair", "color:1=style:2", "--out", tmp_path / "m.cbrn"),
+            "recall": (*QUERIES["recall"], "--model", model_path, "--pattern", red_pbm),
+            "associate": ("associate", "--model", model_path, "--from", "color", "--to", "style",
+                          "--pattern", red_pbm, "--out", tmp_path / "rectangle.pbm"),
+            "report": ("report", "--model", model_path, "--figure", "3"),
+        }[command]
+        code = f"import cbrn.cli\nassert cbrn.cli.main({[str(arg) for arg in argv]!r}) == 0"
+        loaded = cbrn_modules_after(code)
+        if command == "encode":
+            assert "cbrn.store" not in loaded and {"cbrn.qr", "cbrn.galois"} <= loaded
+        else:
+            assert not loaded & {"cbrn.qr", "cbrn.galois"} and "cbrn.store" in loaded
+
+
+class TestPackageSurface:
+    """Every name the package has exported since `cbrn.__all__` was written resolves to its home module's object."""
+
+    HOMES = {
+        "errors": ("CatalogError", "CbrnError", "DegeneratePattern", "DimensionMismatch", "DuplicateEntry",
+                   "EmptyLabel", "IntraBallLink", "LabelTooLong", "ModelFormatError", "NeuronIndexError",
+                   "NoAssociation", "NoRecognition", "NonFiniteWeight", "PbmFormatError", "UnknownBall",
+                   "UnsupportedVersion"),
+        "galois": ("rs_encode", "syndromes"),
+        "memory": ("AssociationResult", "Ball", "CueResponse", "MemorySystem", "SystemConfig", "UpdateReport"),
+        "patterns": ("AttributeCatalog", "AttributeGroup", "BinaryPattern", "default_catalog", "load_catalog",
+                     "load_pbm", "normalize", "parse_catalog", "save_pbm", "to_pattern"),
+        "qr": ("QrMatrix", "encode_label", "random_pattern", "render"),
+        "store": ("dumps", "load", "loads", "save"),
+    }
+    NAMES = sorted(name for names in HOMES.values() for name in names)
+
+    def test_all_lists_every_name(self):
+        assert cbrn.__all__ == self.NAMES
+
+    def test_every_name_is_its_home_modules_object(self):
+        for home, names in self.HOMES.items():
+            module = importlib.import_module(f"cbrn.{home}")
+            for name in names:
+                assert getattr(cbrn, name) is getattr(module, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from cbrn import *", namespace)
+        assert {name: namespace[name] for name in self.NAMES} == {name: getattr(cbrn, name) for name in self.NAMES}
+
+    def test_dir_lists_every_name(self):
+        assert set(self.NAMES) <= set(dir(cbrn))
+
+    def test_from_import_of_a_submodule_gives_the_submodule(self):
+        from cbrn import patterns as imported
+
+        assert imported is sys.modules["cbrn.patterns"]
+        code = "from cbrn import store\nimport sys\nassert store is sys.modules['cbrn.store']"
+        assert "cbrn.store" in cbrn_modules_after(code)  # a fresh interpreter, where it is not yet loaded
+
+    def test_unknown_name_is_the_standard_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'cbrn' has no attribute 'nonesuch'$"):
+            cbrn.nonesuch
+        with pytest.raises(ImportError, match=r"^cannot import name 'nonesuch' from 'cbrn'"):
+            from cbrn import nonesuch  # noqa: F401
 
 
 class TestProcessEntry:

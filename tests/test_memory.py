@@ -19,7 +19,7 @@ from cbrn.memory import (
     MemorySystem,
     SystemConfig,
 )
-from conftest import make_toy_system
+from conftest import make_toy_system, train_full_system
 
 unit_pairs = st.sampled_from(
     [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.28, 0.96), (0.8, 0.6)]
@@ -313,6 +313,32 @@ class TestAssociate:
         system = self.build()
         with pytest.raises(NoAssociation):
             system.associate("A", [0.0, 1.0, 0.0, 0.0], "B")
+
+    @pytest.mark.parametrize("probe", [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]], ids=["stored", "unrecognized"])
+    def test_same_ball_is_intra_ball_link_whatever_the_probe(self, probe):
+        system = self.build()
+        with pytest.raises(IntraBallLink, match="within one ball"):
+            system.associate("A", probe, "A")
+        with pytest.raises(UnknownBall):  # an unknown ball is still named first
+            system.associate("C", probe, "C")
+
+
+class TestRepeatedStore:
+    def test_on_the_bundled_catalog_only_cue_rows_move_and_only_by_rounding(self, catalog):
+        # a cue step from zero lands within rounding of theta, not on it: a repeat
+        # moves each of the 21 v rows by 5.2e-16 to 3.0e-15
+        system = train_full_system()
+        refs = [(group.name, index) for group in catalog for index in range(len(group.labels))]
+
+        def fired_sets():
+            return [system.cue_response(ball, system.recall_forward(ball, index)).fired for ball, index in refs]
+
+        before = fired_sets()
+        for ball, index in refs:
+            w_report, v_report = system.store(ball, index, system.recall_forward(ball, index))
+            assert w_report.max_delta == 0.0
+            assert 0.0 <= v_report.max_delta < 1e-12
+        assert fired_sets() == before
 
 
 class TestOverflow:
