@@ -32,6 +32,7 @@ from .errors import (
     LabelTooLong,
     NeuronIndexError,
     NoRecognition,
+    UnencodableLabel,
     UnknownBall,
 )
 from .memory import MemorySystem, SystemConfig
@@ -44,7 +45,7 @@ class UsageError(Exception):
     """Bad command-line values; maps to exit code 2."""
 
 
-_USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnknownBall, NeuronIndexError, IntraBallLink)
+_USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnencodableLabel, UnknownBall, NeuronIndexError, IntraBallLink)
 
 
 def _threshold_override(text: str) -> float:

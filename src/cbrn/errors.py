@@ -33,6 +33,10 @@ class LabelTooLong(CbrnError):
     """Label does not fit in the fixed symbol capacity."""
 
 
+class UnencodableLabel(CbrnError):
+    """Label holds a lone surrogate (as from a byte of argv that is not UTF-8), which has no UTF-8 form."""
+
+
 class UnknownBall(CbrnError):
     """Referenced Cue Ball id does not exist in the system."""
 

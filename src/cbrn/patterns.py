@@ -29,33 +29,34 @@ from .errors import (
 CHUNK_BYTES = 1 << 18
 
 
-def utf8_lines(file, error):
+def utf8_lines(file, error, raw=lambda piece: False):
     """The lines of UTF-8 text in a binary file as `str.splitlines` splits them, holding the read buffer and one line.
 
     A binary file's lines end at `\\n`, which no multi-byte character holds,
     and each is decoded and split on its own: a `\\r\\n` ends one whole and
     every other break `str.splitlines` knows lies inside one, so the lines
     are those of the whole text.  A byte that is not UTF-8 raises
-    `error("byte N is not UTF-8 text")`, N its offset in the file, when the
-    line that holds it is reached.
+    `error("byte N is not UTF-8 text")`, N its offset in the file, when the line
+    that holds it is reached.  A line for which `raw(line)` holds, which must
+    hold no break before its `\\n`, is given as it is, undecoded bytes.
     """
     offset = 0  # of `piece`, in the file
     for piece in file:
         try:
-            text = piece.decode("utf-8")
+            lines = [piece] if raw(piece) else piece.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise error(f"byte {offset + exc.start} is not UTF-8 text") from None
-        yield from text.splitlines()
+        yield from lines
         offset += len(piece)
 
 
 def records(lines, start: int = 1):
-    """(line number, body) of each non-blank body: a line's text before any `#`, stripped.
+    """(line number, body) of each non-blank body: a line's text before any `#`, stripped; a bytes line is its own body.
 
     Lines are numbered from `start`.
     """
     return ((lineno, body) for lineno, line in enumerate(lines, start)
-            if (body := line.partition("#")[0].strip()))
+            if (body := line if isinstance(line, bytes) else line.partition("#")[0].strip()))
 
 
 class BinaryPattern:

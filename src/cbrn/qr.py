@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyLabel, LabelTooLong
+from .errors import EmptyLabel, LabelTooLong, UnencodableLabel
 from .galois import rs_encode
 from .patterns import BinaryPattern
 
@@ -63,7 +63,10 @@ def encode_payload(label: str) -> bytes:
     """Byte-mode bit stream: mode, length, data, terminator, pad bytes."""
     if label == "":
         raise EmptyLabel("label must not be empty")
-    data = label.encode("utf-8")
+    try:
+        data = label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise UnencodableLabel(f"label {label!r} is not UTF-8 text: it holds a lone surrogate") from None
     if len(data) > CONTENT_CAPACITY:
         raise LabelTooLong(
             f"label is {len(data)} bytes encoded; the symbol holds {CONTENT_CAPACITY}"

@@ -15,12 +15,13 @@ spellings are normalised.  See docs/model-format.md for the grammar.
 A weight row holds few distinct values (a one-shot-stored row holds two), so
 both directions work per distinct value: a row is printed with one `repr`
 per distinct bit pattern, and `loads` finds a row's tokens in its bytes with
-NumPy, groups equal tokens, and calls `float` once per distinct token of the
-row (there is no memo across rows), so no Python object is made per value;
-the NumPy work arrays serve every row of a load.  `load` hands `loads` the
-file's lines one at a time, as `patterns.utf8_lines` reads them through a
-`patterns.CHUNK_BYTES` read buffer: a load holds the weights plus that
-buffer and one line, never the whole text.
+NumPy, groups runs of equal neighbours and then equal runs, and calls `float`
+once per distinct token of the row (there is no memo across rows), so no
+Python object is made per value; the NumPy work arrays serve every row of a
+load.  `load` hands `loads` the file's lines one at a time through a
+`patterns.CHUNK_BYTES` read buffer, so a load holds the weights plus that
+buffer and one line, never the whole text; a row as `save` writes it is
+parsed from the file's bytes, and other lines are decoded first.
 `save` streams the lines to a temporary file beside the target and then
 renames it over the target, so the whole text is never held in memory and a
 save that fails leaves an existing file as it was.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -44,6 +46,7 @@ from .errors import (
 from .memory import MemorySystem, SystemConfig
 
 MAGIC = "CBRN1"
+_SURROGATE = re.compile("[\ud800-\udfff]").search  # finds a lone surrogate, which has no UTF-8 form
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -73,13 +76,13 @@ def _lines(system: MemorySystem):
     """
     for ball in system.balls.values():
         # a load splits the `ball` record at whitespace and cuts it at `#`
-        if ball.id.split() != [ball.id] or "#" in ball.id:
-            raise ValueError(f"ball id {ball.id!r} cannot be empty or contain '#' or whitespace")
+        if ball.id.split() != [ball.id] or "#" in ball.id or _SURROGATE(ball.id):
+            raise ValueError(f"ball id {ball.id!r} cannot be empty or contain '#', whitespace or lone surrogates")
         for label in ball.labels:
             # any break `str.splitlines` splits at ("\r", "\x85", ...) would split the
             # record, and a load strips whitespace off the end of each line
-            if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip():
-                raise ValueError(f"label {label!r} cannot contain '#' or line breaks or end in whitespace")
+            if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip() or _SURROGATE(label):
+                raise ValueError(f"label {label!r} cannot contain '#', line breaks or lone surrogates, or end in whitespace")
     header = (f"{key} {write(getattr(system.config, key))}" for key, write, _ in _HEADER)
     yield "".join(line + "\n" for line in (MAGIC, *header, *_CONSTANT))
     for ball in system.balls.values():
@@ -181,13 +184,14 @@ class _RowReader:
 
         The row returned is overwritten by the next call.
         """
-        lineno, rest = _take(records, word, index)
-        # `str.split` also splits at `\t`, `\x1f` and the Unicode spaces; single spaces then separate the values
-        if not rest.isascii() or "\t" in rest or "\x1f" in rest:
-            rest = " ".join(rest.split())
-        data = rest.encode()
+        lineno, data = _take(records, word, index)
+        if isinstance(data, str):  # else a view of the bytes of a row `load` kept
+            # `str.split` also splits at `\t`, `\x1f` and the Unicode spaces; single spaces then separate the values
+            if not data.isascii() or "\t" in data or "\x1f" in data:
+                data = " ".join(data.split())
+            data = data.encode()
         starts, ends = self._tokens(data)
-        _check_index(data[starts[0]:ends[0]].decode() if len(starts) else "", index, word, lineno)
+        _check_index(str(data[starts[0]:ends[0]], "utf-8") if len(starts) else "", index, word, lineno)
         if (count := len(starts) - 1) != self.dim:
             raise DimensionMismatch(f"line {lineno}: {word} row has {count} values, header dim is {self.dim}")
         try:
@@ -198,7 +202,7 @@ class _RowReader:
             raise ModelFormatError(f"line {lineno}: non-finite value in {word} row")
         return row
 
-    def _tokens(self, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    def _tokens(self, data) -> tuple[np.ndarray, np.ndarray]:
         """The start and end offsets of the tokens of `data`, which spaces separate."""
         size = len(data)
         self.padded = _at_least(self.padded, size + _KEY_BYTES)
@@ -213,24 +217,24 @@ class _RowReader:
         edges = np.flatnonzero(np.not_equal(gap[1:], gap[:-1], out=self.edge[:size + 1]))
         return edges[::2], edges[1::2]  # token starts and ends alternate
 
-    def _floats(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    def _floats(self, data, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """`float` of each token of `data`, run once per group of equal tokens.
 
-        Tokens are sorted by a hash of their key, whose low bits are replaced
-        by the token's index so that an in-place sort gives the order, and a
-        new group starts wherever the key differs from the previous token's.
-        A hash collision can split one group in two, which costs a `float`
-        call but never gives a wrong value.  A token longer than the key's 24
-        bytes is a group of its own: its index stands in for its first key word.
+        A run of equal neighbours starts wherever a token's key differs from
+        the previous token's.  The first tokens of the runs are sorted by a hash
+        of their key, whose low bits are replaced by the token's index so that
+        an in-place sort gives the order, and a new group starts wherever the
+        key differs from the previous one's.  A hash collision can split one
+        group in two, which costs a `float` call but never gives a wrong value.
+        A token longer than the key's 24 bytes is a run and a group of its own.
         """
         count = len(starts)
         if self.row is None:
             self.words = np.empty((_KEY_BYTES // 8, count), np.uint64)
-            self.lengths, self.capped, self.order, self.groups = (np.empty(count, np.int64) for _ in range(4))
+            self.lengths, self.capped, self.runs, self.order, self.groups = (np.empty(count, np.int64) for _ in range(5))
             self.mixed, self.scratch = np.empty(count, np.uint64), np.empty(count, np.uint64)
-            self.index = np.arange(count, dtype=np.uint64)
             self.new, self.differ = np.empty(count, bool), np.empty(count - 1, bool)
-            self.spread, self.row = np.empty(count), np.empty(count)
+            self.spread, self.row = np.empty(count + 1), np.empty(count)
         lengths = np.subtract(ends, starts, out=self.lengths)
         capped = np.minimum(lengths, _KEY_BYTES, out=self.capped)
         # the 24 bytes from each start, as unaligned records over the padded row, gathered a block at a time
@@ -242,31 +246,37 @@ class _RowReader:
         for word, masks in zip(words, _MASKS):
             word &= np.take(masks, capped, out=self.scratch, mode="clip")
         long = np.flatnonzero(lengths > _KEY_BYTES)
-        words[0, long] = long
+        words[0, long] = long  # a token longer than the key: its index stands in for its first key word
         keys = lengths.view(np.uint64), *words
-        mixed = self.mixed
-        mixed[:] = 0
-        for key in keys:
-            mixed ^= key
-            mixed *= _MIX
-        bits = np.uint64(count.bit_length())  # the low bits that hold any index
-        mixed >>= bits
-        mixed <<= bits
-        mixed |= self.index
-        mixed.sort()
-        order = self.order
-        np.bitwise_and(mixed, (1 << bits) - 1, out=order.view(np.uint64))
         new = self.new
         new[:] = False
         new[0] = True
         for key in keys:
-            ordered = np.take(key, order, out=self.scratch, mode="clip")
-            new[1:] |= np.not_equal(ordered[1:], ordered[:-1], out=self.differ)
+            new[1:] |= np.not_equal(key[1:], key[:-1], out=self.differ)
+        heads = np.flatnonzero(new)  # the first token of each run
+        runs = np.cumsum(new, out=self.runs)  # each token's run: 1 for the first, 2 for the next, ...
+        n = len(heads)
+        mixed = self.mixed[:n]
+        mixed[:] = 0
+        for key in keys:
+            mixed ^= np.take(key, heads, out=self.scratch[:n], mode="clip")
+            mixed *= _MIX
+        low = np.uint64((1 << count.bit_length()) - 1)  # the low bits that hold any index
+        mixed &= ~low
+        mixed |= heads.view(np.uint64)
+        mixed.sort()
+        order = self.order[:n]
+        np.bitwise_and(mixed, low, out=order.view(np.uint64))
+        new = new[:n]  # now for the groups; the first token starts a run and a group
+        new[1:] = False
+        for key in keys:
+            ordered = np.take(key, order, out=self.scratch[:n], mode="clip")
+            new[1:] |= np.not_equal(ordered[1:], ordered[:-1], out=self.differ[:n - 1])
         firsts = order[new]
-        values = [float(data[s:e].decode()) for s, e in zip(starts[firsts].tolist(), ends[firsts].tolist())]
-        groups = np.cumsum(new, out=self.groups)  # 1 in the first group, 2 in the next, ...
-        self.row[order] = np.take(np.array([0.0, *values]), groups, out=self.spread, mode="clip")
-        return self.row
+        values = [float(str(data[s:e], "utf-8")) for s, e in zip(starts[firsts].tolist(), ends[firsts].tolist())]
+        groups = np.cumsum(new, out=self.groups[:n])  # 1 in the first group, 2 in the next, ...
+        self.spread[runs[order]] = np.take(np.array([0.0, *values]), groups, mode="clip")  # each run's value
+        return np.take(self.spread, runs, out=self.row, mode="clip")
 
 
 def _parse_int(text: str, lineno: int, what: str) -> int:
@@ -321,6 +331,12 @@ def _load_ball(system: MemorySystem, records, reader: _RowReader, lineno: int, r
         ball.v[i] = reader.take(records, "v", i)
 
 
+def _is_row(line: bytes) -> bool:
+    """Whether a line of a file is a `w` or `v` row as `save` writes it: ASCII, with no `#` and no control byte before its `\\n`."""
+    return (line[:2] in (b"w ", b"v ") and line.isascii() and b"#" not in line
+            and np.frombuffer(line, np.uint8, len(line) - line.endswith(b"\n")).min() >= ord(" "))
+
+
 def loads(text) -> MemorySystem:
     """Parse CBRN1 text into a system; `text` is a str, or an iterable of its lines as `load` passes.
 
@@ -333,11 +349,14 @@ def loads(text) -> MemorySystem:
     lines = iter(text.splitlines() if isinstance(text, str) else text)
     del text  # a caller that keeps no reference to the text frees it here
     first = next(lines, None)
+    first = first.decode() if isinstance(first, bytes) else first  # a row kept as bytes, in the magic's place
     if first is None or first.partition("#")[0].strip() != MAGIC:
         found = "<empty>" if first is None else first.strip()
         raise UnsupportedVersion(f"bad magic {found!r}, expected {MAGIC}")
-    # (line number, first word, rest) of each record after the magic
-    records = ((lineno, *body.partition(" ")[::2]) for lineno, body in patterns.records(lines, 2))
+    # (line number, first word, rest) of each record after the magic; a row kept as bytes gives a view of its rest
+    records = ((lineno, *body.partition(" ")[::2]) if isinstance(body, str)
+               else (lineno, chr(body[0]), memoryview(body)[2:len(body) - body.endswith(b"\n")])
+               for lineno, body in patterns.records(lines, 2))
     settings = {}
     for key, _, parse in _HEADER:
         lineno, value = _take(records, key)
@@ -397,4 +416,4 @@ def loads(text) -> MemorySystem:
 def load(path) -> MemorySystem:
     """Read a system from disk; holds the weights, a `patterns.CHUNK_BYTES` read buffer and one line of text."""
     with open(path, "rb", buffering=patterns.CHUNK_BYTES) as file:
-        return loads(patterns.utf8_lines(file, lambda message: ModelFormatError(f"{path}: {message}")))
+        return loads(patterns.utf8_lines(file, lambda message: ModelFormatError(f"{path}: {message}"), _is_row))

@@ -88,6 +88,21 @@ class TestEncode:
         code, _, _ = run(capsys, "encode", "--label", "x" * 60, "--out", tmp_path / "x.pbm")
         assert code == 2
 
+    def test_label_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        # Python reads an argv byte that is not UTF-8, here 0xff, as the lone surrogate U+DCFF
+        out = tmp_path / "x.pbm"
+        assert run(capsys, "encode", "--label", "a\udcff", "--out", out) == (
+            2, "", "error: label 'a\\udcff' is not UTF-8 text: it holds a lone surrogate\n")
+        assert not out.exists()
+
+    def test_label_byte_that_is_not_utf8_is_usage_error_in_a_process(self, tmp_path):
+        out = tmp_path / "x.pbm"
+        done = subprocess.run([sys.executable, "-m", "cbrn.cli", "encode", "--label", b"\xff", "--out", out],
+                              capture_output=True, text=True, env=package_env(), timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: label ") and done.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_scale(self, capsys, tmp_path):
         # every model has the dim of the default scale, so encode takes no scale
         code, _, stderr = run(capsys, "encode", "--label", "red", "--out", tmp_path / "x.pbm", "--scale", "4")
@@ -839,8 +854,8 @@ class TestPackageSurface:
     HOMES = {
         "errors": ("CatalogError", "CbrnError", "DegeneratePattern", "DimensionMismatch", "DuplicateEntry",
                    "EmptyLabel", "IntraBallLink", "LabelTooLong", "ModelFormatError", "NeuronIndexError",
-                   "NoAssociation", "NoRecognition", "NonFiniteWeight", "PbmFormatError", "UnknownBall",
-                   "UnsupportedVersion"),
+                   "NoAssociation", "NoRecognition", "NonFiniteWeight", "PbmFormatError", "UnencodableLabel",
+                   "UnknownBall", "UnsupportedVersion"),
         "galois": ("rs_encode", "syndromes"),
         "memory": ("AssociationResult", "Ball", "CueResponse", "MemorySystem", "SystemConfig", "UpdateReport"),
         "patterns": ("AttributeCatalog", "AttributeGroup", "BinaryPattern", "default_catalog", "load_catalog",

@@ -443,8 +443,99 @@ class TestRowReader:
             store.loads("\n".join([*lines[:13], lines[13].rsplit(" ", 1)[0] + " 0,5", *lines[14:]]) + "\n")
 
 
+def row_model(tokens: list[str], after_index: str = " ") -> bytes:
+    """A one-ball model whose `w 0` and `v 0` rows spell `tokens`, each row's index followed by `after_index`."""
+    lines = store.dumps(one_row_system(np.zeros(len(tokens)), np.zeros(len(tokens)))).splitlines()
+    rows = {f"{word} 0": f"{word} 0{after_index}{' '.join(tokens)}" for word in "wv"}
+    return "".join(rows.get(line[:3], line) + "\n" for line in lines).encode()
+
+
+def load_fed(path, feed: type) -> MemorySystem:
+    """`store.load(path)`, requiring every `w` and `v` record to reach the row reader as a `feed`:
+    `memoryview` for the lines `load` keeps as bytes, `str` for the lines it decodes."""
+    real = store._take
+
+    def take(records, word, index=None):
+        lineno, rest = real(records, word, index)
+        assert word not in ("w", "v") or type(rest) is feed, (lineno, type(rest))
+        return lineno, rest
+
+    with patch.object(store, "_take", take):
+        return store.load(path)
+
+
+# rows of the tokens a grouping must tell apart, each with its index: runs of
+# equal tokens, runs of tokens longer than the 24-byte key, neighbours that share
+# their first 24 bytes, signed zeros, and runs across a gather block
+ROWS = {
+    "runs": ["0.5"] * 100 + ["0.25"] * 50 + ["0.5"] * 10 + ["1e3", "0.25"],
+    "long runs": ["1.000000000000000000000000000e0"] * 5 + ["1.000000000000000000000000000e1"] * 5
+                 + ["1.000000000000000000000000000e0"] * 2,
+    "shared 24 bytes": ["0.1234567890123456789012", "0.12345678901234567890123", "0.12345678901234567890124",
+                        "0.1234567890123456789012", "0.12345678901234567890124", "0.123456789012345678901245"],
+    "signed zeros": ["0.0", "-0.0"] * 40 + ["-0.0"] * 3 + ["0.0"] * 3 + ["-0", "0"],
+    "across a gather block": ["0.1"] * (store._GATHER - 3) + ["0.2"] * 6
+                             + ["1.000000000000000000000000000e0"] * 4 + ["0.1"] * 5,
+}
+
+
+class TestRowFeeds:
+    """`load` parses a row as `save` writes it from the file's bytes, and decodes every other line first."""
+
+    @pytest.mark.parametrize("tokens", ROWS.values(), ids=ROWS)
+    def test_both_feeds_read_float_of_each_token(self, tmp_path, tokens):
+        expected = np.array([float(token) for token in tokens])
+        for after_index, feed in ((" ", memoryview), ("\t", str)):
+            path = tmp_path / "m.cbrn"
+            path.write_bytes(row_model(tokens, after_index))
+            loaded = load_fed(path, feed)
+            assert_same_bits(loaded.balls["A"].w[0], expected)
+            assert_same_bits(loaded.balls["A"].v[0], expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(SPELLINGS) | FINITE.map(repr), min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80)))
+    def test_any_row_of_repeats_reads_the_same_from_both_feeds(self, tmp_path_factory, tokens):
+        path = tmp_path_factory.mktemp("feeds") / "m.cbrn"
+        rows = []
+        for after_index, feed in ((" ", memoryview), ("\t", str)):
+            path.write_bytes(row_model(tokens, after_index))
+            rows.append(load_fed(path, feed).balls["A"].w[0].copy())
+        assert_same_bits(rows[0], rows[1])
+        assert_same_bits(rows[0], [float(token) for token in tokens])
+
+    def test_a_saved_row_is_never_decoded(self, tmp_path, paired_system):
+        for system in (paired_system, toy(), one_row_system([-0.0, 5e-324, 1 / 3], [1e300, -2.2250738585072014e-308, 0.0])):
+            path = tmp_path / "m.cbrn"
+            store.save(system, path)
+            load_fed(path, memoryview)
+
+    def test_load_of_the_paired_demo_model_is_the_system_bit_for_bit(self, tmp_path, paired_system):
+        path = tmp_path / "demo.cbrn"
+        store.save(paired_system, path)
+        loaded = store.load(path)
+        assert loaded.config == paired_system.config and loaded.balls.keys() == paired_system.balls.keys()
+        for ball_id, ball in paired_system.balls.items():
+            assert loaded.balls[ball_id].labels == ball.labels
+            assert_same_bits(loaded.balls[ball_id].w, ball.w)
+            assert_same_bits(loaded.balls[ball_id].v, ball.v)
+        assert loaded.links.keys() == paired_system.links.keys()
+        for pair, weights in paired_system.links.items():
+            assert_same_bits(loaded.links[pair], weights)
+
+    def test_one_reader_reads_kept_and_decoded_rows_in_turn(self):
+        rng = np.random.default_rng(3)
+        rows = [np.repeat(rng.standard_normal(2), [30, 20]), rng.standard_normal(50), -np.zeros(50), np.zeros(50)]
+        # after the word, rows 1 and 3 come as `load` keeps them, a view of their bytes, and rows 0 and 2 as text
+        lines = [f"w {i}{sep}{' '.join(map(repr, row.tolist()))}" for i, (row, sep) in enumerate(zip(rows, "\t \t "))]
+        records = iter([(14 + i, "w", memoryview(line.encode())[2:] if i % 2 else line[2:]) for i, line in enumerate(lines)])
+        reader = store._RowReader(50)
+        for i, row in enumerate(rows):
+            assert_same_bits(reader.take(records, "w", i), row)
+
+
 class TestSave:
-    @pytest.mark.parametrize("label", ["a#b", "a\nb", "a\rb", "a\u2028b", "a\n", "x ", "x\t"])
+    @pytest.mark.parametrize("label", ["a#b", "a\nb", "a\rb", "a\u2028b", "a\n", "x ", "x\t", "a\udcffb"])
     def test_unsavable_label_leaves_existing_file_untouched(self, tmp_path, label):
         path = tmp_path / "m.cbrn"
         store.save(toy(), path)
@@ -456,7 +547,7 @@ class TestSave:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["m.cbrn"]
 
-    @pytest.mark.parametrize("ball_id", ["", "A B", "A#", "A\tB", "A\n", " A"])
+    @pytest.mark.parametrize("ball_id", ["", "A B", "A#", "A\tB", "A\n", " A", "A\udcff"])
     def test_unsavable_ball_id_leaves_existing_file_untouched(self, tmp_path, ball_id):
         path = tmp_path / "m.cbrn"
         store.save(toy(), path)
