@@ -93,7 +93,10 @@ def _load_probe(system: MemorySystem, path):
     side = _side(system)
     if (pattern.width, pattern.height) != (side, side):
         raise DimensionMismatch(f"{path}: is {pattern.width}x{pattern.height}, model bitmaps are {side}x{side}")
-    return normalize(pattern)
+    try:
+        return normalize(pattern)
+    except CbrnError as exc:  # an all-light pattern, which has no unit vector
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out) -> str:

@@ -24,10 +24,6 @@ from .errors import (
     PbmFormatError,
 )
 
-# the read buffer of a model load (`store.load`): loading the demo model, 1 MiB cost
-# 0.7 MB more peak RSS and more page faults, and Python's default 8 KiB about 7 ms
-CHUNK_BYTES = 1 << 18
-
 
 def utf8_lines(file, error, raw=lambda piece: False):
     """The lines of UTF-8 text in a binary file as `str.splitlines` splits them, holding the read buffer and one line.

@@ -18,10 +18,10 @@ per distinct bit pattern, and `loads` finds a row's tokens in its bytes with
 NumPy, groups runs of equal neighbours and then equal runs, and calls `float`
 once per distinct token of the row (there is no memo across rows), so no
 Python object is made per value; the NumPy work arrays serve every row of a
-load.  `load` hands `loads` the file's lines one at a time through a
-`patterns.CHUNK_BYTES` read buffer, so a load holds the weights plus that
-buffer and one line, never the whole text; a row as `save` writes it is
-parsed from the file's bytes, and other lines are decoded first.
+load.  `loads` reads a str as its UTF-8 bytes, or the file `load` opens with
+a `CHUNK_BYTES` read buffer, a line at a time: a load from a file holds the
+weights plus that buffer and one line.  A row as `save` writes it is parsed
+from its bytes, other lines are decoded first; `load` names the file in each error.
 `save` streams the lines to a temporary file beside the target and then
 renames it over the target, so the whole text is never held in memory and a
 save that fails leaves an existing file as it was.
@@ -29,6 +29,7 @@ save that fails leaves an existing file as it was.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import patterns
 from .errors import (
+    CbrnError,
     DimensionMismatch,
     ModelFormatError,
     UnsupportedVersion,
@@ -46,6 +48,9 @@ from .errors import (
 from .memory import MemorySystem, SystemConfig
 
 MAGIC = "CBRN1"
+# the read buffer of a model load: loading the demo model, 1 MiB cost 0.7 MB
+# more peak RSS and more page faults, and Python's default 8 KiB about 7 ms
+CHUNK_BYTES = 1 << 18
 _SURROGATE = re.compile("[\ud800-\udfff]").search  # finds a lone surrogate, which has no UTF-8 form
 
 def _fmt(x: float) -> str:
@@ -185,11 +190,9 @@ class _RowReader:
         The row returned is overwritten by the next call.
         """
         lineno, data = _take(records, word, index)
-        if isinstance(data, str):  # else a view of the bytes of a row `load` kept
+        if isinstance(data, str):  # else a view of the bytes of a row `_is_row` kept
             # `str.split` also splits at `\t`, `\x1f` and the Unicode spaces; single spaces then separate the values
-            if not data.isascii() or "\t" in data or "\x1f" in data:
-                data = " ".join(data.split())
-            data = data.encode()
+            data = " ".join(data.split()).encode()
         starts, ends = self._tokens(data)
         _check_index(str(data[starts[0]:ends[0]], "utf-8") if len(starts) else "", index, word, lineno)
         if (count := len(starts) - 1) != self.dim:
@@ -338,16 +341,17 @@ def _is_row(line: bytes) -> bool:
 
 
 def loads(text) -> MemorySystem:
-    """Parse CBRN1 text into a system; `text` is a str, or an iterable of its lines as `load` passes.
+    """Parse CBRN1 text into a system; `text` is a str, read as its UTF-8 bytes, or a binary file as `load` opens it.
 
     One forward pass takes the records in the order `_lines` writes them:
     the magic, the header keys, each ball's section, the links, `end`.  A
     record out of place is an error that names the record expected there.
-    A line is taken only when the pass reaches it, so from a file the first
-    fault in file order is the one reported.
+    A line is taken only when the pass reaches it, so the first fault in file
+    order is the one reported; a lone surrogate in a str is a byte that is not UTF-8.
     """
-    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    file = io.BytesIO(text.encode("utf-8", "surrogatepass")) if isinstance(text, str) else text
     del text  # a caller that keeps no reference to the text frees it here
+    lines = patterns.utf8_lines(file, ModelFormatError, _is_row)
     first = next(lines, None)
     first = first.decode() if isinstance(first, bytes) else first  # a row kept as bytes, in the magic's place
     if first is None or first.partition("#")[0].strip() != MAGIC:
@@ -414,6 +418,9 @@ def loads(text) -> MemorySystem:
 
 
 def load(path) -> MemorySystem:
-    """Read a system from disk; holds the weights, a `patterns.CHUNK_BYTES` read buffer and one line of text."""
-    with open(path, "rb", buffering=patterns.CHUNK_BYTES) as file:
-        return loads(patterns.utf8_lines(file, lambda message: ModelFormatError(f"{path}: {message}"), _is_row))
+    """Read a system from disk; every error names the file.  Holds the weights, a `CHUNK_BYTES` read buffer and one line of text."""
+    try:
+        with open(path, "rb", buffering=CHUNK_BYTES) as file:
+            return loads(file)
+    except CbrnError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

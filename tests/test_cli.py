@@ -436,6 +436,24 @@ class TestRecall:
         path.write_text("\n".join(lines) + "\n")
         assert_recall_fails_in_one_line(capsys, tmp_path, path)
 
+    @pytest.mark.parametrize("command", [("recall", "--ball", "A"), ("pair", "--pair", "A:0=B:1")], ids=["recall", "pair"])
+    def test_model_grammar_error_names_the_file(self, capsys, tmp_path, command):
+        path = toy_model(tmp_path)
+        path.write_text(path.read_text().replace("dim 4\n", "dim x\n"))
+        probe = write_pbm(tmp_path / "probe.pbm", np.array([[1, 0], [0, 0]], dtype=np.uint8))
+        code, stdout, stderr = run(capsys, command[0], "--model", path, *command[1:],
+                                   *(("--pattern", probe) if command[0] == "recall" else ()))
+        assert (code, stdout, stderr) == (3, "", f"error: {path}: line 2: dim 'x' is not an integer\n")
+
+    @pytest.mark.parametrize("command", [
+        ("recall", "--ball", "A"),
+        ("associate", "--from", "A", "--to", "B"),
+    ], ids=["recall", "associate"])
+    def test_all_light_probe_error_names_the_file(self, capsys, tmp_path, command):
+        probe = write_pbm(tmp_path / "e.pbm", np.zeros((2, 2), dtype=np.uint8))
+        code, stdout, stderr = run(capsys, command[0], "--model", toy_model(tmp_path), *command[1:], "--pattern", probe)
+        assert (code, stdout, stderr) == (3, "", f"error: {probe}: cannot normalize an all-light pattern\n")
+
     def test_swapped_link_records_are_one_line_runtime_error(self, capsys, tmp_path):
         path = toy_model(tmp_path)
         lines = path.read_text().splitlines()

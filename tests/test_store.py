@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbrn import patterns, store
+from cbrn import store
 from cbrn.errors import (
     CbrnError,
     DimensionMismatch,
@@ -290,9 +290,21 @@ class TestRejects:
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "m.cbrn"
-        path.write_bytes(store.dumps(toy()).replace("label 0 A-0", "label 0 A-\xff").encode("latin-1"))
-        with pytest.raises(ModelFormatError, match="not UTF-8"):
+        text = store.dumps(toy()).replace("label 0 A-0", "label 0 A-\xff")
+        path.write_bytes(text.encode("latin-1"))
+        offset = text.index("\xff")  # the text before it is ASCII
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: byte {offset} is not UTF-8 text$"):
             store.load(path)
+
+    @pytest.mark.parametrize("place", ["label", "comment"])
+    def test_lone_surrogate_in_text_is_not_utf8(self, place):
+        # no file holds a lone surrogate, so `loads` refuses it as a byte that is not UTF-8
+        text = store.dumps(toy())
+        text = text.replace("label 0 A-0", "label 0 A-\udcff") if place == "label" else text.replace(
+            "\nend\n", "\n# \udcff\nend\n")
+        offset = len(text[:text.index("\udcff")].encode("utf-8"))
+        with pytest.raises(ModelFormatError, match=rf"^byte {offset} is not UTF-8 text$"):
+            store.loads(text)
 
     @pytest.mark.parametrize("weight", ["0.0", "-0.0", "0"])
     def test_zero_link_weight_rejected(self, weight):
@@ -451,8 +463,9 @@ def row_model(tokens: list[str], after_index: str = " ") -> bytes:
 
 
 def load_fed(path, feed: type) -> MemorySystem:
-    """`store.load(path)`, requiring every `w` and `v` record to reach the row reader as a `feed`:
-    `memoryview` for the lines `load` keeps as bytes, `str` for the lines it decodes."""
+    """`store.load(path)`, requiring every `w` and `v` record to reach the row reader as a `feed`, there and in
+    `store.loads` of the file's text, which must load the same system: `memoryview` for the lines a load keeps
+    as bytes, `str` for the lines it decodes."""
     real = store._take
 
     def take(records, word, index=None):
@@ -461,7 +474,10 @@ def load_fed(path, feed: type) -> MemorySystem:
         return lineno, rest
 
     with patch.object(store, "_take", take):
-        return store.load(path)
+        from_text = store.loads(path.read_bytes().decode("utf-8"))
+        loaded = store.load(path)
+    assert store.dumps(from_text) == store.dumps(loaded)
+    return loaded
 
 
 # rows of the tokens a grouping must tell apart, each with its index: runs of
@@ -480,7 +496,7 @@ ROWS = {
 
 
 class TestRowFeeds:
-    """`load` parses a row as `save` writes it from the file's bytes, and decodes every other line first."""
+    """`load` and `loads` parse a row as `save` writes it from its bytes, and decode every other line first."""
 
     @pytest.mark.parametrize("tokens", ROWS.values(), ids=ROWS)
     def test_both_feeds_read_float_of_each_token(self, tmp_path, tokens):
@@ -608,12 +624,12 @@ def assert_loads_or_raises_cbrn_error(lines: list[str], resaves_exactly: bool = 
         assert saved == text
 
 
-def loads_as(text: str):
-    """The text `store.loads` saves back, or the type and message of the error it raises."""
+def loads_as(text: str, path=None):
+    """The text `store.loads` saves back, or the type and message of the error it raises, after `path: ` if given."""
     try:
         return store.dumps(store.loads(text))
     except CbrnError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc) if path is None else f"{path}: {exc}"
 
 
 def load_as(path, chunk: int):
@@ -622,7 +638,7 @@ def load_as(path, chunk: int):
     `chunk` is the file's read buffer; 1 opens the file unbuffered, whose lines
     are read a byte at a time (binary mode refuses a buffer of 1 as line buffering).
     """
-    with patch.object(patterns, "CHUNK_BYTES", chunk if chunk > 1 else 0):
+    with patch.object(store, "CHUNK_BYTES", chunk if chunk > 1 else 0):
         try:
             return store.dumps(store.load(path))
         except CbrnError as exc:
@@ -660,22 +676,22 @@ STREAMED = {
 
 
 class TestStreamedLoad:
-    """`load(path)` reads the file a line at a time and gets what `loads` gets from the whole text."""
+    """`load(path)` reads the file a line at a time and gets what `loads` gets from its text, the file named in each error."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, patterns.CHUNK_BYTES])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, store.CHUNK_BYTES])
     @pytest.mark.parametrize("variant", STREAMED)
     def test_load_matches_loads(self, tmp_path, variant, chunk):
         text = STREAMED[variant](multibyte_base())
         path = tmp_path / "m.cbrn"
         path.write_bytes(text.encode("utf-8"))
-        assert load_as(path, chunk) == loads_as(text)
+        assert load_as(path, chunk) == loads_as(text, path)
 
     def test_every_break_loads_the_same_system(self):
         base = multibyte_base()
         for variant in ("comments", "no final newline", *(f"lines end {ascii(b)}" for b in BREAKS)):
             assert loads_as(STREAMED[variant](base)) == base
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, patterns.CHUNK_BYTES])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, store.CHUNK_BYTES])
     @pytest.mark.parametrize("bad", [b"\xff", b"\x80", b"\xe4\xb8", b"\xed\xa0\x80", b"\xf0\x9f\x8e"])
     def test_bad_byte_is_named_by_its_offset_in_the_file(self, tmp_path, chunk, bad):
         data = multibyte_base().encode("utf-8")
@@ -689,7 +705,7 @@ class TestStreamedLoad:
     def test_fault_before_a_bad_byte_is_the_one_reported(self, tmp_path):
         path = tmp_path / "m.cbrn"
         path.write_bytes(store.dumps(toy()).replace("dim 6", "dim x").encode("utf-8") + b"# \xff\n")
-        with pytest.raises(ModelFormatError, match=r"^line 2: dim 'x' is not an integer$"):
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(path))}: line 2: dim 'x' is not an integer$"):
             store.load(path)
 
 
@@ -740,4 +756,4 @@ class TestFuzz:
         text = "\n".join(lines) + "\n"
         path = tmp_path_factory.mktemp("fuzz") / "m.cbrn"
         path.write_bytes(text.encode("utf-8"))
-        assert load_as(path, data.draw(st.sampled_from([1, 3, 7, patterns.CHUNK_BYTES]))) == loads_as(text)
+        assert load_as(path, data.draw(st.sampled_from([1, 3, 7, store.CHUNK_BYTES]))) == loads_as(text, path)
