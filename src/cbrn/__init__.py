@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "CatalogError CbrnError DegeneratePattern DimensionMismatch DuplicateEntry EmptyLabel"
               " IntraBallLink LabelTooLong ModelFormatError NeuronIndexError NoAssociation NoRecognition"
-              " NonFiniteWeight PbmFormatError UnencodableLabel UnknownBall UnsupportedVersion",
+              " NonFiniteWeight PbmFormatError UnencodableLabel UnknownBall UnsupportedVersion UsageError",
     "galois": "rs_encode syndromes",
     "memory": "AssociationResult Ball CueResponse MemorySystem SystemConfig UpdateReport",
     "patterns": "AttributeCatalog AttributeGroup BinaryPattern default_catalog load_catalog load_pbm"

@@ -1,8 +1,10 @@
 """Command-line surface: encode patterns, train, pair, recall, associate, report.
 
 Every option is a command-line flag; no environment variable or file sets
-one.  Exit codes are stable: 0 on success, 2 for invalid usage or argument
-values, 3 for runtime failures (I/O, malformed files, failed recognition).
+one.  Exit codes are stable: 0 on success; 2 for argparse's refusals and any
+`UsageError`; 3 for any other `CbrnError`, an `OSError` or a `MemoryError`
+(I/O, malformed files, failed recognition).  The error's class decides, so
+this module keeps no list of error classes.
 
 Each command is a fresh process, so it imports only the modules it runs.
 This module loads NumPy, `errors` and `memory`, which every command uses
@@ -24,28 +26,11 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    CbrnError,
-    DimensionMismatch,
-    EmptyLabel,
-    IntraBallLink,
-    LabelTooLong,
-    NeuronIndexError,
-    NoRecognition,
-    UnencodableLabel,
-    UnknownBall,
-)
+from .errors import CatalogError, CbrnError, DimensionMismatch, NoRecognition, UsageError
 from .memory import MemorySystem, SystemConfig
 
 # report defaults: probe neuron per ball position (classic demo layout)
 _DEFAULT_PROBE_NEURONS = (0, 3, 6)
-
-
-class UsageError(Exception):
-    """Bad command-line values; maps to exit code 2."""
-
-
-_USAGE_ERRORS = (UsageError, EmptyLabel, LabelTooLong, UnencodableLabel, UnknownBall, NeuronIndexError, IntraBallLink)
 
 
 def _threshold_override(text: str) -> float:
@@ -99,12 +84,12 @@ def _load_probe(system: MemorySystem, path):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, out) -> str:
-    """Write a neuron's recalled pattern as a square bitmap; returns the notice that says so."""
+def _write_recalled(system: MemorySystem, ball_id: str, neuron: int, recalled, out) -> str:
+    """Write the row `ball_id:neuron` recalled as a square bitmap; returns the notice that says so."""
     from .patterns import save_pbm, to_pattern
 
     side = _side(system)
-    save_pbm(to_pattern(system.recall_forward(ball_id, neuron), side, side), out)
+    save_pbm(to_pattern(recalled, side, side), out)
     return f"wrote recalled pattern of {ball_id}:{neuron} -> {out}"
 
 
@@ -151,7 +136,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from None
     catalog = patterns.load_catalog(args.catalog) if args.catalog else patterns.default_catalog()
     if not len(catalog):
-        raise CbrnError(f"{args.catalog}: no patterns: the catalog is empty")
+        raise CatalogError(f"{args.catalog}: no patterns: the catalog is empty")
 
     system = MemorySystem.from_catalog(catalog, config)
     rows = [f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}"]
@@ -195,7 +180,9 @@ def cmd_recall(args) -> int:
     system = store.load(args.model)
     ball_id = system.resolve_ball(args.ball)
     response = system.cue_response(ball_id, _load_probe(system, args.pattern), args.threshold)
-    notice = _write_recalled(system, ball_id, response.argmax, args.out) if args.out and response.fired else ""
+    k = response.argmax
+    notice = (_write_recalled(system, ball_id, k, system.recall_forward(ball_id, k), args.out)
+              if args.out and response.fired else "")
 
     writer = _csv_writer(fmt, "ball", "neuron", "label", "q", "fired")
     title = f"ball {ball_id}, threshold {response.threshold}"
@@ -221,7 +208,7 @@ def cmd_associate(args) -> int:
     result = system.associate(from_ball, probe, to_ball, args.threshold)
 
     k, l = result.source_neuron, result.target_neuron
-    notice = _write_recalled(system, to_ball, l, args.out) if args.out else ""
+    notice = _write_recalled(system, to_ball, l, result.recalled, args.out) if args.out else ""
     to_label = system.balls[to_ball].labels[l]
     writer = _csv_writer(fmt, "from_ball", "from_neuron", "to_ball", "to_neuron", "to_label", "q")
     if writer:
@@ -372,7 +359,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout early (`| head`); every file is already written
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush then prints nothing
         return 0
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CbrnError, OSError, MemoryError) as exc:  # NumPy's MemoryError names the allocation

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+An error's class sets the CLI's exit code: argparse's refusals and any
+`UsageError` exit 2; any other `CbrnError`, an `OSError` or a `MemoryError`
+exits 3.  A new class gets its code from the base it derives from.
+"""
 
 
 class CbrnError(Exception):
@@ -25,27 +30,31 @@ class DuplicateEntry(CatalogError):
     """Catalog defines the same (group, index) or (group, label) twice."""
 
 
-class EmptyLabel(CbrnError):
+class UsageError(CbrnError):
+    """The request names something the program cannot act on; the CLI exits 2."""
+
+
+class EmptyLabel(UsageError):
     """Label text is empty."""
 
 
-class LabelTooLong(CbrnError):
+class LabelTooLong(UsageError):
     """Label does not fit in the fixed symbol capacity."""
 
 
-class UnencodableLabel(CbrnError):
+class UnencodableLabel(UsageError):
     """Label holds a lone surrogate (as from a byte of argv that is not UTF-8), which has no UTF-8 form."""
 
 
-class UnknownBall(CbrnError):
+class UnknownBall(UsageError):
     """Referenced Cue Ball id does not exist in the system."""
 
 
-class NeuronIndexError(CbrnError):
+class NeuronIndexError(UsageError):
     """Cue neuron index is out of range for its ball."""
 
 
-class IntraBallLink(CbrnError):
+class IntraBallLink(UsageError):
     """Cross links may only connect neurons in different Cue Balls."""
 
 

@@ -30,9 +30,9 @@ DEFAULT_SCALE = 4  # 29 * 4 = 116 pixels per side
 
 _BYTE_MODE = 0b0100
 _PAD_BYTES = (0xEC, 0x11)
-_LEVEL_L = 0b01  # error-correction level indicator of the format word
-_FORMAT_GEN = 0b10100110111  # BCH(15,5) generator
-_FORMAT_XOR = 0b101010000010010
+# Level-L format word by mask index (ISO/IEC 18004 Table C.1): the level and
+# mask bits, their BCH(15,5) code bits, and the fixed XOR.
+_FORMAT_WORDS = (0x77C4, 0x72F3, 0x7DAA, 0x789D, 0x662F, 0x6318, 0x6C41, 0x6976)
 # Format bit i, LSB first, sits at row _FORMAT_ROWS[i] of column 8 and again
 # at column _FORMAT_COLS[i] of row 8.
 _FORMAT_ROWS = (0, 1, 2, 3, 4, 5, 7, 8, 22, 23, 24, 25, 26, 27, 28)
@@ -134,16 +134,6 @@ def _data_positions() -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _format_bits(mask: int) -> int:
-    """15-bit level-L format word: 5 data bits, 10 BCH bits, fixed XOR applied."""
-    data = (_LEVEL_L << 3) | mask
-    rem = data << 10
-    for shift in range(4, -1, -1):
-        if rem & (1 << (10 + shift)):
-            rem ^= _FORMAT_GEN << shift
-    return ((data << 10) | rem) ^ _FORMAT_XOR
-
-
 @lru_cache(maxsize=1)
 def _templates() -> np.ndarray:
     """(8, SIZE, SIZE) finished symbols of all-light data, one per mask.
@@ -156,8 +146,7 @@ def _templates() -> np.ndarray:
     rows, cols = np.indices((SIZE, SIZE))
     masks = np.array([predicate(rows, cols) for predicate in _MASKS])
     stack = np.where(reserved, base, masks).astype(np.uint8)
-    words = np.array([_format_bits(m) for m in range(8)])
-    bits = (words[:, None] >> np.arange(15)) & 1
+    bits = (np.array(_FORMAT_WORDS)[:, None] >> np.arange(15)) & 1
     stack[:, _FORMAT_ROWS, 8] = stack[:, 8, _FORMAT_COLS] = bits
     stack.setflags(write=False)
     return stack

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cbrn
-from cbrn import cli, patterns, qr, store
+from cbrn import cli, errors, patterns, qr, store
 from cbrn.cli import build_parser, main
 from cbrn.memory import MemorySystem, SystemConfig
 from conftest import pair_classic, train_full_system
@@ -146,6 +147,13 @@ class TestTrain:
         cat.write_text("# nothing\n")
         code, _, stderr = run(capsys, "train", "--out", tmp_path / "m.cbrn", "--catalog", cat)
         assert (code, stderr) == (3, f"error: {cat}: no patterns: the catalog is empty\n")
+
+    def test_empty_catalog_is_a_catalog_error(self, tmp_path):
+        cat = tmp_path / "cat.txt"
+        cat.write_text("# nothing\n")
+        args = build_parser().parse_args(["train", "--out", str(tmp_path / "m.cbrn"), "--catalog", str(cat)])
+        with pytest.raises(errors.CatalogError, match=r": no patterns: the catalog is empty$"):
+            cli.cmd_train(args)
 
     def test_too_long_label_is_named_and_writes_no_model(self, capsys, tmp_path):
         # a catalog fault names the file and line and, like an empty label, is a malformed file (exit 3)
@@ -501,6 +509,21 @@ class TestAssociate:
         assert code == 0
         assert "Color:0 -> Style:3" in stdout
         assert "rectangle" in stdout
+        assert patterns.load_pbm(out) == qr.render(qr.encode_label("rectangle"))
+
+    def test_out_writes_the_row_associate_returned(self, capsys, model_path, red_pbm, tmp_path, monkeypatch):
+        calls = []
+        recall_forward = MemorySystem.recall_forward
+
+        def counted(system, ball_id, neuron):
+            calls.append((ball_id, neuron))
+            return recall_forward(system, ball_id, neuron)
+
+        monkeypatch.setattr(MemorySystem, "recall_forward", counted)
+        out = tmp_path / "assoc.pbm"
+        assert run(capsys, "associate", "--model", model_path, "--from", "color",
+                   "--pattern", red_pbm, "--to", "style", "--out", out)[0] == 0
+        assert calls == [("Style", 3)]
         assert patterns.load_pbm(out) == qr.render(qr.encode_label("rectangle"))
 
     def test_chain_ends_at_color_1(self, capsys, model_path, red_pbm, tmp_path):
@@ -873,7 +896,7 @@ class TestPackageSurface:
         "errors": ("CatalogError", "CbrnError", "DegeneratePattern", "DimensionMismatch", "DuplicateEntry",
                    "EmptyLabel", "IntraBallLink", "LabelTooLong", "ModelFormatError", "NeuronIndexError",
                    "NoAssociation", "NoRecognition", "NonFiniteWeight", "PbmFormatError", "UnencodableLabel",
-                   "UnknownBall", "UnsupportedVersion"),
+                   "UnknownBall", "UnsupportedVersion", "UsageError"),
         "galois": ("rs_encode", "syndromes"),
         "memory": ("AssociationResult", "Ball", "CueResponse", "MemorySystem", "SystemConfig", "UpdateReport"),
         "patterns": ("AttributeCatalog", "AttributeGroup", "BinaryPattern", "default_catalog", "load_catalog",
@@ -944,6 +967,28 @@ class TestProcessEntry:
         assert gc.get_freeze_count() == frozen
 
 
+class TestExitCodeByErrorClass:
+    """The class of the error a command raises sets the exit code; `cli` names no error class for it."""
+
+    CLASSES = [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.CbrnError)]
+
+    def test_walk_finds_every_exported_error_and_the_seven_usage_classes(self):
+        assert {cls.__name__ for cls in self.CLASSES} == set(TestPackageSurface.HOMES["errors"])
+        usage = {cls.__name__ for cls in self.CLASSES if issubclass(cls, errors.UsageError)}
+        assert usage == {"UsageError", "EmptyLabel", "LabelTooLong", "UnencodableLabel", "UnknownBall",
+                         "NeuronIndexError", "IntraBallLink"}
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_usage_errors_exit_2_and_the_rest_exit_3(self, capsys, tmp_path, monkeypatch, cls):
+        def raise_it(label):
+            raise cls(f"{cls.__name__} from encode")
+
+        monkeypatch.setattr(qr, "encode_label", raise_it)
+        code, stdout, stderr = run(capsys, "encode", "--label", "red", "--out", tmp_path / "x.pbm")
+        assert (code, stdout, stderr) == (2 if issubclass(cls, errors.UsageError) else 3, "",
+                                          f"error: {cls.__name__} from encode\n")
+
+
 # run as `python -c PEAK_RSS argv...`: runs argv and prints its peak RSS (KiB on Linux)
 PEAK_RSS = """import resource, subprocess, sys
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
@@ -1000,6 +1045,16 @@ class TestDemoSessionGolden:
         argv = ("associate", "--model", model, "--from", "color", "--pattern", red, "--to", "style")
         assert run(capsys, *argv, "--out", rectangle)[0] == 0
         assert hashlib.sha256(rectangle.read_bytes()).hexdigest() == self.RECTANGLE_SHA256
+
+
+def test_ci_smoke_step_pins_the_demo_session_bytes():
+    """The workflow's console-script smoke step checks the digests `TestDemoSessionGolden` pins."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = workflow.split("- name: Console-script smoke test\n", 1)[1].split("- name:", 1)[0]
+    lines = step.split("sha256sum -c - <<'EOF'\n", 1)[1].splitlines()
+    pins = dict(reversed(line.split()) for line in itertools.takewhile(lambda line: line.strip() != "EOF", lines))
+    assert pins == {"red.pbm": TestDemoSessionGolden.RED_SHA256,
+                    "rectangle.pbm": TestDemoSessionGolden.RECTANGLE_SHA256}
 
 
 class TestQueryOutputGolden:
