@@ -12,6 +12,11 @@ This module loads NumPy, `errors` and `memory`, which every command uses
 imports `patterns`, `qr` and `store` itself, where it calls them.  So
 `encode` never loads `store`, and the model commands never load `qr` or
 `galois`.
+
+Before NumPy loads, this module sets each BLAS thread variable of
+`_BLAS_THREADS` that the environment leaves unset to 1: on import, NumPy's
+OpenBLAS starts a worker thread for each further CPU, and no command uses
+them.  A user's own value wins, and `import cbrn` alone sets nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import itertools
 import math
 import os
 import sys
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _variable in _BLAS_THREADS:
+    os.environ.setdefault(_variable, "1")
 
 import numpy as np
 

@@ -15,7 +15,10 @@ input, and the cross rule targets theta with input 1.  From zero-initialized
 weights the recall and cross rules reach their targets in a single update,
 and a repeat is an exact no-op.  The cue rule lands within rounding of its
 target: a repeat on the bundled labels' QR rows moves each `v` row by
-5.2e-16 to 3.0e-15 and changes no fired set.
+5.2e-16 to 3.0e-15 and changes no fired set.  A step on a row goes through
+two row-sized buffers: the step itself, which becomes the new weight, and
+one spare row for the squares, the magnitudes and the new error in turn.
+With input 1 the error is the step, since `err * 1.0 == err` bit for bit.
 
 A system instance is single-writer while learning.  Response and recall
 calls never mutate state, so a trained system may be queried concurrently.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -105,11 +109,12 @@ class AssociationResult:
     recalled: np.ndarray
 
 
-# A learning step's error and update term are floats or arrays.  A ufunc
-# reduction takes both, is cheaper on a float than `.sum()`, and sums an
-# array in the order `ndarray.sum` does.
-def _half_square(err) -> float:
-    return 0.5 * float(np.add.reduce(np.square(err), axis=None))
+# A learning step's error is a float or a row; `out`, if given, is the
+# step's spare row, which takes the squares.  A ufunc reduction takes a float
+# or a row, is cheaper on a float than `.sum()`, and sums a row in the order
+# `ndarray.sum` does.
+def _half_square(err, **out) -> float:
+    return 0.5 * float(np.add.reduce(np.square(err, **out), axis=None))
 
 
 class MemorySystem:
@@ -187,24 +192,31 @@ class MemorySystem:
             )
         return v
 
-    def _delta_rule(self, where: str, weight, target, output=lambda w: w, x=1.0):
-        """One Widrow-Hoff step `weight + (target - output(weight)) * x`.
+    def _delta_rule(self, where: str, weight, residual, x=None):
+        """One Widrow-Hoff step `weight + residual(weight) * x`; `x` None is input 1.
 
+        `residual(weight)` is the error `target - output(weight)`: a row for
+        the recall rule, written to `out` when that is given, else a float.
         `weight` is a row or a float and is not modified.  Returns the new
         weight and the report: the half squared error before and after the
         step, and its largest term.  Raises NonFiniteWeight if the step
         overflows, so the caller stores nothing.
         """
-        err = target - output(weight)
-        step = err * x  # a new array or float
-        max_delta = float(np.maximum.reduce(np.abs(step), axis=None))
-        step += weight  # so the sum lands in it, not in the caller's row
-        final = _half_square(target - output(step))
+        err = residual(weight)
+        step = err if x is None else err * x  # err * 1.0 == err bit for bit, so input 1 steps by err itself
+        # a row step has one spare row, which takes the squares, the magnitudes
+        # and the new error in turn; NumPy takes a float faster without `out`
+        spare = {"out": np.empty_like(step)} if isinstance(step, np.ndarray) else {}
+        spare_err = spare if step is err else {}  # the cue rule's err is a float and its step a row
+        error = _half_square(err, **spare_err)  # before the step takes the weight in
+        max_delta = float(np.maximum.reduce(np.abs(step, **spare), axis=None))
+        step += weight  # so the sum lands in the step, not in the caller's row
+        final = _half_square(residual(step, **spare_err), **spare_err)
         # an inf or nan weight makes the final error inf or nan, so only
         # then is the weight itself scanned
         if not math.isfinite(final) and not np.isfinite(step).all():
             raise NonFiniteWeight(f"learning {where} left a non-finite weight")
-        return step, UpdateReport(_half_square(err), final, max_delta)
+        return step, UpdateReport(error, final, max_delta)
 
     # -- recall path --------------------------------------------------------
 
@@ -228,7 +240,8 @@ class MemorySystem:
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
         t = self._check_vector(target)
-        ball.w[neuron], report = self._delta_rule(f"w row {ball.id}:{neuron}", ball.w[neuron], t)
+        ball.w[neuron], report = self._delta_rule(f"w row {ball.id}:{neuron}", ball.w[neuron],
+                                                  partial(np.subtract, t))  # t - row, into `out` if given
         return report
 
     # -- cue path -----------------------------------------------------------
@@ -248,9 +261,9 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
-        yv = ball.w[neuron]
-        ball.v[neuron], report = self._delta_rule(f"v row {ball.id}:{neuron}", ball.v[neuron], self.config.theta,
-                                                  lambda row: float(row @ yv), yv)
+        yv, theta = ball.w[neuron], self.config.theta
+        ball.v[neuron], report = self._delta_rule(f"v row {ball.id}:{neuron}", ball.v[neuron],
+                                                  lambda row: theta - float(row @ yv), yv)
         return report
 
     # -- cross path ---------------------------------------------------------
@@ -293,8 +306,10 @@ class MemorySystem:
         self._check_neuron(a, k)
         self._check_neuron(b, l)
         forward, backward, theta = self.links[a.id, b.id], self.links[b.id, a.id], self.config.theta
-        u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l), theta)
-        u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k), theta)
+        u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l),
+                                                lambda u: theta - u)
+        u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k),
+                                                 lambda u: theta - u)
         forward[k, l], backward[l, k] = u_ab, u_ba
         return forward_report, backward_report
 

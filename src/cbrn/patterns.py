@@ -107,7 +107,9 @@ def normalize(pattern: BinaryPattern) -> np.ndarray:
     dark = pattern.popcount()
     if dark == 0:
         raise DegeneratePattern("cannot normalize an all-light pattern")
-    return np.divide(pattern.bits.reshape(-1), math.sqrt(dark), dtype=np.float64)
+    # a pixel is 0 or 1, so the product with the correctly rounded 1/sqrt is
+    # the quotient bits / sqrt, bit for bit, and a multiply is cheaper
+    return np.multiply(pattern.bits.reshape(-1), 1.0 / math.sqrt(dark), dtype=np.float64)
 
 
 def to_pattern(vector: np.ndarray, width: int, height: int) -> BinaryPattern:

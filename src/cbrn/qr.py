@@ -152,6 +152,28 @@ def _templates() -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=64)  # one pair per side n, and n <= 64
+def _penalty_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constant parts of `penalties` for n-module grids: (weights, imbalance).
+
+    `weights` is a (width, 2) matrix over the stacked rule words: column 0
+    weighs each word's bit count by its rule, and column 1 picks the row
+    words of `dark`, whose bits count the dark modules.  `imbalance[k]` is
+    the dark/light penalty of k dark modules: 10 per full 5% away from half.
+    """
+    widths, points = [2 * n, 2 * n, n - 1, 2 * n, n], [1, 2, 3, 40, 0]  # five, opens, blocks, finders, dark rows
+    if n < 11:
+        del widths[3], points[3]  # no finder window fits
+    weights = np.zeros((sum(widths), 2), dtype=np.int64)
+    weights[:, 0] = np.repeat(points, widths)
+    weights[-n:, 1] = 1
+    total = n * n
+    imbalance = 10 * (np.abs(100 * np.arange(total + 1) - 50 * total) // (5 * total))
+    weights.setflags(write=False)
+    imbalance.setflags(write=False)
+    return weights, imbalance
+
+
 def penalties(stack: np.ndarray) -> np.ndarray:
     """Penalty of each square grid in a (count, n, n) stack, n <= 64; lower is better.
 
@@ -168,37 +190,39 @@ def penalties(stack: np.ndarray) -> np.ndarray:
     grid[:, :n, :n] = stack
     grid[:, n:, :n] = stack.transpose(0, 2, 1)
     dark = np.packbits(grid, bitorder="little").view("<u8").reshape(count, 2 * n)  # rows, then columns
-    light = ~dark & ((1 << n) - 1)
+    after = dark >> 1  # bit j is module j + 1
 
     # same-colour runs of 5 or more: 3 + (length - 5) each, which is 1 per
     # same-colour window of five plus 2 for the window that opens the run;
-    # bit j of `same` says modules j and j + 1 match
-    same = ~(dark ^ (dark >> 1)) & ((1 << n - 1) - 1)
-    five = same & (same >> 1) & (same >> 2) & (same >> 3)
+    # bit j of `same` says modules j and j + 1 match, and runs of matches
+    # are built by doubling: four matches make a window of five
+    same = ~(dark ^ after) & ((1 << n - 1) - 1)
+    two = same & (same >> 1)
+    five = two & (two >> 2)
     opens = five & ~(same << 1)  # at a line start or after a colour change
 
     # same-colour 2x2 blocks, overlapping: 3 each; the block at row r and
     # column c needs modules c and c + 1 to match in rows r and r + 1, and
     # rows r and r + 1 to match at column c
     blocks = same[:, : n - 1] & same[:, 1:n] & ~(dark[:, : n - 1] ^ dark[:, 1:n])
-    parts, weights = [five, opens, blocks], [1, 2, 3]
+    parts = [five, opens, blocks]
 
     # finder lookalikes: an 11-module window reading 0b1011101 (a 1:1:3:1:1
     # core then four light modules) or 0b1011101 << 4 (four light modules
     # then the core), 40 each; the two cannot share a start, so their bits OR
     if n >= 11:
-        light4 = light & (light >> 1) & (light >> 2) & (light >> 3)
-        dark3 = dark & (dark >> 1) & (dark >> 2)
-        core = dark & (light >> 1) & (dark3 >> 2) & (light >> 5) & (dark >> 6)
+        light = ~dark & ((1 << n) - 1)
+        light_after = light >> 1
+        light2 = light & light_after
+        light4 = light2 & (light2 >> 2)
+        dark3 = dark & after & (dark >> 2)
+        # the core's modules in pairs: dark then light, three dark, light then dark
+        core = dark & light_after & (dark3 >> 2) & ((light & after) >> 5)
         parts.append((core & (light4 >> 7)) | (light4 & (core >> 4)))
-        weights.append(40)
-    bits = np.bitwise_count(np.concatenate(parts, axis=1))
-    score = bits @ np.repeat(np.array(weights, dtype=np.int64), [part.shape[1] for part in parts])
-
-    # dark/light imbalance: 10 per full 5% away from half
-    total = n * n
-    dark_count = np.bitwise_count(dark[:, :n]).sum(axis=1, dtype=np.int64)
-    return score + 10 * (np.abs(100 * dark_count - 50 * total) // (5 * total))
+    parts.append(dark[:, :n])
+    weights, imbalance = _penalty_tables(n)
+    score, dark_count = (np.bitwise_count(np.concatenate(parts, axis=1)) @ weights).T
+    return score + imbalance[dark_count]
 
 
 def encode_label(label: str, mask: int | None = None) -> QrMatrix:
@@ -225,7 +249,7 @@ def render(matrix: QrMatrix, scale: int = DEFAULT_SCALE) -> BinaryPattern:
     """Expand each module into a scale x scale pixel block (no quiet zone)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    bits = np.repeat(np.repeat(matrix.modules, scale, axis=0), scale, axis=1)
+    bits = np.repeat(np.repeat(matrix.modules, scale, axis=1), scale, axis=0)  # columns first: the cheaper order
     return BinaryPattern(bits)
 
 

@@ -889,6 +889,46 @@ class TestImportContract:
             assert not loaded & {"cbrn.qr", "cbrn.galois"} and "cbrn.store" in loaded
 
 
+# run as `python -c CODE + PRINT_BLAS_THREADS`: prints each BLAS thread variable, or "-" if unset, on the last line
+PRINT_BLAS_THREADS = """
+import os
+print(*(os.environ.get(name, "-") for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))"""
+
+
+def blas_run(code: str, **settings: str) -> list[str]:
+    """Output lines of `code + PRINT_BLAS_THREADS` in a fresh process whose environment sets only `settings` of them."""
+    env = {name: value for name, value in package_env().items() if not name.endswith("_NUM_THREADS")}
+    done = subprocess.run([sys.executable, "-c", code + PRINT_BLAS_THREADS], capture_output=True, text=True,
+                          env=dict(env, **settings), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestBlasThreads:
+    """A command runs NumPy's BLAS on one thread unless the user says otherwise; the library sets nothing."""
+
+    def test_the_cli_sets_one_thread_before_numpy_loads(self):
+        watch = ("import os, sys\n"
+                 "class Watch:\n"
+                 "    def find_spec(self, name, path=None, target=None):\n"
+                 "        if name == 'numpy':\n"
+                 "            print('numpy loads with', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                 "sys.meta_path.insert(0, Watch())\n"
+                 "import cbrn.cli")
+        assert blas_run(watch) == ["numpy loads with 1", "1 1 1"]
+
+    def test_a_users_own_value_wins(self):
+        assert blas_run("import cbrn.cli", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3") == ["2 1 3"]
+
+    @pytest.mark.parametrize("code", ["import cbrn", "import cbrn.memory, cbrn.qr, cbrn.store"])
+    def test_the_library_sets_nothing(self, code):
+        assert blas_run(code) == ["- - -"]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through Linux's /proc")
+    def test_the_cli_process_starts_no_blas_worker(self):
+        assert blas_run("import os, cbrn.cli\nprint(len(os.listdir('/proc/self/task')))") == ["1", "1 1 1"]
+
+
 class TestPackageSurface:
     """Every name the package has exported since `cbrn.__all__` was written resolves to its home module's object."""
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cbrn import patterns
 from cbrn.errors import (
@@ -362,6 +364,15 @@ class TestOverflow:
             system.learn_cue_weights("A", 0)
         np.testing.assert_array_equal(system.balls["A"].v[0], row)
 
+    def test_overflowing_recall_step_raises_and_keeps_the_row(self):
+        # a loaded row far below the target: target - row overflows to inf
+        system = small_system()
+        system.balls["A"].w[0] = [-1.7e308, 0.5]
+        row = system.balls["A"].w[0].copy()
+        with pytest.raises(NonFiniteWeight, match="w row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
+            system.learn_recall_weights("A", 0, [1.7e308, 0.5])
+        assert system.balls["A"].w[0].view(np.uint64).tolist() == row.view(np.uint64).tolist()
+
     def test_overflowing_cross_step_raises_and_keeps_both_links(self):
         # a loaded link far below a large theta: the error theta - u overflows
         system = small_system(theta=1e308, threshold=1.0)
@@ -369,6 +380,96 @@ class TestOverflow:
         with pytest.raises(NonFiniteWeight, match="link A:1->B:2 left a non-finite weight$"):
             system.learn_cross_weights("A", 1, "B", 2)
         assert system.links["A", "B"][1, 2] == -1.7e308 and not system.links["B", "A"].any()
+
+
+def bits(value) -> int:
+    """The IEEE bits of a float, so -0.0 differs from 0.0 and a nan equals itself."""
+    return int(np.float64(value).view(np.uint64))
+
+
+def reference_step(weight, target, output, x):
+    """The learning step's arithmetic, one IEEE operation at a time: new weight, (error, final, max_delta)."""
+    err = target - output(weight)
+    step = err * x
+    max_delta = float(np.maximum.reduce(np.abs(step), axis=None))
+    step += weight
+    final = 0.5 * float(np.add.reduce(np.square(target - output(step)), axis=None))
+    return step, (0.5 * float(np.add.reduce(np.square(err), axis=None)), final, max_delta)
+
+
+# finite components with signed zeros, subnormals and values far from unit size
+components = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+DIM = 7
+
+
+class TestLearningStepArithmetic:
+    """Each rule's new weight and report equal the step's arithmetic written out, bit for bit."""
+
+    @staticmethod
+    def system(theta):
+        system = MemorySystem(SystemConfig(dim=DIM, theta=theta, threshold=theta / 2))
+        system.add_ball("A", ["a0", "a1"])
+        system.add_ball("B", ["b0", "b1"])
+        return system
+
+    @staticmethod
+    def assert_same(report, new, expected):
+        row, fields = expected
+        assert np.asarray(new).view(np.uint64).tolist() == np.asarray(row).view(np.uint64).tolist()
+        assert [bits(v) for v in (report.error, report.final_error, report.max_delta)] == [bits(v) for v in fields]
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=arrays(np.float64, DIM, elements=components), target=arrays(np.float64, DIM, elements=components),
+           zero=st.booleans(), repeats=st.integers(1, 2))
+    def test_recall_rule(self, start, target, zero, repeats):
+        system = self.system(100.0)
+        system.balls["A"].w[1] = 0.0 if zero else start
+        for _ in range(repeats):
+            expected = reference_step(system.balls["A"].w[1].copy(), target, lambda w: w, 1.0)
+            report = system.learn_recall_weights("A", 1, target)
+            self.assert_same(report, system.balls["A"].w[1], expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=arrays(np.float64, DIM, elements=components), stored=arrays(np.float64, DIM, elements=components),
+           zero=st.booleans(), theta=st.sampled_from([100.0, 1.0, 0.37, 3e4]), repeats=st.integers(1, 2))
+    def test_cue_rule(self, start, stored, zero, theta, repeats):
+        system = self.system(theta)
+        system.balls["A"].w[0] = stored / 1e3  # products of two components stay far from overflow
+        system.balls["A"].v[0] = 0.0 if zero else start
+        yv = system.balls["A"].w[0].copy()
+        for _ in range(repeats):
+            expected = reference_step(system.balls["A"].v[0].copy(), theta, lambda row: float(row @ yv), yv)
+            report = system.learn_cue_weights("A", 0)
+            self.assert_same(report, system.balls["A"].v[0], expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(forward=components, backward=components, theta=st.sampled_from([100.0, 1.0, 0.37, 3e4]),
+           repeats=st.integers(1, 2))
+    def test_cross_rule(self, forward, backward, theta, repeats):
+        system = self.system(theta)
+        system.links["A", "B"][1, 0], system.links["B", "A"][0, 1] = forward, backward
+        for _ in range(repeats):
+            expected = [reference_step(system.links[pair].item(k, l), theta, lambda u: u, 1.0)
+                        for pair, k, l in ((("A", "B"), 1, 0), (("B", "A"), 0, 1))]
+            reports = system.learn_cross_weights("A", 1, "B", 0)
+            self.assert_same(reports[0], system.links["A", "B"][1, 0], expected[0])
+            self.assert_same(reports[1], system.links["B", "A"][0, 1], expected[1])
+
+    def test_a_row_step_peaks_at_two_rows(self):
+        # the step and one spare row; a third row-sized temporary would show here
+        system = MemorySystem()
+        system.add_ball("A", ["a0"])
+        target = np.random.default_rng(0).random(system.config.dim)
+        system.store("A", 0, target / 2)
+        for learn in (lambda: system.learn_recall_weights("A", 0, target), lambda: system.learn_cue_weights("A", 0)):
+            tracemalloc.start()
+            try:
+                learn()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * target.nbytes
 
 
 class TestEveryAcceptedSettingFires:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -54,6 +55,13 @@ class TestNormalize:
             bits[0, 0] = 1
         v = patterns.normalize(BinaryPattern(bits))
         assert abs(float(v @ v) - 1.0) <= 1e-12
+
+    @given(bitmaps)
+    def test_equals_the_quotient_bits_over_sqrt_popcount(self, bits):
+        if not bits.any():
+            bits[0, 0] = 1
+        quotient = np.divide(bits.reshape(-1), math.sqrt(np.count_nonzero(bits)), dtype=np.float64)
+        assert patterns.normalize(BinaryPattern(bits)).view(np.uint64).tolist() == quotient.view(np.uint64).tolist()
 
     @given(bitmaps)
     def test_equal_bit_sets_give_identical_vectors(self, bits):

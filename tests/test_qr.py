@@ -315,6 +315,13 @@ class TestRender:
         blocks = pattern.bits.reshape(29, 3, 29, 3)
         assert (blocks == blocks[:, :1, :, :1]).all()
 
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
+    def test_equals_kronecker_product_with_a_dark_block(self, scale):
+        for label in ("red", "label 8", "寿😀"):
+            m = qr.encode_label(label)
+            expected = np.kron(m.modules, np.ones((scale, scale), np.uint8))
+            np.testing.assert_array_equal(qr.render(m, scale).bits, expected, strict=True)
+
     def test_scale_below_one_rejected(self):
         with pytest.raises(ValueError):
             qr.render(qr.encode_label("red"), 0)
