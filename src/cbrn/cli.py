@@ -277,7 +277,7 @@ def cmd_report(args) -> int:
     # figure 4: per ordered ball pair, the link array, source neuron x target neuron
     writer = _csv_writer(fmt, "from_ball", "from_neuron", "to_ball", "to_neuron", "q")
     for a, b in itertools.permutations(system.balls, 2):
-        grid = system.links[a, b]
+        grid = system.link_weights(a, b)
         if writer:
             writer.writerows((a, k, b, l, float(u)) for (k, l), u in np.ndenumerate(grid))
             continue

@@ -6,7 +6,9 @@ the presentation vector a neuron replays into the Recall Net; cue weights
 `v` (recall to cue) drive the matching neuron's pre-threshold output to the
 learning value theta.  Cross weights couple cue neurons across balls, one
 dense array per ordered ball pair, so a recognized pattern in one ball
-recalls its linked pattern in another.
+recalls its linked pattern in another.  A pair's array is made when the
+pair is first trained or loaded; until then the pair reads as all zeros,
+and reading it adds nothing.
 
 All three learning rules are one Widrow-Hoff step at rate 1,
 `delta = (target - output) * input`: the recall rule targets the pattern
@@ -19,6 +21,8 @@ target: a repeat on the bundled labels' QR rows moves each `v` row by
 two row-sized buffers: the step itself, which becomes the new weight, and
 one spare row for the squares, the magnitudes and the new error in turn.
 With input 1 the error is the step, since `err * 1.0 == err` bit for bit.
+A float error (the cue and cross rules) is squared as a `np.float64`, the
+same IEEE product as `np.square`, so an overflow still warns.
 
 A system instance is single-writer while learning.  Response and recall
 calls never mutate state, so a trained system may be queried concurrently.
@@ -110,10 +114,12 @@ class AssociationResult:
 
 
 # A learning step's error is a float or a row; `out`, if given, is the
-# step's spare row, which takes the squares.  A ufunc reduction takes a float
-# or a row, is cheaper on a float than `.sum()`, and sums a row in the order
-# `ndarray.sum` does.
+# step's spare row, which takes the squares.  A ufunc reduction sums a row in
+# the order `ndarray.sum` does.
 def _half_square(err, **out) -> float:
+    if isinstance(err, float):
+        err = np.float64(err)  # whose product warns on overflow, as np.square does
+        return 0.5 * float(err * err)
     return 0.5 * float(np.add.reduce(np.square(err, **out), axis=None))
 
 
@@ -124,8 +130,8 @@ class MemorySystem:
         self.config = config or SystemConfig()
         self.balls: dict[str, Ball] = {}
         # links[a, b][k, l]: cross weight from neuron k of ball a to neuron l
-        # of ball b; one dense array per ordered pair of distinct balls, and
-        # a zero entry is no link
+        # of ball b; one dense array per ordered pair of distinct balls that
+        # has been trained or loaded.  A missing pair or a zero entry is no link
         self.links: dict[tuple[str, str], np.ndarray] = {}
 
     @classmethod
@@ -143,9 +149,6 @@ class MemorySystem:
         if not labels:
             raise ValueError(f"ball {ball_id!r} needs at least one neuron")
         ball = Ball(ball_id, labels, self.config.dim)
-        for other in self.balls.values():
-            self.links[other.id, ball_id] = np.zeros((other.n, ball.n))
-            self.links[ball_id, other.id] = np.zeros((ball.n, other.n))
         self.balls[ball_id] = ball
         return ball
 
@@ -169,6 +172,16 @@ class MemorySystem:
         if matches:
             raise UnknownBall(f"ball name {name!r} is ambiguous; it matches {sorted(matches)}")
         raise UnknownBall(f"unknown ball {name!r}; have {sorted(self.balls)}")
+
+    def link_weights(self, from_ball: str, to_ball: str) -> np.ndarray:
+        """`links[from_ball, to_ball]`, or a fresh zero array that is not kept if the pair has none yet."""
+        u = self.links.get((from_ball, to_ball))
+        return np.zeros((self.balls[from_ball].n, self.balls[to_ball].n)) if u is None else u
+
+    def _link_array(self, from_ball: str, to_ball: str) -> np.ndarray:
+        """The pair's link array for writing: made all zeros, and kept, at its first write."""
+        self.links[from_ball, to_ball] = u = self.link_weights(from_ball, to_ball)
+        return u
 
     def trained_links(self) -> list[tuple[str, int, str, int, float]]:
         """Nonzero cross weights as (from_ball, k, to_ball, l, u), sorted."""
@@ -205,11 +218,12 @@ class MemorySystem:
         err = residual(weight)
         step = err if x is None else err * x  # err * 1.0 == err bit for bit, so input 1 steps by err itself
         # a row step has one spare row, which takes the squares, the magnitudes
-        # and the new error in turn; NumPy takes a float faster without `out`
-        spare = {"out": np.empty_like(step)} if isinstance(step, np.ndarray) else {}
+        # and the new error in turn; a float step is scalar arithmetic
+        row = isinstance(step, np.ndarray)
+        spare = {"out": np.empty_like(step)} if row else {}
         spare_err = spare if step is err else {}  # the cue rule's err is a float and its step a row
         error = _half_square(err, **spare_err)  # before the step takes the weight in
-        max_delta = float(np.maximum.reduce(np.abs(step, **spare), axis=None))
+        max_delta = float(np.maximum.reduce(np.abs(step, **spare), axis=None)) if row else abs(step)
         step += weight  # so the sum lands in the step, not in the caller's row
         final = _half_square(residual(step, **spare_err), **spare_err)
         # an inf or nan weight makes the final error inf or nan, so only
@@ -277,7 +291,7 @@ class MemorySystem:
         if src.id == dst.id:
             raise IntraBallLink("cue neurons within one ball are not connected")
         self._check_neuron(src, from_neuron)
-        return self._response(self.links[src.id, dst.id][from_neuron].copy(), threshold)
+        return self._response(self.link_weights(src.id, dst.id)[from_neuron].copy(), threshold)
 
     def _response(self, q: np.ndarray, threshold: float | None) -> CueResponse:
         """Outputs `q` thresholded at `threshold`, or at the configured one if None."""
@@ -305,7 +319,7 @@ class MemorySystem:
             )
         self._check_neuron(a, k)
         self._check_neuron(b, l)
-        forward, backward, theta = self.links[a.id, b.id], self.links[b.id, a.id], self.config.theta
+        forward, backward, theta = self._link_array(a.id, b.id), self._link_array(b.id, a.id), self.config.theta
         u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l),
                                                 lambda u: theta - u)
         u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k),
@@ -326,10 +340,11 @@ class MemorySystem:
     ) -> AssociationResult:
         """Recognize a probe in one ball and recall its linked pattern in another.
 
-        A ball has no links to itself, so `from_ball == to_ball` raises
-        IntraBallLink before the probe is looked at, whatever it is.
+        Both balls are looked up before the probe is, and a ball has no
+        links to itself, so an unknown ball raises UnknownBall and
+        `from_ball == to_ball` raises IntraBallLink, whatever the probe.
         """
-        if to_ball == self.ball(from_ball).id:
+        if self.ball(from_ball) is self.ball(to_ball):
             raise IntraBallLink("cue neurons within one ball are not connected")
         response = self.cue_response(from_ball, probe, threshold)
         if not response.fired:

@@ -405,7 +405,7 @@ def loads(text) -> MemorySystem:
                 " links must be strictly sorted by (from-ball, k, to-ball, l)"
             )
         last_link = (a, k, b, l)
-        system.links[a, b][k, l] = u
+        system._link_array(a, b)[k, l] = u
         lineno, word, rest = next(records, _EOF)
     if word != "end":
         raise _misplaced(lineno, "'link' or 'end'" if last_link else "'ball', 'link' or 'end'", word)

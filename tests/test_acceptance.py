@@ -313,7 +313,7 @@ class TestReadmeRecognitionFigures:
                     overlap = float(vectors[(group.name, index)] @ vectors[(group.name, other)])
                     overlaps[group.name, group.labels[other], label] = overlap
         assert len(alone) == 11
-        assert len(below_theta) == 9  # so `recall --threshold 100` fires nothing on the demo model
+        assert len(below_theta) == 9  # these fire nothing under `recall --threshold 100`; the other 12 fire themselves
         worst = max(overlaps, key=overlaps.get)
         assert worst == ("Color", "yellow", "indigo")
         assert round(overlaps[worst], 3) == 0.909

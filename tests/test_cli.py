@@ -364,6 +364,21 @@ class TestRecall:
 
         assert fired("10") >= fired("72")
 
+    @pytest.mark.parametrize("label, own_row", [
+        ("orange", ["Color", "1", "orange", "100.00000000000045", "1"]),
+        ("red", ["Color", "0", "red", "99.99999999999966", "0"]),
+    ], ids=["above theta", "below theta"])
+    def test_threshold_at_theta_fires_a_label_whose_own_q_rounds_above_it(self, capsys, model_path, tmp_path,
+                                                                           label, own_row):
+        # a stored pattern answers itself at theta to within rounding: 12 bundled labels land above, 9 below
+        probe = tmp_path / f"{label}.pbm"
+        patterns.save_pbm(qr.render(qr.encode_label(label)), probe)
+        code, stdout, stderr = run(capsys, "recall", "--model", model_path, "--ball", "color", "--pattern", probe,
+                                   "--format", "csv", "--threshold", "100")
+        rows = list(csv.reader(io.StringIO(stdout)))[1:]
+        assert (code, stderr) == (0, "") and own_row in rows
+        assert [row for row in rows if row[4] == "1"] == [own_row] * (own_row[4] == "1")
+
     def test_writes_recalled_pattern(self, capsys, model_path, red_pbm, tmp_path):
         out = tmp_path / "recalled.pbm"
         code, _, _ = run(capsys, "recall", "--model", model_path, "--ball", "color",
@@ -635,6 +650,30 @@ class TestReport:
         assert code == 0
         rows = [r.split(",") for r in stdout.strip().splitlines()[1:]]
         assert rows and all(float(r[-1]) == 0.0 for r in rows)
+
+    def test_figure4_prints_a_grid_for_every_direction_trained_or_not(self, capsys, tmp_path):
+        # one trained pair: the file has arrays for A <-> C only, and the four other directions print zeros
+        system = MemorySystem(SystemConfig(dim=2))
+        system.add_ball("A", ["a0", "a1"])
+        system.add_ball("B", ["b0"])
+        system.add_ball("C", ["c0", "c1"])
+        system.learn_cross_weights("A", 1, "C", 0)
+        path = tmp_path / "one-pair.cbrn"
+        store.save(system, path)
+        head = "(rows: source neuron, columns: target neuron)\n"
+        one, two = "            0\n", "            0        1\n"
+        assert run(capsys, "report", "--model", path, "--figure", "4") == (0, (
+            f"A -> B {head}{one}   0     0.00\n   1     0.00\n\n"
+            f"A -> C {head}{two}   0     0.00     0.00\n   1   100.00     0.00\n\n"
+            f"B -> A {head}{two}   0     0.00     0.00\n\n"
+            f"B -> C {head}{two}   0     0.00     0.00\n\n"
+            f"C -> A {head}{two}   0     0.00   100.00\n   1     0.00     0.00\n\n"
+            f"C -> B {head}{one}   0     0.00\n   1     0.00\n\n"), "")
+        assert run(capsys, "report", "--model", path, "--figure", "4", "--format", "csv") == (0, (
+            "from_ball,from_neuron,to_ball,to_neuron,q\n"
+            "A,0,B,0,0.0\nA,1,B,0,0.0\nA,0,C,0,0.0\nA,0,C,1,0.0\nA,1,C,0,100.0\nA,1,C,1,0.0\n"
+            "B,0,A,0,0.0\nB,0,A,1,0.0\nB,0,C,0,0.0\nB,0,C,1,0.0\n"
+            "C,0,A,0,0.0\nC,0,A,1,100.0\nC,1,A,0,0.0\nC,1,A,1,0.0\nC,0,B,0,0.0\nC,1,B,0,0.0\n"), "")
 
     def test_bad_figure_is_usage_error(self, capsys, model_path):
         assert main(["report", "--model", str(model_path), "--figure", "5"]) == 2

@@ -324,6 +324,49 @@ class TestAssociate:
         with pytest.raises(UnknownBall):  # an unknown ball is still named first
             system.associate("C", probe, "C")
 
+    @pytest.mark.parametrize("probe", [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]], ids=["stored", "unrecognized"])
+    def test_unknown_target_ball_is_named_whatever_the_probe(self, probe):
+        system = self.build()
+        with pytest.raises(UnknownBall, match="unknown ball 'Zebra'"):
+            system.associate("A", probe, "Zebra")
+
+
+class TestLinkArrays:
+    """A pair's link array is made at the pair's first training; an untrained pair reads as zeros and adds none."""
+
+    def test_a_catalog_system_starts_without_link_arrays(self, catalog):
+        system = MemorySystem.from_catalog(catalog)
+        assert list(system.balls) == ["Color", "Style", "Volume"] and system.links == {}
+
+    def test_reading_an_untrained_pair_gives_zeros_and_adds_nothing(self):
+        system = TestAssociate().build()
+        system.add_ball("C", ["c0", "c1"])
+        system.store("C", 0, [0.0, 0.0, 0.0, 1.0])
+        before = list(system.links)
+        response = system.cross_response("A", 0, "C")
+        np.testing.assert_array_equal(response.q, [0.0, 0.0])
+        assert response.fired == () and response.argmax == 0
+        with pytest.raises(NoAssociation):
+            system.associate("A", [1.0, 0.0, 0.0, 0.0], "C")
+        with pytest.raises(NoAssociation):
+            system.associate("C", [0.0, 0.0, 0.0, 1.0], "B")
+        np.testing.assert_array_equal(system.link_weights("C", "A"), np.zeros((2, 3)))
+        assert system.link_weights("A", "B") is system.links["A", "B"]
+        assert list(system.links) == before == [("A", "B"), ("B", "A")]
+        assert system.trained_links() == [("A", 0, "B", 2, 100.0), ("B", 2, "A", 0, 100.0)]
+
+    def test_the_first_pair_makes_both_directions_and_a_repeat_keeps_them(self):
+        system = small_system()
+        system.add_ball("C", ["c0"])
+        system.learn_cross_weights("C", 0, "A", 2)
+        forward, backward = system.links["C", "A"], system.links["A", "C"]
+        assert sorted(system.links) == [("A", "C"), ("C", "A")]
+        np.testing.assert_array_equal(forward, [[0.0, 0.0, 100.0]])
+        np.testing.assert_array_equal(backward, [[0.0], [0.0], [100.0]])
+        system.learn_cross_weights("A", 1, "C", 0)
+        assert system.links["C", "A"] is forward and system.links["A", "C"] is backward
+        assert backward[1, 0] == 100.0 and len(system.links) == 2
+
 
 class TestRepeatedStore:
     def test_on_the_bundled_catalog_only_cue_rows_move_and_only_by_rounding(self, catalog):
@@ -373,10 +416,18 @@ class TestOverflow:
             system.learn_recall_weights("A", 0, [1.7e308, 0.5])
         assert system.balls["A"].w[0].view(np.uint64).tolist() == row.view(np.uint64).tolist()
 
+    def test_huge_theta_cross_step_warns_and_stores_theta(self):
+        # the error theta is finite but its square is not
+        system = small_system(theta=1e308, threshold=1.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            forward, backward = system.learn_cross_weights("A", 1, "B", 2)
+        assert forward == backward and (forward.error, forward.final_error, forward.max_delta) == (math.inf, 0.0, 1e308)
+        assert system.links["A", "B"][1, 2] == system.links["B", "A"][2, 1] == 1e308
+
     def test_overflowing_cross_step_raises_and_keeps_both_links(self):
         # a loaded link far below a large theta: the error theta - u overflows
         system = small_system(theta=1e308, threshold=1.0)
-        system.links["A", "B"][1, 2] = -1.7e308
+        system._link_array("A", "B")[1, 2] = -1.7e308
         with pytest.raises(NonFiniteWeight, match="link A:1->B:2 left a non-finite weight$"):
             system.learn_cross_weights("A", 1, "B", 2)
         assert system.links["A", "B"][1, 2] == -1.7e308 and not system.links["B", "A"].any()
@@ -448,7 +499,7 @@ class TestLearningStepArithmetic:
            repeats=st.integers(1, 2))
     def test_cross_rule(self, forward, backward, theta, repeats):
         system = self.system(theta)
-        system.links["A", "B"][1, 0], system.links["B", "A"][0, 1] = forward, backward
+        system._link_array("A", "B")[1, 0], system._link_array("B", "A")[0, 1] = forward, backward
         for _ in range(repeats):
             expected = [reference_step(system.links[pair].item(k, l), theta, lambda u: u, 1.0)
                         for pair, k, l in ((("A", "B"), 1, 0), (("B", "A"), 0, 1))]
@@ -516,7 +567,7 @@ class TestAddBall:
         with pytest.raises(ValueError, match=f"^{message}$"):
             system.add_ball(ball_id, labels)
         assert list(system.balls) == ["A", "B"] and system.balls["A"].labels == ["a0", "a1", "a2"]
-        assert sorted(system.links) == [("A", "B"), ("B", "A")]
+        assert system.links == {}
 
 
 class TestResolveBall:

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -41,6 +42,12 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
+def assert_same_links(loaded: MemorySystem, system: MemorySystem):
+    """Every ordered ball pair's link weights are equal bit for bit, a pair without an array reading as zeros."""
+    for a, b in itertools.permutations(system.balls, 2):
+        assert_same_bits(loaded.link_weights(a, b), system.link_weights(a, b))
+
+
 def reference_row(row) -> str:
     """The row formatter without the distinct-value shortcut: one repr per value."""
     return " ".join(repr(float(x)) for x in row)
@@ -77,9 +84,7 @@ class TestRoundTrip:
             assert_same_bits(loaded.balls[ball_id].v, ball.v)
             assert_same_bits(loaded.balls[ball_id].w, ball.w)
             assert loaded.balls[ball_id].labels == ball.labels
-        assert loaded.links.keys() == system.links.keys()
-        for pair, weights in system.links.items():
-            assert_same_bits(loaded.links[pair], weights)
+        assert_same_links(loaded, system)
         assert loaded.config == system.config
 
     def test_resave_is_byte_identical(self, tmp_path):
@@ -129,13 +134,25 @@ class TestRoundTrip:
         system = MemorySystem(SystemConfig(dim=2))
         system.add_ball("A", ["a"])
         system.add_ball("B", ["b"])
-        system.links["A", "B"][0, 0] = -1e20
+        system._link_array("A", "B")[0, 0] = -1e20
         forward, _ = system.learn_cross_weights("A", 0, "B", 0)
         assert forward.error == 5e39 and forward.final_error == 5000.0
         assert system.links["A", "B"][0, 0] == 0.0 and system.trained_links() == [("B", 0, "A", 0, 100.0)]
         text = store.dumps(system)
         assert "link A" not in text
         assert store.dumps(store.loads(text)) == text
+
+    def test_loads_makes_link_arrays_only_for_directions_with_link_records(self):
+        system = MemorySystem(SystemConfig(dim=2))
+        for ball_id in "ABC":
+            system.add_ball(ball_id, ["x", "y"])
+        assert store.loads(store.dumps(system)).links == {}
+        system.learn_cross_weights("C", 1, "A", 0)
+        loaded = store.loads(store.dumps(system))
+        assert sorted(loaded.links) == [("A", "C"), ("C", "A")]
+        assert_same_links(loaded, system)
+        loaded.links["A", "C"][0, 1] = 0.0  # a direction without records, as a link trained to zero leaves it
+        assert list(store.loads(store.dumps(loaded)).links) == [("C", "A")]
 
     def test_labels_with_spaces(self):
         system = MemorySystem(SystemConfig(dim=2))
@@ -535,9 +552,7 @@ class TestRowFeeds:
             assert loaded.balls[ball_id].labels == ball.labels
             assert_same_bits(loaded.balls[ball_id].w, ball.w)
             assert_same_bits(loaded.balls[ball_id].v, ball.v)
-        assert loaded.links.keys() == paired_system.links.keys()
-        for pair, weights in paired_system.links.items():
-            assert_same_bits(loaded.links[pair], weights)
+        assert_same_links(loaded, paired_system)
 
     def test_one_reader_reads_kept_and_decoded_rows_in_turn(self):
         rng = np.random.default_rng(3)
