@@ -178,7 +178,13 @@ def cmd_pair(args) -> int:
             rows.append(f"{tag:<24} {report.error:>12.6g} {report.final_error:>12.6g} {_fixed(u, 10, 4)}")
     out = args.out or args.model
     store.save(system, out)
-    print(*rows, f"{len(system.trained_links())} directed links -> {out}", sep="\n")
+    links = system.trained_links()  # sorted, so one source's links into one ball are neighbours
+    for (a, k, b), fan in itertools.groupby(links, key=lambda link: link[:3]):
+        targets = [f"{b}:{l}" for _, _, _, l, _ in fan]
+        if len(targets) > 1:
+            rows.append(f"note: {a}:{k} links to {', '.join(targets)}; "
+                        "associate takes the largest weight, the lowest index on a tie")
+    print(*rows, f"{len(links)} directed links -> {out}", sep="\n")
     return 0
 
 

@@ -17,12 +17,14 @@ input, and the cross rule targets theta with input 1.  From zero-initialized
 weights the recall and cross rules reach their targets in a single update,
 and a repeat is an exact no-op.  The cue rule lands within rounding of its
 target: a repeat on the bundled labels' QR rows moves each `v` row by
-5.2e-16 to 3.0e-15 and changes no fired set.  A step on a row goes through
-two row-sized buffers: the step itself, which becomes the new weight, and
-one spare row for the squares, the magnitudes and the new error in turn.
-With input 1 the error is the step, since `err * 1.0 == err` bit for bit.
-A float error (the cue and cross rules) is squared as a `np.float64`, the
-same IEEE product as `np.square`, so an overflow still warns.
+5.2e-16 to 3.0e-15 and changes no fired set.  `MemorySystem._delta_rule` is
+the step, called once per rule with its weight, target and input.  A row
+step goes through two row-sized buffers: the step, which becomes the new
+weight, and one spare row, passed by position, for the squares, the
+magnitudes and the new error in turn; with input 1 the error is the step
+(`err * 1.0 == err` bit for bit).  A float error (the cue and cross rules)
+is squared as a `np.float64`, the same IEEE product as `np.square`, so an
+overflow still warns.
 
 A system instance is single-writer while learning.  Response and recall
 calls never mutate state, so a trained system may be queried concurrently.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -113,14 +114,19 @@ class AssociationResult:
     recalled: np.ndarray
 
 
-# A learning step's error is a float or a row; `out`, if given, is the
-# step's spare row, which takes the squares.  A ufunc reduction sums a row in
-# the order `ndarray.sum` does.
-def _half_square(err, **out) -> float:
+def _half_square(err, out=None) -> float:
+    """Half the squared error, a float or a row, whose squares go to `out` if given; summed in `ndarray.sum`'s order."""
     if isinstance(err, float):
         err = np.float64(err)  # whose product warns on overflow, as np.square does
         return 0.5 * float(err * err)
-    return 0.5 * float(np.add.reduce(np.square(err, **out), axis=None))
+    return 0.5 * float(np.add.reduce(np.square(err, out=out), axis=None))
+
+
+def _error(weight, target, x, out=None):
+    """`target` minus the output `weight @ x`, or the weight itself for input 1 (`x` None); a row into `out` if given."""
+    if x is not None:
+        return target - float(weight @ x)
+    return target - weight if out is None else np.subtract(target, weight, out=out)
 
 
 class MemorySystem:
@@ -205,31 +211,26 @@ class MemorySystem:
             )
         return v
 
-    def _delta_rule(self, where: str, weight, residual, x=None):
-        """One Widrow-Hoff step `weight + residual(weight) * x`; `x` None is input 1.
+    def _delta_rule(self, weight, target, x, *where):
+        """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
-        `residual(weight)` is the error `target - output(weight)`: a row for
-        the recall rule, written to `out` when that is given, else a float.
         `weight` is a row or a float and is not modified.  Returns the new
         weight and the report: the half squared error before and after the
         step, and its largest term.  Raises NonFiniteWeight if the step
-        overflows, so the caller stores nothing.
+        overflows, so the caller stores nothing; only then is its message
+        formatted, from the format string and arguments `where`.
         """
-        err = residual(weight)
+        err = _error(weight, target, x)
         step = err if x is None else err * x  # err * 1.0 == err bit for bit, so input 1 steps by err itself
-        # a row step has one spare row, which takes the squares, the magnitudes
-        # and the new error in turn; a float step is scalar arithmetic
-        row = isinstance(step, np.ndarray)
-        spare = {"out": np.empty_like(step)} if row else {}
-        spare_err = spare if step is err else {}  # the cue rule's err is a float and its step a row
-        error = _half_square(err, **spare_err)  # before the step takes the weight in
-        max_delta = float(np.maximum.reduce(np.abs(step, **spare), axis=None)) if row else abs(step)
+        spare = np.empty_like(step) if isinstance(step, np.ndarray) else None
+        error = _half_square(err, spare)  # before the step takes the weight in
+        max_delta = abs(step) if spare is None else float(np.maximum.reduce(np.abs(step, out=spare), axis=None))
         step += weight  # so the sum lands in the step, not in the caller's row
-        final = _half_square(residual(step, **spare_err), **spare_err)
+        final = _half_square(_error(step, target, x, spare), spare)
         # an inf or nan weight makes the final error inf or nan, so only
         # then is the weight itself scanned
         if not math.isfinite(final) and not np.isfinite(step).all():
-            raise NonFiniteWeight(f"learning {where} left a non-finite weight")
+            raise NonFiniteWeight(f"learning {where[0] % where[1:]} left a non-finite weight")
         return step, UpdateReport(error, final, max_delta)
 
     # -- recall path --------------------------------------------------------
@@ -254,8 +255,7 @@ class MemorySystem:
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
         t = self._check_vector(target)
-        ball.w[neuron], report = self._delta_rule(f"w row {ball.id}:{neuron}", ball.w[neuron],
-                                                  partial(np.subtract, t))  # t - row, into `out` if given
+        ball.w[neuron], report = self._delta_rule(ball.w[neuron], t, None, "w row %s:%s", ball.id, neuron)
         return report
 
     # -- cue path -----------------------------------------------------------
@@ -275,9 +275,8 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
-        yv, theta = ball.w[neuron], self.config.theta
-        ball.v[neuron], report = self._delta_rule(f"v row {ball.id}:{neuron}", ball.v[neuron],
-                                                  lambda row: theta - float(row @ yv), yv)
+        ball.v[neuron], report = self._delta_rule(ball.v[neuron], self.config.theta, ball.w[neuron],
+                                                  "v row %s:%s", ball.id, neuron)
         return report
 
     # -- cross path ---------------------------------------------------------
@@ -307,9 +306,9 @@ class MemorySystem:
         """Train the (a,k) <-> (b,l) cross pair, both directions.
 
         The source neuron's output is 1, so a link responds with its own
-        weight.  Each direction starts from zero and reaches theta in one
-        step; the reverse direction is trained by swapping the roles of the
-        two balls.
+        weight.  Each direction steps from its current weight toward theta: from
+        zero one step reaches it and a repeat is a no-op; a loaded link lands
+        on it up to rounding at its own scale.  Both steps precede either store.
         """
         a = self.ball(ball_a)
         b = self.ball(ball_b)
@@ -320,10 +319,8 @@ class MemorySystem:
         self._check_neuron(a, k)
         self._check_neuron(b, l)
         forward, backward, theta = self._link_array(a.id, b.id), self._link_array(b.id, a.id), self.config.theta
-        u_ab, forward_report = self._delta_rule(f"link {a.id}:{k}->{b.id}:{l}", forward.item(k, l),
-                                                lambda u: theta - u)
-        u_ba, backward_report = self._delta_rule(f"link {b.id}:{l}->{a.id}:{k}", backward.item(l, k),
-                                                 lambda u: theta - u)
+        u_ab, forward_report = self._delta_rule(forward.item(k, l), theta, None, "link %s:%s->%s:%s", a.id, k, b.id, l)
+        u_ba, backward_report = self._delta_rule(backward.item(l, k), theta, None, "link %s:%s->%s:%s", b.id, l, a.id, k)
         forward[k, l], backward[l, k] = u_ab, u_ba
         return forward_report, backward_report
 

@@ -5,6 +5,7 @@ import importlib
 import io
 import itertools
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,19 @@ class TestPair:
         run(capsys, "pair", "--model", model, "--pair", "A:2=B:1", "--out", out)
         assert model.read_bytes() == before
         assert store.load(out).links["A", "B"][2, 1] != 0.0
+
+    def test_a_second_link_from_one_source_into_one_ball_is_noted(self, capsys, tmp_path):
+        model = tmp_path / "demo.cbrn"
+        assert run(capsys, "train", "--out", model)[0] == 0
+        readme = ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")
+        for pairs in (readme, ("color:0=style:3",)):  # the README session, then a repeated pair
+            code, stdout, _ = run(capsys, "pair", "--model", model, *(f"--pair={p}" for p in pairs))
+            assert code == 0 and "note:" not in stdout
+        code, stdout, _ = run(capsys, "pair", "--model", model, "--pair", "color:0=style:4")
+        assert code == 0 and stdout.splitlines()[-2:] == [
+            "note: Color:0 links to Style:3, Style:4; associate takes the largest weight, the lowest index on a tie",
+            f"8 directed links -> {model}",
+        ]
 
     def test_spaces_around_a_ball_name_are_stripped(self, capsys, tmp_path):
         # as int() strips the index, so the ball name is stripped: "A:1 = B:2" pairs A:1 with B:2
@@ -1134,6 +1148,23 @@ def test_ci_smoke_step_pins_the_demo_session_bytes():
     pins = dict(reversed(line.split()) for line in itertools.takewhile(lambda line: line.strip() != "EOF", lines))
     assert pins == {"red.pbm": TestDemoSessionGolden.RED_SHA256,
                     "rectangle.pbm": TestDemoSessionGolden.RECTANGLE_SHA256}
+
+
+def test_ci_tier1_step_names_a_failing_property_test(tmp_path):
+    """Under the workflow's tier-1 pytest flags, a failing `@given` test is a FAILED line, not an INTERNALERROR."""
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = workflow.split("- name: Tier-1 tests\n", 1)[1].split("- name:", 1)[0]
+    command = shlex.split(step.split("run:", 1)[1].splitlines()[0])
+    flags = command[command.index("pytest") + 1:]
+    assert flags[:3] == ["-q", "-W", "error"]
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_never_holds(n):\n    assert n != n\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "pytest", *flags, "test_property.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "FAILED test_property.py::test_never_holds" in done.stdout
 
 
 class TestQueryOutputGolden:

@@ -433,6 +433,51 @@ class TestOverflow:
         assert system.links["A", "B"][1, 2] == -1.7e308 and not system.links["B", "A"].any()
 
 
+
+class TestStepMessages:
+    """A learning step formats its NonFiniteWeight message only when it raises."""
+
+    @staticmethod
+    def counting_system(**config):
+        """A two-ball system whose ball ids count every `__format__` and `__str__` call."""
+        class Id(str):
+            formatted = 0
+
+            def __format__(self, spec):
+                Id.formatted += 1
+                return str.__format__(self, spec)
+
+            def __str__(self):
+                Id.formatted += 1
+                return str.__str__(self)
+
+        system = MemorySystem(SystemConfig(dim=2, **config))
+        for name in "AB":
+            system.add_ball(Id(name), [f"{name.lower()}{i}" for i in range(3)])
+        return system, Id
+
+    def test_store_and_pair_format_nothing(self):
+        system, ids = self.counting_system()
+        system.store("A", 1, [0.6, 0.8])
+        system.store("B", 2, [0.8, 0.6])
+        system.learn_cross_weights("A", 1, "B", 2)
+        system.learn_cross_weights("A", 1, "B", 2)
+        assert ids.formatted == 0
+
+    def test_a_failing_row_step_names_its_row(self):
+        system, ids = self.counting_system()
+        system.balls["A"].w[0] = [-1.7e308, 0.5]
+        with pytest.raises(NonFiniteWeight) as raised, pytest.warns(RuntimeWarning):
+            system.learn_recall_weights("A", 0, [1.7e308, 0.5])
+        assert str(raised.value) == "learning w row A:0 left a non-finite weight" and ids.formatted > 0
+
+    def test_a_failing_link_step_names_its_link(self):
+        system, ids = self.counting_system(theta=1e308, threshold=1.0)
+        system._link_array("B", "A")[2, 1] = -1.7e308  # the backward step fails; the forward one's error squares to inf
+        with pytest.raises(NonFiniteWeight) as raised, pytest.warns(RuntimeWarning, match="overflow"):
+            system.learn_cross_weights("A", 1, "B", 2)
+        assert str(raised.value) == "learning link B:2->A:1 left a non-finite weight" and ids.formatted > 0
+
 def bits(value) -> int:
     """The IEEE bits of a float, so -0.0 differs from 0.0 and a nan equals itself."""
     return int(np.float64(value).view(np.uint64))
