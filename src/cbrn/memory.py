@@ -13,17 +13,17 @@ and reading it adds nothing.
 All three learning rules are one Widrow-Hoff step at rate 1,
 `delta = (target - output) * input`: the recall rule targets the pattern
 with input 1, the cue rule targets theta with the recalled pattern as
-input, and the cross rule targets theta with input 1.  From zero-initialized
-weights the recall and cross rules reach their targets in a single update,
-and a repeat is an exact no-op.  The cue rule lands within rounding of its
-target: a repeat on the bundled labels' QR rows moves each `v` row by
-5.2e-16 to 3.0e-15 and changes no fired set.  `MemorySystem._delta_rule` is
-the step, called once per rule with its weight, target and input.  A row
-step goes through two row-sized buffers: the step, which becomes the new
-weight, and one spare row, passed by position, for the squares, the
-magnitudes and the new error in turn; with input 1 the error is the step
-(`err * 1.0 == err` bit for bit).  A float error (the cue and cross rules)
-is squared as a `np.float64`, the same IEEE product as `np.square`, so an
+input, and the cross rule targets theta with input 1.  With input 1 the step
+is `target - weight`, so from any weight the new weight is the target itself:
+the recall and cross rules store their targets in a single update, and a
+repeat is an exact no-op.  The cue rule adds its step and lands within
+rounding of its target: a repeat on the bundled labels' QR rows moves each
+`v` row by 5.2e-16 to 3.0e-15 and changes no fired set.
+`MemorySystem._delta_rule` is the step, called once per rule with its
+weight, target and input.  A row step goes through two row-sized buffers:
+the error or step, and one spare row, passed by position, for the squares
+and the magnitudes in turn.  A float error (the cue and cross rules) is
+squared as a `np.float64`, the same IEEE product as `np.square`, so an
 overflow still warns.
 
 A system instance is single-writer while learning.  Response and recall
@@ -122,13 +122,6 @@ def _half_square(err, out=None) -> float:
     return 0.5 * float(np.add.reduce(np.square(err, out=out), axis=None))
 
 
-def _error(weight, target, x, out=None):
-    """`target` minus the output `weight @ x`, or the weight itself for input 1 (`x` None); a row into `out` if given."""
-    if x is not None:
-        return target - float(weight @ x)
-    return target - weight if out is None else np.subtract(target, weight, out=out)
-
-
 class MemorySystem:
     """A set of Cue Balls sharing one Recall Net dimension, plus cross links."""
 
@@ -214,24 +207,28 @@ class MemorySystem:
     def _delta_rule(self, weight, target, x, *where):
         """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
-        `weight` is a row or a float and is not modified.  Returns the new
-        weight and the report: the half squared error before and after the
-        step, and its largest term.  Raises NonFiniteWeight if the step
-        overflows, so the caller stores nothing; only then is its message
-        formatted, from the format string and arguments `where`.
+        `weight` is a row or a float and is not modified; with input 1 the new
+        weight is `target` itself.  Returns the new weight and the report: the
+        half squared error before and after the step, and its largest term.
+        Raises NonFiniteWeight if the error or the new weight is not finite,
+        so the caller stores nothing; only then is its message formatted, from
+        the format string and arguments `where`.
         """
-        err = _error(weight, target, x)
-        step = err if x is None else err * x  # err * 1.0 == err bit for bit, so input 1 steps by err itself
+        err = target - (weight if x is None else float(weight @ x))
+        step = err if x is None else err * x
         spare = np.empty_like(step) if isinstance(step, np.ndarray) else None
         error = _half_square(err, spare)  # before the step takes the weight in
         max_delta = abs(step) if spare is None else float(np.maximum.reduce(np.abs(step, out=spare), axis=None))
-        step += weight  # so the sum lands in the step, not in the caller's row
-        final = _half_square(_error(step, target, x, spare), spare)
-        # an inf or nan weight makes the final error inf or nan, so only
-        # then is the weight itself scanned
-        if not math.isfinite(final) and not np.isfinite(step).all():
+        if x is None:  # the exact sum weight + (target - weight), which floats may miss
+            new, final = target, 0.0
+        else:
+            step += weight  # so the sum lands in the step, not in the caller's row
+            new, final = step, _half_square(target - float(step @ x))
+        # a non-finite target, weight or step makes an error inf or nan, so
+        # only then are the error and the new weight scanned
+        if not math.isfinite(error + final) and not (np.isfinite(err).all() and np.isfinite(new).all()):
             raise NonFiniteWeight(f"learning {where[0] % where[1:]} left a non-finite weight")
-        return step, UpdateReport(error, final, max_delta)
+        return new, UpdateReport(error, final, max_delta)
 
     # -- recall path --------------------------------------------------------
 
@@ -249,8 +246,8 @@ class MemorySystem:
         """Delta-rule update of a neuron's recall row toward the target vector.
 
         The neuron's output is held at 1 while learning, so the step adds
-        target - row.  From zero weights one step stores the target exactly
-        and a repeat is a no-op.
+        target - row.  From any weight one step stores the target itself,
+        bit for bit, and a repeat is a no-op.
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
@@ -306,9 +303,9 @@ class MemorySystem:
         """Train the (a,k) <-> (b,l) cross pair, both directions.
 
         The source neuron's output is 1, so a link responds with its own
-        weight.  Each direction steps from its current weight toward theta: from
-        zero one step reaches it and a repeat is a no-op; a loaded link lands
-        on it up to rounding at its own scale.  Both steps precede either store.
+        weight.  Each direction steps from its current weight toward theta
+        and lands on it exactly, from zero or from any loaded weight, and a
+        repeat is a no-op.  Both steps precede either store.
         """
         a = self.ball(ball_a)
         b = self.ball(ball_b)

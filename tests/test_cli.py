@@ -1,17 +1,23 @@
+import contextlib
 import csv
 import gc
 import hashlib
 import importlib
 import io
 import itertools
+import math
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cbrn
 from cbrn import cli, errors, patterns, qr, store
@@ -334,6 +340,22 @@ class TestPair:
         assert code == 0 and stdout.splitlines()[-2:] == [
             "note: Color:0 links to Style:3, Style:4; associate takes the largest weight, the lowest index on a tie",
             f"8 directed links -> {model}",
+        ]
+
+    def test_a_link_loaded_far_below_theta_lands_on_theta(self, capsys, tmp_path):
+        # -1e20 + (100 + 1e20) would round to 0.0, which is no link
+        system = MemorySystem(SystemConfig(dim=4))
+        system.add_ball("A", ["a0"])
+        system.add_ball("B", ["b0"])
+        system._link_array("A", "B")[0, 0] = -1e20
+        model = tmp_path / "far.cbrn"
+        store.save(system, model)
+        code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:0=B:0")
+        assert (code, stderr) == (0, "")
+        assert stdout.splitlines()[1:] == [
+            f"{'A:0 -> B:0':<24} {'5e+39':>12} {'0':>12} {'100.0000':>10}",
+            f"{'B:0 -> A:0':<24} {'5000':>12} {'0':>12} {'100.0000':>10}",
+            f"2 directed links -> {model}",
         ]
 
     def test_spaces_around_a_ball_name_are_stripped(self, capsys, tmp_path):
@@ -1080,6 +1102,87 @@ class TestExitCodeByErrorClass:
         code, stdout, stderr = run(capsys, "encode", "--label", "red", "--out", tmp_path / "x.pbm")
         assert (code, stdout, stderr) == (2 if issubclass(cls, errors.UsageError) else 3, "",
                                           f"error: {cls.__name__} from encode\n")
+
+
+# weights a model file may hold: the ends of the float range, values far from theta, subnormals, signed zeros
+FUZZ_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e20, -1e20, 5e-324, -5e-324, 100.0]),
+                         st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False))
+FUZZ_BALLS = ("A", "a", "B", "Color", "COLOR", "color")  # ids that collide case-insensitively
+
+
+@st.composite
+def fuzz_models(draw) -> MemorySystem:
+    """A model of 1 to 3 balls of 1 to 3 neurons at dim 1 to 16, with any finite weights and links."""
+    theta, threshold = draw(st.sampled_from([(100.0, 72.0), (1e308, 1.0), (1.0, 0.5), (3e4, 5e-324)]))
+    system = MemorySystem(SystemConfig(dim=draw(st.integers(1, 16)), theta=theta, threshold=threshold))
+    for ball_id in draw(st.lists(st.sampled_from(FUZZ_BALLS), min_size=1, max_size=3, unique=True)):
+        ball = system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(draw(st.integers(1, 3)))])
+        ball.w[:] = draw(arrays(np.float64, ball.w.shape, elements=FUZZ_WEIGHTS))
+        ball.v[:] = draw(arrays(np.float64, ball.v.shape, elements=FUZZ_WEIGHTS))
+    directions = list(itertools.permutations(system.balls, 2))
+    for a, b in draw(st.lists(st.sampled_from(directions), max_size=3, unique=True)) if directions else ():
+        shape = (system.balls[a].n, system.balls[b].n)
+        system._link_array(a, b)[:] = draw(arrays(np.float64, shape, elements=FUZZ_WEIGHTS))
+    return system
+
+
+FUZZ_NAMES = FUZZ_BALLS + ("b", "X", " a ", "")
+
+
+@st.composite
+def fuzz_argv(draw, system: MemorySystem, model: str, probe: str, out: str) -> list[str]:
+    """A `pair`, `recall`, `associate` or `report` command line on `model`, valid or not."""
+    names = st.sampled_from(sorted(system.balls) * 3 + list(FUZZ_NAMES))  # mostly the model's own ids
+    indices = st.sampled_from(["0", "1", "2", "0", "1", "-1", "3", "x", "", "1:2"])
+    refs = st.builds("{}:{}".format, names, indices)
+    command = draw(st.sampled_from(["pair", "recall", "associate", "report"]))
+    argv = [command, "--model", model]
+    if command == "pair":
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.tuples(names, names).filter(lambda ab: ab[0] != ab[1]))
+            argv += ["--pair", f"{a}:{draw(indices)}={b}:{draw(indices)}"]
+    elif command == "report":
+        argv += ["--figure", draw(st.sampled_from(["3", "4", "5"]))]
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--probe", draw(refs)]
+    else:
+        balls = ["--ball"] if command == "recall" else ["--from", "--to"]
+        argv += [word for flag in balls for word in (flag, draw(names))]
+        argv += ["--pattern", draw(st.sampled_from([probe, probe, probe + ".missing"]))]
+        if draw(st.booleans()):
+            argv += ["--threshold", draw(st.sampled_from(["72", "5e-324", "1e308", "0.5", "0", "nan", "inf", "x"]))]
+    if command != "pair" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["table", "csv", "xml"]))]
+    if command != "report" and draw(st.booleans()):
+        argv += ["--out", out]
+    return argv
+
+
+class TestExitContractFuzz:
+    """Any model file and any command line end in exit 0, 2 or 3, with no traceback and no warning."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")  # every example writes the same three files
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), system=fuzz_models())
+    def test_model_commands(self, work, data, system):
+        model, pbm = work / "model.cbrn", work / "probe.pbm"
+        store.save(system, model)
+        side = st.just(math.isqrt(system.config.dim)) | st.integers(1, 4)  # the model's own bitmap size, or another
+        write_pbm(pbm, data.draw(arrays(np.uint8, st.tuples(side, side), elements=st.sampled_from([1, 0]))))
+        argv = data.draw(fuzz_argv(system, str(model), str(pbm), str(work / "out")))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 2, 3) and not any("Traceback" in line or "Warning" in line for line in lines)
+        if code == 0:  # at most the notice of a CSV query's --out
+            assert all(line.startswith("wrote recalled pattern") for line in lines)
+        if code == 3:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # run as `python -c PEAK_RSS argv...`: runs argv and prints its peak RSS (KiB on Linux)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -407,6 +407,15 @@ class TestOverflow:
             system.learn_cue_weights("A", 0)
         np.testing.assert_array_equal(system.balls["A"].v[0], row)
 
+    def test_a_cue_step_past_the_float_range_from_a_finite_error_raises(self):
+        # the error theta - q is 1e200, finite; the step (theta - q) * row is not
+        system = small_system()
+        system.balls["A"].w[0] = [1e200, 0.0]
+        system.balls["A"].v[0] = [-1.0, 0.0]
+        with pytest.raises(NonFiniteWeight, match="v row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
+            system.learn_cue_weights("A", 0)
+        assert system.balls["A"].v[0].tolist() == [-1.0, 0.0]
+
     def test_overflowing_recall_step_raises_and_keeps_the_row(self):
         # a loaded row far below the target: target - row overflows to inf
         system = small_system()
@@ -493,6 +502,13 @@ def reference_step(weight, target, output, x):
     return step, (0.5 * float(np.add.reduce(np.square(err), axis=None)), final, max_delta)
 
 
+def target_step(weight, target):
+    """A step with input 1: the new weight is the target itself, and the report that of `target - weight`."""
+    err = target - weight
+    return target, (0.5 * float(np.add.reduce(np.square(err), axis=None)), 0.0,
+                    float(np.maximum.reduce(np.abs(err), axis=None)))
+
+
 # finite components with signed zeros, subnormals and values far from unit size
 components = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
                        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
@@ -500,7 +516,10 @@ DIM = 7
 
 
 class TestLearningStepArithmetic:
-    """Each rule's new weight and report equal the step's arithmetic written out, bit for bit."""
+    """Each rule's new weight and report equal the step's arithmetic written out, bit for bit.
+
+    With input 1 (the recall and cross rules) the new weight is the target itself.
+    """
 
     @staticmethod
     def system(theta):
@@ -522,7 +541,7 @@ class TestLearningStepArithmetic:
         system = self.system(100.0)
         system.balls["A"].w[1] = 0.0 if zero else start
         for _ in range(repeats):
-            expected = reference_step(system.balls["A"].w[1].copy(), target, lambda w: w, 1.0)
+            expected = target_step(system.balls["A"].w[1].copy(), target)
             report = system.learn_recall_weights("A", 1, target)
             self.assert_same(report, system.balls["A"].w[1], expected)
 
@@ -546,7 +565,7 @@ class TestLearningStepArithmetic:
         system = self.system(theta)
         system._link_array("A", "B")[1, 0], system._link_array("B", "A")[0, 1] = forward, backward
         for _ in range(repeats):
-            expected = [reference_step(system.links[pair].item(k, l), theta, lambda u: u, 1.0)
+            expected = [target_step(system.links[pair].item(k, l), theta)
                         for pair, k, l in ((("A", "B"), 1, 0), (("B", "A"), 0, 1))]
             reports = system.learn_cross_weights("A", 1, "B", 0)
             self.assert_same(reports[0], system.links["A", "B"][1, 0], expected[0])
@@ -566,6 +585,42 @@ class TestLearningStepArithmetic:
             finally:
                 tracemalloc.stop()
             assert peak < 2.5 * target.nbytes
+
+
+# finite loaded weights far from any target: up to +-1e300, subnormals and signed zeros
+far = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e20, -1e20, 1e300, -1e300]),
+                st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+class TestStepFromAnyWeight:
+    """A step with input 1 stores its target bit for bit, however far the loaded weight is from it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(forward=far, backward=far, theta=st.sampled_from([100.0, 0.37, 3e4, 1e300]))
+    @example(forward=-1e20, backward=0.0, theta=100.0)  # -1e20 + (100 + 1e20) would be 0.0, no link
+    def test_both_links_read_theta(self, forward, backward, theta):
+        system = MemorySystem(SystemConfig(dim=2, theta=theta, threshold=theta / 2))
+        system.add_ball("A", ["a0", "a1"])
+        system.add_ball("B", ["b0"])
+        system._link_array("A", "B")[1, 0], system._link_array("B", "A")[0, 1] = forward, backward
+        with np.errstate(over="ignore"):  # a half square past the float range reports inf
+            reports = system.learn_cross_weights("A", 1, "B", 0)
+        assert bits(system.links["A", "B"][1, 0]) == bits(system.links["B", "A"][0, 1]) == bits(theta)
+        assert [(r.final_error, r.max_delta) for r in reports] == [(0.0, abs(theta - u)) for u in (forward, backward)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=arrays(np.float64, 5, elements=far), target=arrays(np.float64, 4, elements=far))
+    @example(start=np.array([1e20, 0.0, 0.0, 0.0, 0.0]), target=np.full(4, 0.5))  # the sum would give 0.0 first
+    def test_a_recall_row_is_its_target(self, start, target):
+        target = np.append(target, -0.0)  # stored as -0.0, where a zero row's sum 0.0 + (-0.0 - 0.0) is 0.0
+        system = MemorySystem(SystemConfig(dim=5))
+        system.add_ball("A", ["a0"])
+        system.balls["A"].w[0] = start
+        with np.errstate(over="ignore"):
+            report = system.learn_recall_weights("A", 0, target)
+        for row in (system.balls["A"].w[0], system.recall_forward("A", 0)):
+            assert row.view(np.uint64).tolist() == target.view(np.uint64).tolist()
+        assert (report.final_error, report.max_delta) == (0.0, float(np.abs(target - start).max()))
 
 
 class TestEveryAcceptedSettingFires:

@@ -15,6 +15,7 @@ from cbrn.errors import (
     CbrnError,
     DimensionMismatch,
     ModelFormatError,
+    NonFiniteWeight,
     UnsupportedVersion,
 )
 from cbrn.memory import MemorySystem, SystemConfig
@@ -129,17 +130,17 @@ class TestRoundTrip:
         store.save(system, tmp_path / "m.cbrn")
         assert (tmp_path / "m.cbrn").read_bytes() == store.dumps(system).encode("utf-8")
 
-    def test_link_trained_to_zero_is_not_saved(self):
-        # one step takes a link loaded at -1e20 to -1e20 + (100 + 1e20), which rounds to exactly 0
-        system = MemorySystem(SystemConfig(dim=2))
+    def test_link_left_zero_by_a_failed_pair_is_not_saved(self):
+        # the forward step overflows after both link arrays are made, so the backward entry stays 0
+        system = MemorySystem(SystemConfig(dim=2, theta=1e308, threshold=1.0))
         system.add_ball("A", ["a"])
         system.add_ball("B", ["b"])
-        system._link_array("A", "B")[0, 0] = -1e20
-        forward, _ = system.learn_cross_weights("A", 0, "B", 0)
-        assert forward.error == 5e39 and forward.final_error == 5000.0
-        assert system.links["A", "B"][0, 0] == 0.0 and system.trained_links() == [("B", 0, "A", 0, 100.0)]
+        system._link_array("A", "B")[0, 0] = -1.7e308
+        with pytest.raises(NonFiniteWeight):
+            system.learn_cross_weights("A", 0, "B", 0)
+        assert system.links["B", "A"][0, 0] == 0.0 and system.trained_links() == [("A", 0, "B", 0, -1.7e308)]
         text = store.dumps(system)
-        assert "link A" not in text
+        assert "link B" not in text
         assert store.dumps(store.loads(text)) == text
 
     def test_loads_makes_link_arrays_only_for_directions_with_link_records(self):
@@ -151,7 +152,7 @@ class TestRoundTrip:
         loaded = store.loads(store.dumps(system))
         assert sorted(loaded.links) == [("A", "C"), ("C", "A")]
         assert_same_links(loaded, system)
-        loaded.links["A", "C"][0, 1] = 0.0  # a direction without records, as a link trained to zero leaves it
+        loaded.links["A", "C"][0, 1] = 0.0  # a direction without records, as a failed pair leaves it
         assert list(store.loads(store.dumps(loaded)).links) == [("C", "A")]
 
     def test_labels_with_spaces(self):
