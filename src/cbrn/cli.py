@@ -148,13 +148,12 @@ def cmd_train(args) -> int:
         raise CatalogError(f"{args.catalog}: no patterns: the catalog is empty")
 
     system = MemorySystem.from_catalog(catalog, config)
-    rows = [f"{'ball':<10} {'neuron':>6} {'label':<14} {'E_final':>12} {'e_final':>12}"]
+    rows = [f"{'ball':<10} {'neuron':>6} label"]
     for group in catalog:
         for index, label in enumerate(group.labels):
             matrix = qr.encode_label(label)
-            w_report, v_report = system.store(group.name, index, patterns.normalize(qr.render(matrix)))
-            rows.append(f"{group.name:<10} {index:>6} {label:<14} "
-                        f"{w_report.final_error:>12.6g} {v_report.final_error:>12.6g}")
+            system.store(group.name, index, patterns.normalize(qr.render(matrix)))
+            rows.append(f"{group.name:<10} {index:>6} {label}")
     store.save(system, args.out)
     stored = sum(ball.n for ball in system.balls.values())
     print(*rows, f"stored {stored} patterns in {len(system.balls)} balls -> {args.out}", sep="\n")
@@ -166,7 +165,7 @@ def cmd_pair(args) -> int:
 
     pairs = [_parse_pair(text) for text in args.pair]
     system = store.load(args.model)
-    rows = [f"{'direction':<24} {'eta_before':>12} {'eta_after':>12} {'u':>10}"]
+    rows = [f"{'direction':<24} {'eta_before':>12} {'u':>10}"]
     for (ball_a, k), (ball_b, l) in pairs:
         a = system.resolve_ball(ball_a)
         b = system.resolve_ball(ball_b)
@@ -175,7 +174,7 @@ def cmd_pair(args) -> int:
             (f"{a}:{k} -> {b}:{l}", forward, system.links[a, b][k, l]),
             (f"{b}:{l} -> {a}:{k}", backward, system.links[b, a][l, k]),
         ):
-            rows.append(f"{tag:<24} {report.error:>12.6g} {report.final_error:>12.6g} {_fixed(u, 10, 4)}")
+            rows.append(f"{tag:<24} {report.error:>12.6g} {_fixed(u, 10, 4)}")
     out = args.out or args.model
     store.save(system, out)
     links = system.trained_links()  # sorted, so one source's links into one ball are neighbours

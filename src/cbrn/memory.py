@@ -20,7 +20,8 @@ repeat is an exact no-op.  The cue rule adds its step and lands within
 rounding of its target: a repeat on the bundled labels' QR rows moves each
 `v` row by 5.2e-16 to 3.0e-15 and changes no fired set.
 `MemorySystem._delta_rule` is the step, called once per rule with its
-weight, target and input.  A row step goes through two row-sized buffers:
+weight, target and input; it reports the error it found before the step,
+never a residue after it.  A row step goes through two row-sized buffers:
 the error or step, and one spare row, passed by position, for the squares
 and the magnitudes in turn.  A float error (the cue and cross rules) is
 squared as a `np.float64`, the same IEEE product as `np.square`, so an
@@ -97,10 +98,9 @@ class CueResponse:
 
 @dataclass(frozen=True)
 class UpdateReport:
-    """Diagnostics of one learn call."""
+    """What one learn call found before its step."""
 
-    error: float  # half squared error before the step
-    final_error: float  # half squared error after it
+    error: float  # half squared error
     max_delta: float  # largest update term of the step
 
 
@@ -208,8 +208,8 @@ class MemorySystem:
         """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
         `weight` is a row or a float and is not modified; with input 1 the new
-        weight is `target` itself.  Returns the new weight and the report: the
-        half squared error before and after the step, and its largest term.
+        weight is `target` itself.  Returns the new weight and the report of
+        the error before the step: its half square and the step's largest term.
         Raises NonFiniteWeight if the error or the new weight is not finite,
         so the caller stores nothing; only then is its message formatted, from
         the format string and arguments `where`.
@@ -217,18 +217,17 @@ class MemorySystem:
         err = target - (weight if x is None else float(weight @ x))
         step = err if x is None else err * x
         spare = np.empty_like(step) if isinstance(step, np.ndarray) else None
-        error = _half_square(err, spare)  # before the step takes the weight in
+        error = _half_square(err, spare)
         max_delta = abs(step) if spare is None else float(np.maximum.reduce(np.abs(step, out=spare), axis=None))
         if x is None:  # the exact sum weight + (target - weight), which floats may miss
-            new, final = target, 0.0
-        else:
+            # a non-finite target or weight makes the error inf or nan, so only then is `err` scanned
+            new, finite = target, math.isfinite(error) or np.isfinite(err).all()
+        else:  # a non-finite error spreads to the sum, and a finite one may overflow it
             step += weight  # so the sum lands in the step, not in the caller's row
-            new, final = step, _half_square(target - float(step @ x))
-        # a non-finite target, weight or step makes an error inf or nan, so
-        # only then are the error and the new weight scanned
-        if not math.isfinite(error + final) and not (np.isfinite(err).all() and np.isfinite(new).all()):
+            new, finite = step, np.isfinite(step).all()
+        if not finite:
             raise NonFiniteWeight(f"learning {where[0] % where[1:]} left a non-finite weight")
-        return new, UpdateReport(error, final, max_delta)
+        return new, UpdateReport(error, max_delta)
 
     # -- recall path --------------------------------------------------------
 

@@ -132,14 +132,16 @@ class TestEncode:
 
 
 class TestTrain:
-    def test_trains_and_reports_zero_errors(self, capsys, tmp_path):
+    def test_trains_and_prints_one_row_per_catalog_entry(self, capsys, tmp_path):
         out = tmp_path / "m.cbrn"
         code, stdout, _ = run(capsys, "train", "--out", out)
         assert code == 0
-        lines = [l for l in stdout.splitlines() if l and l[0] in "CSV"]
-        assert len(lines) == 21
-        for line in lines:
-            assert float(line.split()[3]) == 0.0  # E_final
+        lines = stdout.splitlines()
+        assert lines[0].split() == ["ball", "neuron", "label"]
+        assert [tuple(line.split(maxsplit=2)) for line in lines[1:-1]] == [
+            (group.name, str(index), label) for group in patterns.default_catalog()
+            for index, label in enumerate(group.labels)]
+        assert lines[-1] == f"stored 21 patterns in 3 balls -> {out}"
         system = store.load(out)
         assert sum(b.n for b in system.balls.values()) == 21
 
@@ -292,8 +294,7 @@ class TestPair:
         direction_lines = [l for l in stdout.splitlines() if " -> " in l and ":" in l]
         assert len(direction_lines) == 2
         for line in direction_lines:
-            before, after = line.split()[-3], line.split()[-2]
-            assert float(before) == 0.0 and float(after) == 0.0  # fixed point
+            assert float(line.split()[-2]) == 0.0  # eta_before: the link already reads theta
 
     def test_intra_ball_pair_is_usage_error(self, capsys, tmp_path):
         model = toy_model(tmp_path)
@@ -353,8 +354,8 @@ class TestPair:
         code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:0=B:0")
         assert (code, stderr) == (0, "")
         assert stdout.splitlines()[1:] == [
-            f"{'A:0 -> B:0':<24} {'5e+39':>12} {'0':>12} {'100.0000':>10}",
-            f"{'B:0 -> A:0':<24} {'5000':>12} {'0':>12} {'100.0000':>10}",
+            f"{'A:0 -> B:0':<24} {'5e+39':>12} {'100.0000':>10}",
+            f"{'B:0 -> A:0':<24} {'5000':>12} {'100.0000':>10}",
             f"2 directed links -> {model}",
         ]
 
@@ -1004,6 +1005,32 @@ class TestBlasThreads:
         assert blas_run("import os, cbrn.cli\nprint(len(os.listdir('/proc/self/task')))") == ["1", "1 1 1"]
 
 
+class TestOutputAcrossBlas:
+    """`train` and `pair` print the same stdout and write the same model on any BLAS thread count or kernel."""
+
+    # an unknown core type is harmless off x86-64: stderr, where OpenBLAS may say so, is not compared
+    SETTINGS = ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                {"OPENBLAS_CORETYPE": "Sandybridge"}, {"OPENBLAS_CORETYPE": "Haswell"})
+
+    def test_train_and_pair_print_and_write_the_same_bytes(self, tmp_path):
+        env = {name: value for name, value in package_env().items()
+               if not name.endswith("_NUM_THREADS") and name != "OPENBLAS_CORETYPE"}
+        pairs = [f"--pair={p}" for p in ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")]
+        outputs = []
+        for i, setting in enumerate(self.SETTINGS):
+            work = tmp_path / str(i)  # the same relative paths in every run, so stdout can match
+            work.mkdir()
+            stdout = []
+            for argv in (("train", "--out", "demo.cbrn"), ("pair", "--model", "demo.cbrn", *pairs)):
+                done = subprocess.run([sys.executable, "-m", "cbrn.cli", *argv], cwd=work, env=dict(env, **setting),
+                                      capture_output=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                stdout.append(done.stdout)
+            outputs.append((*stdout, hashlib.sha256((work / "demo.cbrn").read_bytes()).hexdigest()))
+        assert outputs == [outputs[0]] * len(self.SETTINGS)
+        assert outputs[0][2] == TestDemoSessionGolden.MODEL_SHA256
+
+
 class TestPackageSurface:
     """Every name the package has exported since `cbrn.__all__` was written resolves to its home module's object."""
 
@@ -1158,12 +1185,54 @@ def fuzz_argv(draw, system: MemorySystem, model: str, probe: str, out: str) -> l
     return argv
 
 
+FUZZ_LABELS = st.sampled_from(["red", "x" * 53, "é" * 26, " red ", "a:b", "a # b", "die \U0001f3b2"]) | st.text(max_size=8)
+# a line's faults: a group name that is not one printable word (a BOM, a space, none), a label past 53 bytes or none
+FUZZ_FAULTS = st.sampled_from([(0, "\ufeffColor"), (0, "two words"), (0, ""), (2, "x" * 54), (2, "é" * 27), (2, "")])
+FUZZ_BYTES = (b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r", b"\n", b":", b"#")  # a BOM, bad UTF-8
+
+
+@st.composite
+def fuzz_catalogs(draw) -> bytes:
+    """Catalog bytes: groups of numbered labels; in half of them, faulty, dropped (a gap) or doubled lines and stray bytes."""
+    entries = [[group, str(index), label]
+               for group in draw(st.lists(st.sampled_from(["Color", "color", "Größe"]), min_size=1, max_size=3,
+                                          unique=True))
+               for index, label in enumerate(draw(st.lists(FUZZ_LABELS, min_size=1, max_size=4)))]
+    if not draw(st.booleans()):
+        return "\n".join(map(":".join, entries)).encode("utf-8")
+    for entry in entries:
+        if draw(st.booleans()):
+            part, text = draw(FUZZ_FAULTS)
+            entry[part] = text
+    lines = [":".join(entry) for entry in entries for _ in range(draw(st.sampled_from([1, 1, 0, 2])))]
+    data = "\n".join(lines).encode("utf-8")
+    for at, stray in draw(st.lists(st.tuples(st.integers(0, len(data)), st.sampled_from(FUZZ_BYTES)), max_size=2)):
+        data = data[:at] + stray + data[at:]
+    return data
+
+
+FUZZ_NUMBERS = st.sampled_from(["100", "72", "80", "1e308", "5e-324", "0", "-1", "nan", "inf", "1e400", "x", ""])
+
+
 class TestExitContractFuzz:
-    """Any model file and any command line end in exit 0, 2 or 3, with no traceback and no warning."""
+    """Any model file, catalog or label and any command line end in exit 0, 2 or 3, with no traceback and no warning."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("fuzz")  # every example writes the same three files
+        return tmp_path_factory.mktemp("fuzz")  # every example writes the same few files
+
+    @staticmethod
+    def main_in_contract(argv) -> tuple[int, str, list[str]]:
+        """`main(argv)` with RuntimeWarnings as errors, checked against the contract; returns code, stdout, stderr lines."""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        lines = stderr.getvalue().splitlines()
+        assert code in (0, 2, 3) and not any("Traceback" in line or "Warning" in line for line in lines)
+        if code == 3:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        return code, stdout.getvalue(), lines
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), system=fuzz_models())
@@ -1173,16 +1242,34 @@ class TestExitContractFuzz:
         side = st.just(math.isqrt(system.config.dim)) | st.integers(1, 4)  # the model's own bitmap size, or another
         write_pbm(pbm, data.draw(arrays(np.uint8, st.tuples(side, side), elements=st.sampled_from([1, 0]))))
         argv = data.draw(fuzz_argv(system, str(model), str(pbm), str(work / "out")))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        lines = stderr.getvalue().splitlines()
-        assert code in (0, 2, 3) and not any("Traceback" in line or "Warning" in line for line in lines)
+        code, _, lines = self.main_in_contract(argv)
         if code == 0:  # at most the notice of a CSV query's --out
             assert all(line.startswith("wrote recalled pattern") for line in lines)
-        if code == 3:
-            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(catalog=fuzz_catalogs(), theta=st.none() | FUZZ_NUMBERS, threshold=st.none() | FUZZ_NUMBERS)
+    def test_train(self, work, catalog, theta, threshold):
+        path = work / "catalog.txt"
+        path.write_bytes(catalog)
+        options = [f"{flag}={value}" for flag, value in (("--theta", theta), ("--threshold", threshold)) if value is not None]
+        code, stdout, lines = self.main_in_contract(["train", "--catalog", str(path), *options,
+                                                     "--out", str(work / "trained.cbrn")])
+        if code == 0:  # one row per catalog entry, in catalog order
+            rows = [tuple(line.split(maxsplit=2)) for line in stdout.splitlines()[1:-1]]
+            assert rows == [(group.name, str(index), label) for group in patterns.load_catalog(path)
+                            for index, label in enumerate(group.labels)]
+            assert lines == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(label=st.sampled_from(["red", "x" * 53, "x" * 54, "-x", ""]) |
+           st.text(st.characters() | st.sampled_from(["\udcff", "\udcc3"]), max_size=60),  # a non-UTF-8 argv byte
+           inline=st.booleans())
+    def test_encode(self, work, label, inline):
+        out = work / "label.pbm"
+        code, stdout, lines = self.main_in_contract(["encode", *([f"--label={label}"] if inline else ["--label", label]),
+                                                     "--out", str(out)])
+        if code == 0:
+            assert stdout.startswith(f"wrote {out}: 116x116, ") and stdout.count("\n") == 1 and lines == []
 
 
 # run as `python -c PEAK_RSS argv...`: runs argv and prints its peak RSS (KiB on Linux)
@@ -1228,6 +1315,7 @@ class TestDemoSessionGolden:
     MODEL_SHA256 = "c96fc292bf9f2a6455f6c03277472ece3daad6965f78f4a9b6f3e7a4d53a7ef3"
     RECTANGLE_SHA256 = "32a4f86b2c8cb126d05afb2fa0906901dea9e99d33090f50ac301082d876a3b1"
     RED_SHA256 = "dfcf0625c52a565748fb9b41b3d7f9ebbe265a960f3d8886f14b47ea5ea8ed65"
+    TRAIN_STDOUT_SHA256 = "2714e6b47b5f6d8c5c88e1828fe334fbc8c95900d329dd34ff29059702b23789"  # of `train --out demo.cbrn`
 
     def test_model_and_recalled_bitmap_are_byte_identical(self, capsys, tmp_path):
         model, red, rectangle = tmp_path / "demo.cbrn", tmp_path / "red.pbm", tmp_path / "rectangle.pbm"
@@ -1242,6 +1330,11 @@ class TestDemoSessionGolden:
         assert run(capsys, *argv, "--out", rectangle)[0] == 0
         assert hashlib.sha256(rectangle.read_bytes()).hexdigest() == self.RECTANGLE_SHA256
 
+    def test_train_stdout_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the relative --out path of the CI smoke step
+        code, stdout, _ = run(capsys, "train", "--out", "demo.cbrn")
+        assert code == 0 and hashlib.sha256(stdout.encode()).hexdigest() == self.TRAIN_STDOUT_SHA256
+
 
 def test_ci_smoke_step_pins_the_demo_session_bytes():
     """The workflow's console-script smoke step checks the digests `TestDemoSessionGolden` pins."""
@@ -1250,6 +1343,7 @@ def test_ci_smoke_step_pins_the_demo_session_bytes():
     lines = step.split("sha256sum -c - <<'EOF'\n", 1)[1].splitlines()
     pins = dict(reversed(line.split()) for line in itertools.takewhile(lambda line: line.strip() != "EOF", lines))
     assert pins == {"red.pbm": TestDemoSessionGolden.RED_SHA256,
+                    "train.txt": TestDemoSessionGolden.TRAIN_STDOUT_SHA256,
                     "rectangle.pbm": TestDemoSessionGolden.RECTANGLE_SHA256}
 
 

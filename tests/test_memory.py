@@ -83,7 +83,6 @@ class TestRecallPath:
         system = small_system()
         report = system.learn_recall_weights("A", 0, [0.6, 0.8])
         assert report.error == 0.5
-        assert report.final_error == 0.0
         assert report.max_delta == 0.8
 
     def test_second_pass_is_exact_noop(self):
@@ -245,7 +244,7 @@ class TestCrossPath:
         forward, backward = system.learn_cross_weights("A", 0, "B", 2)
         assert system.links["A", "B"][0, 2] == 100.0
         assert system.links["B", "A"][2, 0] == 100.0
-        assert forward.error == 5000.0 and forward.final_error == 0.0
+        assert forward.error == 5000.0
         assert backward.error == 5000.0
 
     def test_only_trained_target_fires(self):
@@ -430,7 +429,7 @@ class TestOverflow:
         system = small_system(theta=1e308, threshold=1.0)
         with pytest.warns(RuntimeWarning, match="overflow"):
             forward, backward = system.learn_cross_weights("A", 1, "B", 2)
-        assert forward == backward and (forward.error, forward.final_error, forward.max_delta) == (math.inf, 0.0, 1e308)
+        assert forward == backward and (forward.error, forward.max_delta) == (math.inf, 1e308)
         assert system.links["A", "B"][1, 2] == system.links["B", "A"][2, 1] == 1e308
 
     def test_overflowing_cross_step_raises_and_keeps_both_links(self):
@@ -493,19 +492,18 @@ def bits(value) -> int:
 
 
 def reference_step(weight, target, output, x):
-    """The learning step's arithmetic, one IEEE operation at a time: new weight, (error, final, max_delta)."""
+    """The learning step's arithmetic, one IEEE operation at a time: new weight, (error, max_delta)."""
     err = target - output(weight)
     step = err * x
     max_delta = float(np.maximum.reduce(np.abs(step), axis=None))
     step += weight
-    final = 0.5 * float(np.add.reduce(np.square(target - output(step)), axis=None))
-    return step, (0.5 * float(np.add.reduce(np.square(err), axis=None)), final, max_delta)
+    return step, (0.5 * float(np.add.reduce(np.square(err), axis=None)), max_delta)
 
 
 def target_step(weight, target):
     """A step with input 1: the new weight is the target itself, and the report that of `target - weight`."""
     err = target - weight
-    return target, (0.5 * float(np.add.reduce(np.square(err), axis=None)), 0.0,
+    return target, (0.5 * float(np.add.reduce(np.square(err), axis=None)),
                     float(np.maximum.reduce(np.abs(err), axis=None)))
 
 
@@ -532,7 +530,7 @@ class TestLearningStepArithmetic:
     def assert_same(report, new, expected):
         row, fields = expected
         assert np.asarray(new).view(np.uint64).tolist() == np.asarray(row).view(np.uint64).tolist()
-        assert [bits(v) for v in (report.error, report.final_error, report.max_delta)] == [bits(v) for v in fields]
+        assert [bits(v) for v in (report.error, report.max_delta)] == [bits(v) for v in fields]
 
     @settings(max_examples=150, deadline=None)
     @given(start=arrays(np.float64, DIM, elements=components), target=arrays(np.float64, DIM, elements=components),
@@ -606,7 +604,7 @@ class TestStepFromAnyWeight:
         with np.errstate(over="ignore"):  # a half square past the float range reports inf
             reports = system.learn_cross_weights("A", 1, "B", 0)
         assert bits(system.links["A", "B"][1, 0]) == bits(system.links["B", "A"][0, 1]) == bits(theta)
-        assert [(r.final_error, r.max_delta) for r in reports] == [(0.0, abs(theta - u)) for u in (forward, backward)]
+        assert [r.max_delta for r in reports] == [abs(theta - u) for u in (forward, backward)]
 
     @settings(max_examples=100, deadline=None)
     @given(start=arrays(np.float64, 5, elements=far), target=arrays(np.float64, 4, elements=far))
@@ -620,7 +618,7 @@ class TestStepFromAnyWeight:
             report = system.learn_recall_weights("A", 0, target)
         for row in (system.balls["A"].w[0], system.recall_forward("A", 0)):
             assert row.view(np.uint64).tolist() == target.view(np.uint64).tolist()
-        assert (report.final_error, report.max_delta) == (0.0, float(np.abs(target - start).max()))
+        assert report.max_delta == float(np.abs(target - start).max())
 
 
 class TestEveryAcceptedSettingFires:
