@@ -27,8 +27,22 @@ and the magnitudes in turn.  A float error (the cue and cross rules) is
 squared as a `np.float64`, the same IEEE product as `np.square`, so an
 overflow still warns.
 
-A system instance is single-writer while learning.  Response and recall
-calls never mutate state, so a trained system may be queried concurrently.
+`associate` recognizes by popcount, as a binary associative memory does:
+a stored cue row is one level on its pattern's support, so the response
+of a row to a probe that is one level on its own support is the two
+levels times the popcount of the supports' overlap.  Each ball packs its
+rows' supports into a cue index (`Ball.cue_index`) at its first
+`associate`, and `MemorySystem._recognize` takes the recognized neuron
+from it wherever rounding cannot change the outcome; elsewhere the BLAS
+product `cue_response` decides, so every result and error, and every q a
+caller sees, is the product's.
+
+A system instance is single-writer while learning.  `Ball.v` is
+read-only and changes only through `Ball.set_cue_row`, which drops the
+ball's index for the next `associate` to build again.  Other than the
+index a first `associate` builds, which concurrent first calls build
+alike, response and recall calls never mutate state, so a trained system
+may be queried concurrently.
 """
 
 from __future__ import annotations
@@ -70,12 +84,34 @@ class SystemConfig:
                              " otherwise trained neurons never fire")
 
 
+_INDEX_ROWS = 16  # rows of `v` per step of an index build, so no temporary is the size of `v`
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
+
+def _packed(mask: np.ndarray) -> np.ndarray:
+    """The last axis of a boolean array as uint64 words, lowest bit first, zero-padded."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    out = np.zeros(mask.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view(np.uint64)
+
+
+def _bitmap_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's one nonzero value (0 for a zero row) and its packed support; None if a row holds two."""
+    support = rows != 0
+    levels = rows[np.arange(len(rows)), support.argmax(axis=1)]
+    if not ((rows == levels[:, None]) | ~support).all():
+        return None
+    return levels, _packed(support)
+
+
 class Ball:
     """One Cue Ball: a cue neuron per stored pattern and its two weight rows.
 
     Row i of `w` (recall weights) is the pattern neuron i replays into the
     Recall Net; row i of `v` (cue weights) maps the Recall Net onto neuron
-    i's pre-threshold output.
+    i's pre-threshold output.  `v` is read-only: `set_cue_row` writes it and
+    drops the cue index.
     """
 
     def __init__(self, ball_id: str, labels, dim: int) -> None:
@@ -84,6 +120,28 @@ class Ball:
         self.n = len(self.labels)
         self.w = np.zeros((self.n, dim))
         self.v = np.zeros((self.n, dim))
+        self.v.flags.writeable = False
+        self._index: tuple | None = None  # None until `cue_index` builds it; () if `v` has a two-level row
+
+    def set_cue_row(self, neuron: int, row) -> None:
+        """Write row `neuron` of `v` and drop the cue index, which the next `cue_index` builds afresh."""
+        self.v.flags.writeable = True
+        try:
+            self.v[neuron] = row
+        finally:
+            self.v.flags.writeable = False
+        self._index = None
+
+    def cue_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(levels, words): row i of `v` is `levels[i]` on the support packed in `words[i]`.
+
+        None if a row holds two different nonzero values.  Built at the first
+        call after a write; concurrent first calls build equal indexes.
+        """
+        if self._index is None:
+            blocks = [_bitmap_rows(self.v[i:i + _INDEX_ROWS]) for i in range(0, self.n, _INDEX_ROWS)]
+            self._index = () if any(b is None for b in blocks) else tuple(map(np.concatenate, zip(*blocks)))
+        return self._index or None
 
 
 @dataclass(frozen=True)
@@ -174,8 +232,8 @@ class MemorySystem:
 
     def link_weights(self, from_ball: str, to_ball: str) -> np.ndarray:
         """`links[from_ball, to_ball]`, or a fresh zero array that is not kept if the pair has none yet."""
-        u = self.links.get((from_ball, to_ball))
-        return np.zeros((self.balls[from_ball].n, self.balls[to_ball].n)) if u is None else u
+        u = self.links.get((from_ball, to_ball))  # a pair is kept only between known balls
+        return np.zeros((self.ball(from_ball).n, self.ball(to_ball).n)) if u is None else u
 
     def _link_array(self, from_ball: str, to_ball: str) -> np.ndarray:
         """The pair's link array for writing: made all zeros, and kept, at its first write."""
@@ -271,8 +329,8 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         self._check_neuron(ball, neuron)
-        ball.v[neuron], report = self._delta_rule(ball.v[neuron], self.config.theta, ball.w[neuron],
-                                                  "v row %s:%s", ball.id, neuron)
+        row, report = self._delta_rule(ball.v[neuron], self.config.theta, ball.w[neuron], "v row %s:%s", ball.id, neuron)
+        ball.set_cue_row(neuron, row)
         return report
 
     # -- cross path ---------------------------------------------------------
@@ -288,11 +346,16 @@ class MemorySystem:
         self._check_neuron(src, from_neuron)
         return self._response(self.link_weights(src.id, dst.id)[from_neuron].copy(), threshold)
 
-    def _response(self, q: np.ndarray, threshold: float | None) -> CueResponse:
-        """Outputs `q` thresholded at `threshold`, or at the configured one if None."""
+    def _threshold(self, threshold: float | None) -> float:
+        """`threshold`, or the configured one if None; a query's threshold must be positive and finite."""
         thr = self.config.threshold if threshold is None else float(threshold)
         if not 0 < thr < math.inf:  # also false for nan
             raise ValueError(f"threshold must be positive and finite, got {thr}")
+        return thr
+
+    def _response(self, q: np.ndarray, threshold: float | None) -> CueResponse:
+        """Outputs `q` thresholded at `threshold`, or at the configured one if None."""
+        thr = self._threshold(threshold)
         fired = tuple(int(i) for i in np.flatnonzero(q >= thr))
         return CueResponse(q=q, fired=fired, argmax=int(np.argmax(q)), threshold=thr)
 
@@ -336,16 +399,23 @@ class MemorySystem:
         Both balls are looked up before the probe is, and a ball has no
         links to itself, so an unknown ball raises UnknownBall and
         `from_ball == to_ball` raises IntraBallLink, whatever the probe.
+        The source neuron is `cue_response`'s argmax, found from the cue
+        index when that is certain (`_recognize`) and from `cue_response`
+        otherwise, so the result and every error are the same either way.
         """
-        if self.ball(from_ball) is self.ball(to_ball):
+        src = self.ball(from_ball)
+        if src is self.ball(to_ball):
             raise IntraBallLink("cue neurons within one ball are not connected")
-        response = self.cue_response(from_ball, probe, threshold)
-        if not response.fired:
-            raise NoRecognition(
-                f"no neuron in {from_ball!r} reached threshold "
-                f"{response.threshold} (max q = {response.q.max():.6g})"
-            )
-        k = response.argmax
+        p = self._check_vector(probe)
+        k = self._recognize(src, p, threshold)
+        if k is None:
+            response = self.cue_response(from_ball, p, threshold)
+            if not response.fired:
+                raise NoRecognition(
+                    f"no neuron in {from_ball!r} reached threshold "
+                    f"{response.threshold} (max q = {response.q.max():.6g})"
+                )
+            k = response.argmax
         cross = self.cross_response(from_ball, k, to_ball, threshold)
         if not cross.fired:
             raise NoAssociation(
@@ -356,3 +426,46 @@ class MemorySystem:
         return AssociationResult(
             source_neuron=k, target_neuron=l, q=float(cross.q[l]), recalled=recalled
         )
+
+    def _recognize(self, ball: Ball, p: np.ndarray, threshold: float | None) -> int | None:
+        """`cue_response`'s argmax, taken from the ball's cue index; None unless it is certain to fire and be that.
+
+        For a probe whose nonzero components all equal one finite `d`, row j
+        of the product `v @ p` sums `|support_j & probe|` equal terms
+        `levels[j] * d`, so its exact value is that popcount times the
+        term, and `q` below is it to within rounding.  Where each term is a
+        normal float, the BLAS sum and `q` each lie within
+        `(gamma_dim + gamma_2) * max|q|`, about `delta / 2`, of the exact
+        value (`delta` keeps room for the rounding of the comparisons), so
+        within `delta` of each other.  A top `q` more than `2 * delta` above
+        the next and `delta` above the threshold is then the BLAS argmax,
+        and fires.  Below 2**1023 the BLAS sum cannot overflow, so
+        `cue_response` would have warned of nothing before it checks the
+        threshold, and neither does this.
+        """
+        index = ball.cue_index()
+        if index is None:
+            return None
+        nonzero = p != 0
+        d = float(p[nonzero.argmax()])
+        if d == 0.0 or not math.isfinite(d):  # an all-zero probe fires nothing
+            return None
+        bits = p == d
+        if not np.array_equal(bits, nonzero):
+            return None
+        levels, words = index
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term falls back below
+            terms = levels * d
+            q = terms * np.bitwise_count(words & _packed(bits)).sum(axis=1)
+        size = np.abs(terms)
+        if not np.array_equal((size >= _TINY) & (size <= _HUGE), levels != 0):  # a subnormal or overflowed term
+            return None
+        scale = float(np.abs(q).max())
+        if not scale < 2.0**1023:
+            return None
+        thr = self._threshold(threshold)
+        top = int(q.argmax())
+        second = np.partition(q, -2)[-2] if len(q) > 1 else -math.inf
+        delta = (self.config.dim + 3) * 2.0**-52 * scale
+        return top if q[top] - second > 2 * delta and q[top] - thr > delta else None
+

@@ -123,6 +123,8 @@ def to_pattern(vector: np.ndarray, width: int, height: int) -> BinaryPattern:
         raise DimensionMismatch(
             f"vector has {v.size} components, expected {width}x{height}"
         )
+    if not np.isfinite(v).all():
+        raise DegeneratePattern("recalled vector has a non-finite component")
     peak = float(v.max()) if v.size else 0.0
     if peak <= 0.0:
         raise DegeneratePattern("recalled vector has no positive component")

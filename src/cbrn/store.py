@@ -331,7 +331,7 @@ def _load_ball(system: MemorySystem, records, reader: _RowReader, lineno: int, r
     for i in range(1, n):
         ball.w[i] = reader.take(records, "w", i)
     for i in range(n):
-        ball.v[i] = reader.take(records, "v", i)
+        ball.set_cue_row(i, reader.take(records, "v", i))
 
 
 def _is_row(line: bytes) -> bool:

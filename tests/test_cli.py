@@ -1006,7 +1006,7 @@ class TestBlasThreads:
 
 
 class TestOutputAcrossBlas:
-    """`train` and `pair` print the same stdout and write the same model on any BLAS thread count or kernel."""
+    """`train`, `pair` and `associate` print the same stdout and write the same files on any BLAS thread count or kernel."""
 
     # an unknown core type is harmless off x86-64: stderr, where OpenBLAS may say so, is not compared
     SETTINGS = ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
@@ -1016,19 +1016,23 @@ class TestOutputAcrossBlas:
         env = {name: value for name, value in package_env().items()
                if not name.endswith("_NUM_THREADS") and name != "OPENBLAS_CORETYPE"}
         pairs = [f"--pair={p}" for p in ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")]
+        query = ("associate", "--model", "demo.cbrn", "--from", "color", "--pattern", "red.pbm", "--to", "style")
         outputs = []
         for i, setting in enumerate(self.SETTINGS):
             work = tmp_path / str(i)  # the same relative paths in every run, so stdout can match
             work.mkdir()
             stdout = []
-            for argv in (("train", "--out", "demo.cbrn"), ("pair", "--model", "demo.cbrn", *pairs)):
+            for argv, code in ((("encode", "--label", "red", "--out", "red.pbm"), 0), (("train", "--out", "demo.cbrn"), 0),
+                               (("pair", "--model", "demo.cbrn", *pairs), 0), ((*query, "--out", "rectangle.pbm"), 0),
+                               ((*query, "--format", "csv"), 0), ((*query, "--threshold", "100.5"), 3)):
                 done = subprocess.run([sys.executable, "-m", "cbrn.cli", *argv], cwd=work, env=dict(env, **setting),
                                       capture_output=True, timeout=120)
-                assert done.returncode == 0, done.stderr
+                assert done.returncode == code, done.stderr
                 stdout.append(done.stdout)
-            outputs.append((*stdout, hashlib.sha256((work / "demo.cbrn").read_bytes()).hexdigest()))
+            outputs.append((*stdout, *(hashlib.sha256((work / name).read_bytes()).hexdigest()
+                                       for name in ("demo.cbrn", "rectangle.pbm"))))
         assert outputs == [outputs[0]] * len(self.SETTINGS)
-        assert outputs[0][2] == TestDemoSessionGolden.MODEL_SHA256
+        assert outputs[0][-2:] == (TestDemoSessionGolden.MODEL_SHA256, TestDemoSessionGolden.RECTANGLE_SHA256)
 
 
 class TestPackageSurface:
@@ -1145,7 +1149,8 @@ def fuzz_models(draw) -> MemorySystem:
     for ball_id in draw(st.lists(st.sampled_from(FUZZ_BALLS), min_size=1, max_size=3, unique=True)):
         ball = system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(draw(st.integers(1, 3)))])
         ball.w[:] = draw(arrays(np.float64, ball.w.shape, elements=FUZZ_WEIGHTS))
-        ball.v[:] = draw(arrays(np.float64, ball.v.shape, elements=FUZZ_WEIGHTS))
+        for i, row in enumerate(draw(arrays(np.float64, ball.v.shape, elements=FUZZ_WEIGHTS))):
+            ball.set_cue_row(i, row)
     directions = list(itertools.permutations(system.balls, 2))
     for a, b in draw(st.lists(st.sampled_from(directions), max_size=3, unique=True)) if directions else ():
         shape = (system.balls[a].n, system.balls[b].n)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cbrn.memory import (
     MemorySystem,
     SystemConfig,
 )
-from conftest import make_toy_system, train_full_system
+from conftest import make_toy_system, pair_classic, train_full_system
 
 unit_pairs = st.sampled_from(
     [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.28, 0.96), (0.8, 0.6)]
@@ -354,6 +355,11 @@ class TestLinkArrays:
         assert list(system.links) == before == [("A", "B"), ("B", "A")]
         assert system.trained_links() == [("A", 0, "B", 2, 100.0), ("B", 2, "A", 0, 100.0)]
 
+    @pytest.mark.parametrize("pair", [("A", "Z"), ("Z", "A")])
+    def test_an_unknown_ball_is_unknown_ball(self, pair):
+        with pytest.raises(UnknownBall, match="^unknown ball 'Z'; have \\['A', 'B'\\]$"):
+            small_system().link_weights(*pair)
+
     def test_the_first_pair_makes_both_directions_and_a_repeat_keeps_them(self):
         system = small_system()
         system.add_ball("C", ["c0"])
@@ -410,7 +416,7 @@ class TestOverflow:
         # the error theta - q is 1e200, finite; the step (theta - q) * row is not
         system = small_system()
         system.balls["A"].w[0] = [1e200, 0.0]
-        system.balls["A"].v[0] = [-1.0, 0.0]
+        system.balls["A"].set_cue_row(0, [-1.0, 0.0])
         with pytest.raises(NonFiniteWeight, match="v row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
             system.learn_cue_weights("A", 0)
         assert system.balls["A"].v[0].tolist() == [-1.0, 0.0]
@@ -549,7 +555,7 @@ class TestLearningStepArithmetic:
     def test_cue_rule(self, start, stored, zero, theta, repeats):
         system = self.system(theta)
         system.balls["A"].w[0] = stored / 1e3  # products of two components stay far from overflow
-        system.balls["A"].v[0] = 0.0 if zero else start
+        system.balls["A"].set_cue_row(0, 0.0 if zero else start)
         yv = system.balls["A"].w[0].copy()
         for _ in range(repeats):
             expected = reference_step(system.balls["A"].v[0].copy(), theta, lambda row: float(row @ yv), yv)
@@ -684,3 +690,211 @@ class TestResolveBall:
         assert [system.resolve_ball(b) for b in ids] == list(ids)
         with pytest.raises(UnknownBall, match=r"ambiguous; it matches \['Color', 'color'\]"):
             system.resolve_ball("COLOR")
+
+
+def reference_associate(system, from_ball, probe, to_ball, threshold=None):
+    """`associate` as `cue_response`, `cross_response` and `recall_forward` define it."""
+    if system.ball(from_ball) is system.ball(to_ball):
+        raise IntraBallLink("cue neurons within one ball are not connected")
+    response = system.cue_response(from_ball, probe, threshold)
+    if not response.fired:
+        raise NoRecognition(f"no neuron in {from_ball!r} reached threshold "
+                            f"{response.threshold} (max q = {response.q.max():.6g})")
+    k = response.argmax
+    cross = system.cross_response(from_ball, k, to_ball, threshold)
+    if not cross.fired:
+        raise NoAssociation(f"no trained link from {from_ball}:{k} fired in {to_ball!r}")
+    return k, cross.argmax, float(cross.q[cross.argmax]), system.recall_forward(to_ball, cross.argmax)
+
+
+def outcome(call):
+    """What a call returned, bit for bit, or the class and message it raised; and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            found = (type(exc), str(exc))
+        else:
+            if not isinstance(result, tuple):
+                result = (result.source_neuron, result.target_neuron, result.q, result.recalled)
+            k, l, q, recalled = result
+            found = (k, l, bits(q), recalled.view(np.uint64).tolist())
+    return found, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_associates_like_the_reference(system, from_ball, probe, to_ball, threshold=None):
+    expected = outcome(lambda: reference_associate(system, from_ball, probe, to_ball, threshold))
+    assert outcome(lambda: system.associate(from_ball, probe, to_ball, threshold)) == expected
+    return expected[0]
+
+
+@pytest.fixture
+def cue_calls(monkeypatch):
+    """The ball ids `cue_response` is called with."""
+    calls = []
+    cue_response = MemorySystem.cue_response
+
+    def counted(system, ball_id, *args, **kwargs):
+        calls.append(ball_id)
+        return cue_response(system, ball_id, *args, **kwargs)
+
+    monkeypatch.setattr(MemorySystem, "cue_response", counted)
+    return calls
+
+
+@st.composite
+def index_cases(draw):
+    """A two-ball system whose ball A holds new, duplicate, nested, zero and two-level rows, and a probe and threshold for it."""
+    dim = draw(st.integers(1, 70))  # across a 64-bit word boundary
+    theta, threshold = draw(st.sampled_from([(100.0, 72.0), (1.0, 0.5), (3e4, 5e-324), (1e200, 1e100)]))
+    system = MemorySystem(SystemConfig(dim=dim, theta=theta, threshold=threshold))
+    masks = []
+    for ball_id, n in (("A", draw(st.integers(1, 5))), ("B", draw(st.integers(1, 3)))):
+        system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(n)])
+        for i in range(n):
+            kind = draw(st.sampled_from(["new", "duplicate", "nested", "zero", "two-level"] if masks else ["new", "zero"]))
+            if kind == "zero":
+                continue
+            mask = draw(arrays(np.bool_, dim)) if kind in ("new", "two-level") else draw(st.sampled_from(masks)).copy()
+            if kind == "nested":
+                mask &= draw(arrays(np.bool_, dim))
+            row = mask * draw(st.sampled_from([1 / math.sqrt(max(1, mask.sum())), 1.0, 0.37, 3.0]))
+            if kind == "two-level" and mask.any():
+                row[mask.argmax()] *= 2.0
+            for _ in range(draw(st.integers(1, 2))):
+                with np.errstate(over="ignore"):  # theta 1e200 reports an error of inf
+                    system.store(ball_id, i, row)
+            if ball_id == "A":
+                masks.append(mask)
+    for _ in range(draw(st.integers(0, 3))):
+        k, l = draw(st.integers(0, system.balls["A"].n - 1)), draw(st.integers(0, system.balls["B"].n - 1))
+        with np.errstate(over="ignore"):
+            system.learn_cross_weights("A", k, "B", l)
+    mask = draw(st.sampled_from(masks)).copy() if masks and draw(st.booleans()) else draw(arrays(np.bool_, dim))
+    mask ^= draw(arrays(np.bool_, dim, elements=st.sampled_from([False] * 7 + [True])))  # flip about 1 in 8
+    level = draw(st.sampled_from([1 / math.sqrt(max(1, mask.sum())), 1.0, -0.5, 1e-310, 1e300]))
+    probe = mask * level
+    kind = draw(st.sampled_from(["bitmap"] * 3 + ["two-level", "non-finite"]))
+    if kind == "two-level":
+        probe[draw(st.integers(0, dim - 1))] = 2 * level
+    elif kind == "non-finite":
+        probe[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = system.cue_response("A", probe).q
+    exact = [float(x) for x in q if 0 < x < math.inf]  # a threshold a q equals exactly
+    threshold = draw(st.one_of(st.none(), st.sampled_from(exact) if exact else st.none(),
+                               st.floats(1e-3, 1e3), st.sampled_from([0.0, -1.0, math.nan, math.inf])))
+    return system, probe, threshold
+
+
+class TestRecognitionIndex:
+    """`associate` recognizes from the packed cue index when that is certain, and answers as the BLAS product does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=index_cases())
+    def test_associate_matches_the_reference(self, case):
+        system, probe, threshold = case
+        assert_associates_like_the_reference(system, "A", probe, "B", threshold)
+
+    def test_the_demo_probes_and_their_noisy_versions_take_the_index(self, label_bitmaps, cue_calls):
+        system = pair_classic(train_full_system())
+        rng = np.random.default_rng(7)
+        cases = []
+        for (ball, index), pattern in label_bitmaps.items():
+            noisy = pattern.bits.copy().reshape(-1)
+            noisy[rng.choice(noisy.size, noisy.size // 10, replace=False)] ^= 1
+            for bits_ in (pattern.bits, noisy.reshape(pattern.bits.shape)):
+                probe = patterns.normalize(patterns.BinaryPattern(bits_))
+                target = {"Color": "Style", "Style": "Volume", "Volume": "Color"}[ball]
+                cases.append((ball, index, probe, target, outcome(lambda: reference_associate(system, ball, probe, target))))
+        cue_calls.clear()
+        for ball, index, probe, target, expected in cases:
+            assert outcome(lambda: system.associate(ball, probe, target)) == expected
+            assert expected[0][0] == index or expected[0][0] is NoAssociation
+        assert len(cases) == 42 and cue_calls == []
+
+    def test_a_near_tie_takes_the_product(self, cue_calls):
+        # two neurons store one pattern, so their q tie, and the product's argmax, the lower index, decides
+        bits_ = np.array([1.0, 1.0, 0.0, 1.0]) / math.sqrt(3)
+        system = make_toy_system({"A": [[0.0, 0.0, 1.0, 0.0], bits_, bits_], "B": [[1.0, 0.0, 0.0, 0.0]]}, dim=4)
+        system.learn_cross_weights("A", 1, "B", 0)
+        system.learn_cross_weights("A", 0, "B", 0)
+        assert assert_associates_like_the_reference(system, "A", bits_, "B")[:2] == (1, 0)
+        cue_calls.clear()
+        system.associate("A", bits_, "B")
+        assert cue_calls == ["A"]
+        cue_calls.clear()
+        system.associate("A", [0.0, 0.0, 1.0, 0.0], "B", threshold=1e-3)  # clear of the rest: no product
+        assert cue_calls == []
+
+    def test_thresholds_at_each_q_of_nested_patterns(self):
+        # the product rounds its sum of equal terms, so its q sits a few ulps either side of the popcount q
+        dim = 256
+        system = MemorySystem(SystemConfig(dim=dim))
+        system.add_ball("A", [f"a{c}" for c in range(1, dim + 1)])
+        system.add_ball("B", ["b0"])
+        prefixes = [np.arange(dim) < c for c in range(1, dim + 1)]
+        for i, prefix in enumerate(prefixes):
+            system.store("A", i, prefix / math.sqrt(i + 1))
+            system.learn_cross_weights("A", i, "B", 0)
+        for i, prefix in enumerate(prefixes):
+            probe = prefix / math.sqrt(i + 1)
+            q = system.cue_response("A", probe).q[i]
+            for threshold in (np.nextafter(q, -math.inf), q, np.nextafter(q, math.inf)):
+                found = assert_associates_like_the_reference(system, "A", probe, "B", threshold)
+                assert found[0] in ((i, NoAssociation) if threshold <= q else (NoRecognition,))  # a link is 100
+
+    @pytest.mark.parametrize("level, d, count", [
+        (3e4, 1e-315, 2),  # subnormal terms
+        (3e4, 1e305, 2),  # terms past the float range
+        (1.0, 3.5953862697246315e307, 5),  # a sum the product may round past the float range, with a warning
+    ], ids=["subnormal", "overflow", "near-overflow"])
+    def test_terms_outside_the_normal_range_take_the_product(self, level, d, count, cue_calls):
+        system = MemorySystem(SystemConfig(dim=64, theta=3e4, threshold=5e-324))
+        system.add_ball("A", ["a0"]).set_cue_row(0, np.where(np.arange(64) < count, level, 0.0))
+        system.add_ball("B", ["b0"])
+        system.learn_cross_weights("A", 0, "B", 0)
+        probe = np.where(np.arange(64) < count, d, 0.0)
+        assert_associates_like_the_reference(system, "A", probe, "B")
+        cue_calls.clear()
+        outcome(lambda: system.associate("A", probe, "B"))
+        assert cue_calls == ["A"]
+
+    def test_a_write_after_the_index_exists_is_answered(self):
+        system = make_toy_system({"B": [[0.0, 0.0, 0.6, 0.8]]}, dim=4)
+        system.add_ball("C", ["c0", "c1"])  # c1 is a zero row until it is stored
+        system.store("C", 0, [1.0, 0.0, 0.0, 0.0])
+        system.learn_cross_weights("C", 1, "B", 0)
+        probe = [1.0, 0.0, 0.0, 0.0]
+        assert assert_associates_like_the_reference(system, "C", probe, "B")[0] is NoAssociation  # c0 is unlinked
+        assert system.balls["C"].cue_index() is not None
+        # c1 then outbids c0: stored from zero it is one level, and a second pattern adds a step of another level
+        for row, bitmap in (([2.0, 0.0, 0.0, 0.0], True), ([0.25, -0.25, 0.0, 0.0], False)):
+            system.store("C", 1, row)
+            assert (system.balls["C"].cue_index() is not None) == bitmap
+            assert assert_associates_like_the_reference(system, "C", probe, "B")[:2] == (1, 0)
+        loaded = MemorySystem(SystemConfig(dim=4))
+        loaded.add_ball("A", ["a0"]).set_cue_row(0, [0.0, 3.0, 3.0, 0.0])
+        levels, words = loaded.balls["A"].cue_index()
+        assert levels.tolist() == [3.0] and words.tolist() == [[0b0110]]
+
+    def test_a_write_to_a_negative_neuron_after_the_index_exists_is_answered(self, cue_calls):
+        system = make_toy_system({"B": [[0.0, 0.0, 0.6, 0.8]]}, dim=4)
+        ball = system.add_ball("C", ["c0", "c1"])
+        ball.set_cue_row(0, [100.0, 0.0, 0.0, 0.0])
+        system.learn_cross_weights("C", 1, "B", 0)
+        probe = [1.0, 0.0, 0.0, 0.0]
+        assert assert_associates_like_the_reference(system, "C", probe, "B")[0] is NoAssociation  # c0 is unlinked
+        ball.set_cue_row(-1, [200.0, 0.0, 0.0, 0.0])  # c1 now outbids c0
+        cue_calls.clear()
+        result = system.associate("C", probe, "B")
+        assert (result.source_neuron, result.target_neuron) == (1, 0) and cue_calls == []  # decided from the rebuilt index
+        assert assert_associates_like_the_reference(system, "C", probe, "B")[:2] == (1, 0)
+
+    def test_cue_rows_are_written_only_by_the_writer(self):
+        ball = small_system().balls["A"]
+        with pytest.raises(ValueError, match="read-only"):
+            ball.v[0] = [1.0, 0.0]
+        ball.set_cue_row(0, [1.0, 0.0])
+        assert ball.v[0].tolist() == [1.0, 0.0] and not ball.v.flags.writeable

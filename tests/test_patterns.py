@@ -97,6 +97,11 @@ class TestToPattern:
         with pytest.raises(DegeneratePattern):
             patterns.to_pattern(np.zeros(4), 2, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_raises(self, bad):
+        with pytest.raises(DegeneratePattern, match="^recalled vector has a non-finite component$"):
+            patterns.to_pattern([bad, 1.0, 0.0, 1.0], 2, 2)
+
     def test_wrong_size_raises(self):
         with pytest.raises(DimensionMismatch):
             patterns.to_pattern(np.ones(5), 2, 2)

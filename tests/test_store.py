@@ -62,7 +62,7 @@ def one_row_system(w_row, v_row) -> MemorySystem:
     system = MemorySystem(SystemConfig(dim=len(w_row)))
     system.add_ball("A", ["x"])
     system.balls["A"].w[0] = w_row
-    system.balls["A"].v[0] = v_row
+    system.balls["A"].set_cue_row(0, v_row)
     return system
 
 
