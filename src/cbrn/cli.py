@@ -7,11 +7,12 @@ one.  Exit codes are stable: 0 on success; 2 for argparse's refusals and any
 this module keeps no list of error classes.
 
 Each command is a fresh process, so it imports only the modules it runs.
-This module loads NumPy, `errors` and `memory`, which every command uses
-(`main`'s `np.errstate`, the parser's `SystemConfig` defaults); a command
-imports `patterns`, `qr` and `store` itself, where it calls them.  So
-`encode` never loads `store`, and the model commands never load `qr` or
-`galois`.
+This module loads NumPy and `errors`, which every command uses (`main`'s
+`np.errstate` and error classes); a command imports `memory`, `patterns`,
+`qr` and `store` itself, where it calls them.  So `encode` never loads
+`memory` or `store`, and the model commands never load `qr` or `galois`.
+`train` writes the default `SystemConfig`: theta only rescales q, and a
+query sets its own threshold.
 
 Before NumPy loads, this module sets each BLAS thread variable of
 `_BLAS_THREADS` that the environment leaves unset to 1: on import, NumPy's
@@ -36,7 +37,6 @@ for _variable in _BLAS_THREADS:
 import numpy as np
 
 from .errors import CatalogError, CbrnError, DimensionMismatch, NoRecognition, UsageError
-from .memory import MemorySystem, SystemConfig
 
 # report defaults: probe neuron per ball position (classic demo layout)
 _DEFAULT_PROBE_NEURONS = (0, 3, 6)
@@ -138,16 +138,13 @@ def cmd_encode(args) -> int:
 
 def cmd_train(args) -> int:
     from . import patterns, qr, store
+    from .memory import MemorySystem
 
-    try:
-        config = SystemConfig(theta=args.theta, threshold=args.threshold)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     catalog = patterns.load_catalog(args.catalog) if args.catalog else patterns.default_catalog()
     if not len(catalog):
         raise CatalogError(f"{args.catalog}: no patterns: the catalog is empty")
 
-    system = MemorySystem.from_catalog(catalog, config)
+    system = MemorySystem.from_catalog(catalog)
     rows = [f"{'ball':<10} {'neuron':>6} label"]
     for group in catalog:
         for index, label in enumerate(group.labels):
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbrn",
         description="Attribute-wise associative memory over QR-coded labels.",
-        allow_abbrev=False,  # a flag has one spelling: `--thet` is not `--theta`
+        allow_abbrev=False,  # a flag has one spelling: `--cat` is not `--catalog`
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -319,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "store every catalog pattern into a fresh model")
     p.add_argument("--out", required=True, help="output model path")
     p.add_argument("--catalog", help="catalog file (default: the bundled one)")
-    p.add_argument("--theta", type=float, default=SystemConfig.theta, help="learning value (default: %(default)s)")
-    p.add_argument("--threshold", type=float, default=SystemConfig.threshold,
-                   help="firing threshold (default: %(default)s)")
 
     p = command("pair", cmd_pair, "train cross links between cue neurons")
     p.add_argument("--model", required=True, help="model file to update")

@@ -96,6 +96,18 @@ def _packed(mask: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
+def _check_neuron(ball: Ball, neuron: int) -> None:
+    if not 0 <= neuron < ball.n:
+        raise NeuronIndexError(f"neuron {neuron} out of range for ball {ball.id!r} (n={ball.n})")
+
+
+def _check_vector(vector, dim: int) -> np.ndarray:
+    v = np.asarray(vector, dtype=np.float64).reshape(-1)
+    if v.size != dim:
+        raise DimensionMismatch(f"vector has {v.size} components, system dimension is {dim}")
+    return v
+
+
 def _bitmap_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Each row's one nonzero value (0 for a zero row) and its packed support; None if a row holds two."""
     support = rows != 0
@@ -124,7 +136,9 @@ class Ball:
         self._index: tuple | None = None  # None until `cue_index` builds it; () if `v` has a two-level row
 
     def set_cue_row(self, neuron: int, row) -> None:
-        """Write row `neuron` of `v` and drop the cue index, which the next `cue_index` builds afresh."""
+        """Write row `neuron` of `v`, checked as every writer checks, and drop the cue index."""
+        _check_neuron(self, neuron)
+        row = _check_vector(row, self.v.shape[1])
         self.v.flags.writeable = True
         try:
             self.v[neuron] = row
@@ -248,20 +262,6 @@ class MemorySystem:
             for k, l in zip(*np.nonzero(u))
         )
 
-    def _check_neuron(self, ball: Ball, neuron: int) -> None:
-        if not 0 <= neuron < ball.n:
-            raise NeuronIndexError(
-                f"neuron {neuron} out of range for ball {ball.id!r} (n={ball.n})"
-            )
-
-    def _check_vector(self, vector) -> np.ndarray:
-        v = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if v.size != self.config.dim:
-            raise DimensionMismatch(
-                f"vector has {v.size} components, system dimension is {self.config.dim}"
-            )
-        return v
-
     def _delta_rule(self, weight, target, x, *where):
         """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
@@ -296,7 +296,7 @@ class MemorySystem:
         over the other cue neurons.
         """
         ball = self.ball(ball_id)
-        self._check_neuron(ball, neuron)
+        _check_neuron(ball, neuron)
         return ball.w[neuron].copy()
 
     def learn_recall_weights(self, ball_id: str, neuron: int, target) -> UpdateReport:
@@ -307,8 +307,8 @@ class MemorySystem:
         bit for bit, and a repeat is a no-op.
         """
         ball = self.ball(ball_id)
-        self._check_neuron(ball, neuron)
-        t = self._check_vector(target)
+        _check_neuron(ball, neuron)
+        t = _check_vector(target, self.config.dim)
         ball.w[neuron], report = self._delta_rule(ball.w[neuron], t, None, "w row %s:%s", ball.id, neuron)
         return report
 
@@ -317,7 +317,7 @@ class MemorySystem:
     def cue_response(self, ball_id: str, probe, threshold: float | None = None) -> CueResponse:
         """Pre-threshold outputs of every neuron in a ball for a probe vector."""
         ball = self.ball(ball_id)
-        return self._response(ball.v @ self._check_vector(probe), threshold)
+        return self._response(ball.v @ _check_vector(probe, self.config.dim), threshold)
 
     def learn_cue_weights(self, ball_id: str, neuron: int) -> UpdateReport:
         """Delta-rule update of a neuron's cue row toward output theta.
@@ -328,7 +328,7 @@ class MemorySystem:
         response to y is theta to within rounding.
         """
         ball = self.ball(ball_id)
-        self._check_neuron(ball, neuron)
+        _check_neuron(ball, neuron)
         row, report = self._delta_rule(ball.v[neuron], self.config.theta, ball.w[neuron], "v row %s:%s", ball.id, neuron)
         ball.set_cue_row(neuron, row)
         return report
@@ -343,7 +343,7 @@ class MemorySystem:
         dst = self.ball(to_ball)
         if src.id == dst.id:
             raise IntraBallLink("cue neurons within one ball are not connected")
-        self._check_neuron(src, from_neuron)
+        _check_neuron(src, from_neuron)
         return self._response(self.link_weights(src.id, dst.id)[from_neuron].copy(), threshold)
 
     def _threshold(self, threshold: float | None) -> float:
@@ -375,8 +375,8 @@ class MemorySystem:
             raise IntraBallLink(
                 f"pair ({ball_a}:{k}, {ball_b}:{l}) stays within one ball"
             )
-        self._check_neuron(a, k)
-        self._check_neuron(b, l)
+        _check_neuron(a, k)
+        _check_neuron(b, l)
         forward, backward, theta = self._link_array(a.id, b.id), self._link_array(b.id, a.id), self.config.theta
         u_ab, forward_report = self._delta_rule(forward.item(k, l), theta, None, "link %s:%s->%s:%s", a.id, k, b.id, l)
         u_ba, backward_report = self._delta_rule(backward.item(l, k), theta, None, "link %s:%s->%s:%s", b.id, l, a.id, k)
@@ -406,7 +406,7 @@ class MemorySystem:
         src = self.ball(from_ball)
         if src is self.ball(to_ball):
             raise IntraBallLink("cue neurons within one ball are not connected")
-        p = self._check_vector(probe)
+        p = _check_vector(probe, self.config.dim)
         k = self._recognize(src, p, threshold)
         if k is None:
             response = self.cue_response(from_ball, p, threshold)

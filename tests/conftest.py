@@ -7,10 +7,10 @@ from cbrn.memory import MemorySystem, SystemConfig
 CLASSIC_PAIRS = (("Color", 0, "Style", 3), ("Style", 3, "Volume", 6), ("Volume", 6, "Color", 1))
 
 
-def train_full_system() -> MemorySystem:
-    """Fresh system holding all 21 bundled catalog patterns."""
+def train_full_system(config: SystemConfig | None = None) -> MemorySystem:
+    """Fresh system holding all 21 bundled catalog patterns, under `config` or the default one."""
     catalog = patterns.default_catalog()
-    system = MemorySystem.from_catalog(catalog, SystemConfig())
+    system = MemorySystem.from_catalog(catalog, config)
     for group in catalog:
         for index, label in enumerate(group.labels):
             system.store(group.name, index, patterns.normalize(qr.render(qr.encode_label(label))))

@@ -555,7 +555,7 @@ class TestLearningStepArithmetic:
     def test_cue_rule(self, start, stored, zero, theta, repeats):
         system = self.system(theta)
         system.balls["A"].w[0] = stored / 1e3  # products of two components stay far from overflow
-        system.balls["A"].set_cue_row(0, 0.0 if zero else start)
+        system.balls["A"].set_cue_row(0, np.zeros(DIM) if zero else start)
         yv = system.balls["A"].w[0].copy()
         for _ in range(repeats):
             expected = reference_step(system.balls["A"].v[0].copy(), theta, lambda row: float(row @ yv), yv)
@@ -659,6 +659,36 @@ class TestEveryAcceptedSettingFires:
             assert l in system.cross_response("A", k, "B").fired
             assert k in system.cross_response("B", l, "A").fired
             system.store("A", k, stored["A"][k])  # a repeated store may only raise the own q
+
+
+class TestThetaOnlyRescales:
+    """Stored from zero, every cue row is theta times its pattern, so q scales with theta and only D / theta counts."""
+
+    @pytest.fixture(scope="class")
+    def probes(self, label_bitmaps):
+        """The 21 bundled labels' unit vectors, then 5 rounds of them with 10% of pixels flipped, as (ball, probe)."""
+        rng = np.random.default_rng(1)
+        noisy = []
+        for _ in range(5):
+            for (ball, _), pattern in label_bitmaps.items():
+                bits_ = pattern.bits.copy().reshape(-1)
+                bits_[rng.choice(bits_.size, bits_.size // 10, replace=False)] ^= 1
+                noisy.append((ball, patterns.BinaryPattern(bits_.reshape(pattern.bits.shape))))
+        clean = [(ball, pattern) for (ball, _), pattern in label_bitmaps.items()]
+        return [(ball, patterns.normalize(pattern)) for ball, pattern in clean + noisy]
+
+    @staticmethod
+    def outcomes(catalog, label_bitmaps, probes, theta, threshold):
+        system = MemorySystem.from_catalog(catalog, SystemConfig(theta=theta, threshold=threshold))
+        for (ball, index), pattern in label_bitmaps.items():
+            system.store(ball, index, patterns.normalize(pattern))
+        return [(response.fired, response.argmax)
+                for response in (system.cue_response(ball, probe) for ball, probe in probes)]
+
+    @pytest.mark.parametrize("theta", [1.0, 50.0, 1e6])
+    def test_fired_sets_and_argmax_match_the_default_model(self, catalog, label_bitmaps, probes, theta):
+        found = self.outcomes(catalog, label_bitmaps, probes, theta, 0.72 * theta)
+        assert len(found) == 126 and found == self.outcomes(catalog, label_bitmaps, probes, 100.0, 72.0)
 
 
 class TestAddBall:
@@ -886,7 +916,11 @@ class TestRecognitionIndex:
         system.learn_cross_weights("C", 1, "B", 0)
         probe = [1.0, 0.0, 0.0, 0.0]
         assert assert_associates_like_the_reference(system, "C", probe, "B")[0] is NoAssociation  # c0 is unlinked
-        ball.set_cue_row(-1, [200.0, 0.0, 0.0, 0.0])  # c1 now outbids c0
+        with pytest.raises(NeuronIndexError, match=r"^neuron -1 out of range for ball 'C' \(n=2\)$"):
+            ball.set_cue_row(-1, [200.0, 0.0, 0.0, 0.0])  # refused: it writes nothing and keeps the index
+        cue_calls.clear()
+        assert outcome(lambda: system.associate("C", probe, "B"))[0][0] is NoAssociation and cue_calls == []
+        ball.set_cue_row(1, [200.0, 0.0, 0.0, 0.0])  # c1 now outbids c0
         cue_calls.clear()
         result = system.associate("C", probe, "B")
         assert (result.source_neuron, result.target_neuron) == (1, 0) and cue_calls == []  # decided from the rebuilt index
@@ -898,3 +932,17 @@ class TestRecognitionIndex:
             ball.v[0] = [1.0, 0.0]
         ball.set_cue_row(0, [1.0, 0.0])
         assert ball.v[0].tolist() == [1.0, 0.0] and not ball.v.flags.writeable
+
+    @pytest.mark.parametrize("neuron, row, error, message", [
+        (-1, [1.0, 0.0], NeuronIndexError, r"neuron -1 out of range for ball 'A' \(n=3\)"),
+        (3, [1.0, 0.0], NeuronIndexError, r"neuron 3 out of range for ball 'A' \(n=3\)"),
+        (0, [1.0, 0.0, 0.0, 0.0], DimensionMismatch, "vector has 4 components, system dimension is 2"),
+        (0, 1.0, DimensionMismatch, "vector has 1 components, system dimension is 2"),
+    ])
+    def test_the_writer_refuses_a_bad_neuron_or_row_and_writes_nothing(self, neuron, row, error, message):
+        ball = small_system().balls["A"]
+        ball.set_cue_row(2, [0.0, 3.0])
+        index = ball.cue_index()
+        with pytest.raises(error, match=f"^{message}$"):
+            ball.set_cue_row(neuron, row)
+        assert ball.v.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 3.0]] and ball.cue_index() is index
