@@ -358,6 +358,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage problems itself
         return int(exc.code or 0)
     try:
+        if any(value == [] or isinstance(value, list) and [] in value for value in vars(args).values()):
+            # argparse before Python 3.12 parses `--opt=--` into an empty list, not the string "--"
+            raise UsageError("'--' is not an option value")
         # an overflowing learning step either reports an inf error or raises
         # NonFiniteWeight; NumPy's RuntimeWarnings would add nothing to either
         with np.errstate(over="ignore", invalid="ignore"):

@@ -69,6 +69,15 @@ def library_model(path, **config):
     return path
 
 
+def with_header_line(path, key, value):
+    """Rewrite the model at `path` with its `key` header line set to `value`; returns `path`."""
+    lines = path.read_text().splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    lines[index] = f"{key} {value}\n"
+    path.write_text("".join(lines))
+    return path
+
+
 def write_pbm(path, bits):
     patterns.save_pbm(patterns.BinaryPattern(bits), path)
     return path
@@ -257,6 +266,25 @@ class TestTrain:
             code, stdout, _ = run(capsys, *argv, "--model", out)
             assert code == 0 and "e+30" in stdout
             assert max(map(len, stdout.splitlines())) <= 80, argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--theta", "50"), "theta = 50 > threshold = 72 > 0"),
+        (("--theta", "72.00000001"), "theta = 72 > threshold = 72 > 0"),  # above by less than the 1e-9 margin
+        (("--threshold", "0"), "theta = 100 > threshold = 0 > 0"),
+        (("--threshold", "100"), "theta = 100 > threshold = 100 > 0"),
+    ])
+    def test_setting_under_which_nothing_trained_fires_writes_no_model(self, capsys, tmp_path, argv, message):
+        # train takes no such setting, and a model whose header carries one is refused and left as it was
+        out = tmp_path / "m.cbrn"
+        code, stdout, stderr = run(capsys, "train", "--out", out, *argv)
+        assert (code, stdout) == (2, "") and f"unrecognized arguments: {' '.join(argv)}" in stderr
+        assert not out.exists()
+        model = with_header_line(toy_model(tmp_path), argv[0][2:], argv[1])
+        before = model.read_bytes()
+        code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:1=B:2")
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
+        assert model.read_bytes() == before
 
     @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
     def test_epochs_is_no_option(self, capsys, tmp_path, monkeypatch, source):
@@ -854,6 +882,32 @@ class TestOptionTable:
         assert code == 0
         flags = {word.strip("[],") for word in stdout.split() if word.startswith(("--", "[--"))}
         assert flags == {"--help", "--out", "--catalog"}
+
+    @pytest.mark.parametrize("flag", ["--theta", "--threshold"])
+    def test_non_finite_constant_writes_no_model(self, capsys, tmp_path, flag):
+        # train takes no such flag, and a model whose header holds a non-finite constant is refused and left as it was
+        out = tmp_path / "m.cbrn"
+        code, stdout, stderr = run(capsys, "train", "--out", out, flag, "inf")
+        assert (code, stdout) == (2, "") and f"unrecognized arguments: {flag} inf" in stderr
+        assert not out.exists()
+        model = with_header_line(toy_model(tmp_path), flag[2:], "inf")
+        before = model.read_bytes()
+        code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:1=B:2")
+        assert (code, stdout) == (3, "")
+        assert stderr.startswith("error: ") and f"{flag[2:]} 'inf' is not finite" in stderr
+        assert model.read_bytes() == before
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "--label=--", "--out", "x.pbm"),
+        ("encode", "--label", "red", "--out=--"),
+        ("train", "--out=--"),
+        ("pair", "--model", "m.cbrn", "--pair=--"),
+        ("report", "--model=--", "--figure", "3"),
+    ])
+    def test_double_dash_as_an_inline_value_is_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (2, "", "error: '--' is not an option value\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_abbreviated_flag_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "m.cbrn"
