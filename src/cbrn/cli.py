@@ -11,8 +11,8 @@ This module loads NumPy and `errors`, which every command uses (`main`'s
 `np.errstate` and error classes); a command imports `memory`, `patterns`,
 `qr` and `store` itself, where it calls them.  So `encode` never loads
 `memory` or `store`, and the model commands never load `qr` or `galois`.
-`train` writes the default `SystemConfig`: theta only rescales q, and a
-query sets its own threshold.
+Theta and the threshold D are the model's constants (`memory.THETA`,
+`memory.THRESHOLD`); `recall` and `associate --threshold` set a query's D.
 
 Before NumPy loads, this module sets each BLAS thread variable of
 `_BLAS_THREADS` that the environment leaves unset to 1: on import, NumPy's
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("recall", "associate"):
         sub.choices[name].add_argument("--threshold", type=_threshold_override,
-                                       help="override the model's firing threshold")
+                                       help="this query's firing threshold D (default: the model's, 72)")
     for name in ("recall", "associate", "report"):
         sub.choices[name].add_argument("--format", choices=("table", "csv"), default="table",
                                        help="output format (default: %(default)s)")
@@ -361,8 +361,8 @@ def main(argv=None) -> int:
         if any(value == [] or isinstance(value, list) and [] in value for value in vars(args).values()):
             # argparse before Python 3.12 parses `--opt=--` into an empty list, not the string "--"
             raise UsageError("'--' is not an option value")
-        # an overflowing learning step either reports an inf error or raises
-        # NonFiniteWeight; NumPy's RuntimeWarnings would add nothing to either
+        # a learning step whose error squares past the float range reports an
+        # inf error (`pair` on a link near -1.8e308); NumPy's warning adds nothing
         with np.errstate(over="ignore", invalid="ignore"):
             code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not in the interpreter's exit flush

@@ -4,16 +4,17 @@ Each Cue Ball (`Ball`) is a group of cue neurons, one per stored pattern,
 with two weight rows per neuron.  Recall weights `w` (cue to recall) hold
 the presentation vector a neuron replays into the Recall Net; cue weights
 `v` (recall to cue) drive the matching neuron's pre-threshold output to the
-learning value theta.  Cross weights couple cue neurons across balls, one
-dense array per ordered ball pair, so a recognized pattern in one ball
-recalls its linked pattern in another.  A pair's array is made when the
-pair is first trained or loaded; until then the pair reads as all zeros,
-and reading it adds nothing.
+learning value `THETA`, and a neuron fires at `THRESHOLD` unless a query
+sets its own threshold; both are the model's constants.  Cross weights
+couple cue neurons across balls, one dense array per ordered ball pair, so
+a recognized pattern in one ball recalls its linked pattern in another.  A
+pair's array is made when the pair is first trained or loaded; until then
+the pair reads as all zeros, and reading it adds nothing.
 
 All three learning rules are one Widrow-Hoff step at rate 1,
 `delta = (target - output) * input`: the recall rule targets the pattern
-with input 1, the cue rule targets theta with the recalled pattern as
-input, and the cross rule targets theta with input 1.  With input 1 the step
+with input 1, the cue rule targets `THETA` with the recalled pattern as
+input, and the cross rule targets `THETA` with input 1.  With input 1 the step
 is `target - weight`, so from any weight the new weight is the target itself:
 the recall and cross rules store their targets in a single update, and a
 repeat is an exact no-op.  The cue rule adds its step and lands within
@@ -35,7 +36,10 @@ rows' supports into a cue index (`Ball.cue_index`) at its first
 `associate`, and `MemorySystem._recognize` takes the recognized neuron
 from it wherever rounding cannot change the outcome; elsewhere the BLAS
 product `cue_response` decides, so every result and error, and every q a
-caller sees, is the product's.
+caller sees, is the product's.  A second `store` of a different pattern
+onto a used neuron adds a step of another level to its cue row, so that
+ball has no index, and every `associate` into it takes the product (about
+1 ms at 256 neurons).
 
 A system instance is single-writer while learning.  `Ball.v` is
 read-only and changes only through `Ball.set_cue_row`, which drops the
@@ -48,7 +52,7 @@ may be queried concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,25 +67,19 @@ from .errors import (
 )
 
 
+THETA = 100.0  # learning value: the pre-threshold output one learning step drives a trained neuron to
+THRESHOLD = 72.0  # firing threshold D of the cue step function, where a query sets none
+
+
 @dataclass
 class SystemConfig:
-    """Learning constants shared by every ball of a system; `store` writes its fields, in order, as the CBRN1 header."""
+    """The Recall Net dimension shared by every ball of a system; `store` writes it as the CBRN1 header's first line."""
 
     dim: int = 13_456
-    theta: float = 100.0  # learning value: target pre-threshold output
-    threshold: float = 72.0  # firing cutoff of the cue step function
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        for field in fields(self):
-            if type(field.default) is float and not math.isfinite(getattr(self, field.name)):
-                raise ValueError(f"{field.name} must be finite, got {getattr(self, field.name)}")
-        # One step from zero puts a link and a clean unit probe's q at theta; rounding
-        # leaves the probe within 1.05e-12 of it, some below, so a 1e-9 margin is ample.
-        if not self.theta > self.threshold * (1 + 1e-9) > 0:
-            raise ValueError(f"need theta = {self.theta:g} > threshold = {self.threshold:g} > 0,"
-                             " otherwise trained neurons never fire")
 
 
 _INDEX_ROWS = 16  # rows of `v` per step of an index build, so no temporary is the size of `v`
@@ -320,7 +318,7 @@ class MemorySystem:
         return self._response(ball.v @ _check_vector(probe, self.config.dim), threshold)
 
     def learn_cue_weights(self, ball_id: str, neuron: int) -> UpdateReport:
-        """Delta-rule update of a neuron's cue row toward output theta.
+        """Delta-rule update of a neuron's cue row toward output `THETA`.
 
         The input y is the recall output presented back to the ball: the
         neuron's own stored row.  The step adds (theta - q) * y.  From zero
@@ -329,7 +327,7 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         _check_neuron(ball, neuron)
-        row, report = self._delta_rule(ball.v[neuron], self.config.theta, ball.w[neuron], "v row %s:%s", ball.id, neuron)
+        row, report = self._delta_rule(ball.v[neuron], THETA, ball.w[neuron], "v row %s:%s", ball.id, neuron)
         ball.set_cue_row(neuron, row)
         return report
 
@@ -347,14 +345,14 @@ class MemorySystem:
         return self._response(self.link_weights(src.id, dst.id)[from_neuron].copy(), threshold)
 
     def _threshold(self, threshold: float | None) -> float:
-        """`threshold`, or the configured one if None; a query's threshold must be positive and finite."""
-        thr = self.config.threshold if threshold is None else float(threshold)
+        """`threshold`, or `THRESHOLD` if None; a query's threshold must be positive and finite."""
+        thr = THRESHOLD if threshold is None else float(threshold)
         if not 0 < thr < math.inf:  # also false for nan
             raise ValueError(f"threshold must be positive and finite, got {thr}")
         return thr
 
     def _response(self, q: np.ndarray, threshold: float | None) -> CueResponse:
-        """Outputs `q` thresholded at `threshold`, or at the configured one if None."""
+        """Outputs `q` thresholded at `threshold`, or at `THRESHOLD` if None."""
         thr = self._threshold(threshold)
         fired = tuple(int(i) for i in np.flatnonzero(q >= thr))
         return CueResponse(q=q, fired=fired, argmax=int(np.argmax(q)), threshold=thr)
@@ -377,9 +375,9 @@ class MemorySystem:
             )
         _check_neuron(a, k)
         _check_neuron(b, l)
-        forward, backward, theta = self._link_array(a.id, b.id), self._link_array(b.id, a.id), self.config.theta
-        u_ab, forward_report = self._delta_rule(forward.item(k, l), theta, None, "link %s:%s->%s:%s", a.id, k, b.id, l)
-        u_ba, backward_report = self._delta_rule(backward.item(l, k), theta, None, "link %s:%s->%s:%s", b.id, l, a.id, k)
+        forward, backward = self._link_array(a.id, b.id), self._link_array(b.id, a.id)
+        u_ab, forward_report = self._delta_rule(forward.item(k, l), THETA, None, "link %s:%s->%s:%s", a.id, k, b.id, l)
+        u_ba, backward_report = self._delta_rule(backward.item(l, k), THETA, None, "link %s:%s->%s:%s", b.id, l, a.id, k)
         forward[k, l], backward[l, k] = u_ab, u_ba
         return forward_report, backward_report
 

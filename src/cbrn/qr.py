@@ -152,18 +152,17 @@ def _templates() -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=64)  # one pair per side n, and n <= 64
-def _penalty_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constant parts of `penalties` for n-module grids: (weights, imbalance).
+@lru_cache(maxsize=1)
+def _penalty_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The constant parts of `penalties`: (weights, imbalance).
 
     `weights` is a (width, 2) matrix over the stacked rule words: column 0
     weighs each word's bit count by its rule, and column 1 picks the row
     words of `dark`, whose bits count the dark modules.  `imbalance[k]` is
     the dark/light penalty of k dark modules: 10 per full 5% away from half.
     """
+    n = SIZE
     widths, points = [2 * n, 2 * n, n - 1, 2 * n, n], [1, 2, 3, 40, 0]  # five, opens, blocks, finders, dark rows
-    if n < 11:
-        del widths[3], points[3]  # no finder window fits
     weights = np.zeros((sum(widths), 2), dtype=np.int64)
     weights[:, 0] = np.repeat(points, widths)
     weights[-n:, 1] = 1
@@ -175,7 +174,7 @@ def _penalty_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def penalties(stack: np.ndarray) -> np.ndarray:
-    """Penalty of each square grid in a (count, n, n) stack, n <= 64; lower is better.
+    """Penalty of each symbol in a (count, SIZE, SIZE) stack; lower is better.
 
     Scores long same-color runs, 2x2 blocks, finder-lookalike sequences, and
     overall dark/light imbalance, the four ISO/IEC 18004 mask rules.  Each
@@ -183,9 +182,7 @@ def penalties(stack: np.ndarray) -> np.ndarray:
     so every rule is a few shifts and ANDs over whole lines.
     """
     stack = np.asarray(stack, dtype=np.uint8)
-    count, n, _ = stack.shape
-    if n > 64:
-        raise ValueError(f"grids of {n} modules a side do not fit a 64-bit line word")
+    count, n = len(stack), SIZE
     grid = np.zeros((count, 2 * n, 64), dtype=np.uint8)
     grid[:, :n, :n] = stack
     grid[:, n:, :n] = stack.transpose(0, 2, 1)
@@ -210,17 +207,16 @@ def penalties(stack: np.ndarray) -> np.ndarray:
     # finder lookalikes: an 11-module window reading 0b1011101 (a 1:1:3:1:1
     # core then four light modules) or 0b1011101 << 4 (four light modules
     # then the core), 40 each; the two cannot share a start, so their bits OR
-    if n >= 11:
-        light = ~dark & ((1 << n) - 1)
-        light_after = light >> 1
-        light2 = light & light_after
-        light4 = light2 & (light2 >> 2)
-        dark3 = dark & after & (dark >> 2)
-        # the core's modules in pairs: dark then light, three dark, light then dark
-        core = dark & light_after & (dark3 >> 2) & ((light & after) >> 5)
-        parts.append((core & (light4 >> 7)) | (light4 & (core >> 4)))
+    light = ~dark & ((1 << n) - 1)
+    light_after = light >> 1
+    light2 = light & light_after
+    light4 = light2 & (light2 >> 2)
+    dark3 = dark & after & (dark >> 2)
+    # the core's modules in pairs: dark then light, three dark, light then dark
+    core = dark & light_after & (dark3 >> 2) & ((light & after) >> 5)
+    parts.append((core & (light4 >> 7)) | (light4 & (core >> 4)))
     parts.append(dark[:, :n])
-    weights, imbalance = _penalty_tables(n)
+    weights, imbalance = _penalty_tables()
     score, dark_count = (np.bitwise_count(np.concatenate(parts, axis=1)) @ weights).T
     return score + imbalance[dark_count]
 

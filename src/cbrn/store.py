@@ -1,12 +1,11 @@
 """Save and load trained systems as CBRN1 text files.
 
 The format is line-oriented and self-describing: configuration, labels,
-weight rows, and cross links all travel together.  The header holds the
-`SystemConfig` fields in declaration order, each written and parsed by the
-type of its default, then the constant lines of `_CONSTANT`; lines and
-comments follow `patterns.records`.  Floats are printed in shortest
-round-trip decimal form and records appear in one fixed order, so the same
-system always serializes to identical bytes.
+weight rows, and cross links all travel together.  The header is `dim`,
+the one `SystemConfig` field, then the constant lines of `_CONSTANT`, which
+a load compares as text; lines and comments follow `patterns.records`.
+Floats are printed in shortest round-trip decimal form and records appear
+in one fixed order, so the same system always serializes to identical bytes.
 `loads` reads the records in one forward pass and accepts them only in the
 order `dumps` writes them, so a re-save of any file that loads reproduces
 every record in order; only comments, blank lines, spacing and number
@@ -33,7 +32,6 @@ import io
 import math
 import os
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +43,7 @@ from .errors import (
     ModelFormatError,
     UnsupportedVersion,
 )
-from .memory import MemorySystem, SystemConfig
+from .memory import THETA, THRESHOLD, MemorySystem, SystemConfig
 
 MAGIC = "CBRN1"
 # the read buffer of a model load: loading the demo model, 1 MiB cost 0.7 MB
@@ -88,8 +86,7 @@ def _lines(system: MemorySystem):
             # record, and a load strips whitespace off the end of each line
             if "#" in label or "".join(label.splitlines()) != label or label != label.rstrip() or _SURROGATE(label):
                 raise ValueError(f"label {label!r} cannot contain '#', line breaks or lone surrogates, or end in whitespace")
-    header = (f"{key} {write(getattr(system.config, key))}" for key, write, _ in _HEADER)
-    yield "".join(line + "\n" for line in (MAGIC, *header, *_CONSTANT))
+    yield "".join(line + "\n" for line in (MAGIC, f"dim {system.config.dim}", *_CONSTANT))
     for ball in system.balls.values():
         yield f"ball {ball.id} {ball.n}\n"
         for i, label in enumerate(ball.labels):
@@ -299,13 +296,11 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
     return value
 
 
-# (key, write, parse) of each header line in file order: the SystemConfig
-# fields in declaration order, each written and parsed by its default's type
-_CODECS = {int: (str, _parse_int), float: (_fmt, _parse_float)}
-_HEADER = tuple((field.name, *_CODECS[type(field.default)]) for field in fields(SystemConfig))
-# the header's last lines, written verbatim: one learning step at rate 1 on
-# unit-energy vectors is the only training this program does; they go with CBRN1
-_CONSTANT = "eps_w 1.0", "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true"
+# the header's lines after `dim`, written verbatim: theta and D are the model's
+# constants, and one learning step at rate 1 on unit-energy vectors is the only
+# training this program does; they go with CBRN1
+_CONSTANT = (f"theta {_fmt(THETA)}", f"threshold {_fmt(THRESHOLD)}",
+             "eps_w 1.0", "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true")
 
 
 def _load_ball(system: MemorySystem, records, reader: _RowReader, lineno: int, rest: str) -> None:
@@ -361,10 +356,8 @@ def loads(text) -> MemorySystem:
     records = ((lineno, *body.partition(" ")[::2]) if isinstance(body, str)
                else (lineno, chr(body[0]), memoryview(body)[2:len(body) - body.endswith(b"\n")])
                for lineno, body in patterns.records(lines, 2))
-    settings = {}
-    for key, _, parse in _HEADER:
-        lineno, value = _take(records, key)
-        settings[key] = parse(value.strip(), lineno, key)
+    lineno, value = _take(records, "dim")
+    dim = _parse_int(value.strip(), lineno, "dim")
     for line in _CONSTANT:
         key = line.split()[0]
         lineno, value = _take(records, key)
@@ -372,7 +365,7 @@ def loads(text) -> MemorySystem:
         if found != line:
             raise ModelFormatError(f"line {lineno}: {found}: this program writes only '{line}'; retrain the model")
     try:
-        system = MemorySystem(SystemConfig(**settings))
+        system = MemorySystem(SystemConfig(dim))
     except ValueError as exc:
         raise ModelFormatError(f"inconsistent header: {exc}") from None
 

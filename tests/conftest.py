@@ -7,10 +7,10 @@ from cbrn.memory import MemorySystem, SystemConfig
 CLASSIC_PAIRS = (("Color", 0, "Style", 3), ("Style", 3, "Volume", 6), ("Volume", 6, "Color", 1))
 
 
-def train_full_system(config: SystemConfig | None = None) -> MemorySystem:
-    """Fresh system holding all 21 bundled catalog patterns, under `config` or the default one."""
+def train_full_system() -> MemorySystem:
+    """Fresh system holding all 21 bundled catalog patterns."""
     catalog = patterns.default_catalog()
-    system = MemorySystem.from_catalog(catalog, config)
+    system = MemorySystem.from_catalog(catalog)
     for group in catalog:
         for index, label in enumerate(group.labels):
             system.store(group.name, index, patterns.normalize(qr.render(qr.encode_label(label))))
@@ -23,10 +23,9 @@ def pair_classic(system: MemorySystem) -> MemorySystem:
     return system
 
 
-def make_toy_system(stored: dict[str, list[np.ndarray]], dim: int, **config) -> MemorySystem:
+def make_toy_system(stored: dict[str, list[np.ndarray]], dim: int) -> MemorySystem:
     """System over small vectors: one ball per key, one neuron per vector."""
-    config.setdefault("dim", dim)
-    system = MemorySystem(SystemConfig(**config))
+    system = MemorySystem(SystemConfig(dim=dim))
     for ball_id, vectors in stored.items():
         system.add_ball(ball_id, [f"{ball_id}-{i}" for i in range(len(vectors))])
         for i, vec in enumerate(vectors):

@@ -22,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 import cbrn
 from cbrn import cli, errors, patterns, qr, store
 from cbrn.cli import build_parser, main
-from cbrn.memory import MemorySystem, SystemConfig
+from cbrn.memory import THETA, THRESHOLD, MemorySystem, SystemConfig
 from conftest import pair_classic, train_full_system
 
 
@@ -62,10 +62,19 @@ def toy_model(tmp_path, dim=4):
     return path
 
 
-def library_model(path, **config):
-    """The bundled catalog stored through the library under `SystemConfig(**config)`, saved to `path`."""
-    with np.errstate(over="ignore"):  # at theta 1e308 the first cue step's error, theta squared, overflows to inf
-        store.save(train_full_system(SystemConfig(**config)), path)
+def scaled_model(path, level):
+    """The README session's model, every cue row and link rewritten at `level` times its trained value, saved to `path`.
+
+    A cue row is then `level` times its pattern and a link `level`, bit for bit
+    what one step from zero toward a learning value of `level` leaves.
+    """
+    system = pair_classic(train_full_system())
+    for ball in system.balls.values():
+        for i in range(ball.n):
+            ball.set_cue_row(i, level * ball.w[i])
+    for u in system.links.values():
+        u[u != 0] = level
+    store.save(system, path)
     return path
 
 
@@ -76,6 +85,12 @@ def with_header_line(path, key, value):
     lines[index] = f"{key} {value}\n"
     path.write_text("".join(lines))
     return path
+
+
+def header_refusal(key, value):
+    """The load error of a model whose `key` header line, theta or threshold, holds `value`."""
+    line, written = {"theta": (3, THETA), "threshold": (4, THRESHOLD)}[key]
+    return f"line {line}: {key} {value}: this program writes only '{key} {written!r}'; retrain the model"
 
 
 def write_pbm(path, bits):
@@ -195,8 +210,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
     def test_provider_and_seed_are_no_options(self, capsys, tmp_path, monkeypatch, source):
-        # every model stores QR symbols learnt in one step at rate 1 under the default SystemConfig, since
-        # theta only rescales q and a query sets its own threshold, and every option is a flag: --provider,
+        # every model stores QR symbols learnt in one step at rate 1 toward the model's constant theta, and
+        # a query sets its own threshold, and every option is a flag: --provider,
         # --seed, --eps-w, --eps-v, --lambda-cb, --theta, --threshold and --config are usage errors that
         # write no model, and no CBRN_* name, not even one of a flag that exists, changes the model
         out = tmp_path / "m.cbrn"
@@ -249,17 +264,19 @@ class TestTrain:
         assert [path.name for path in tmp_path.rglob("*")] == ["outdir"]
 
     def test_huge_theta_trains_a_model_that_recalls(self, capsys, tmp_path, red_pbm):
-        # the first cue step's error, theta squared, overflows to inf; the weights stay finite
-        out = library_model(tmp_path / "m.cbrn", theta=1e308, threshold=1.0)
+        # cue rows at 1e308 times their patterns, where one step toward a learning value of 1e308 would
+        # put them, are finite, load and recall
+        out = scaled_model(tmp_path / "m.cbrn", 1e308)
         assert all(np.isfinite(ball.v).all() for ball in store.load(out).balls.values())
         code, stdout, stderr = run(capsys, "recall", "--model", out, "--ball", "color", "--pattern", red_pbm)
         assert (code, stderr) == (0, "") and "argmax: 0" in stdout
 
     def test_huge_theta_tables_keep_their_columns(self, capsys, tmp_path, red_pbm):
-        # q and link values past 1e9 print in e notation, not as 300-digit numbers
-        out = library_model(tmp_path / "m.cbrn", theta=1e308, threshold=1.0)
-        code, stdout, _ = run(capsys, "pair", "--model", out, "--pair", "color:0=style:3")
-        assert code == 0 and " 1.00e+308\n" in stdout
+        # q and link values past 1e9 print in e notation, not as 300-digit numbers, and pair's error in g notation
+        out = scaled_model(tmp_path / "m.cbrn", 1e308)
+        code, stdout, _ = run(capsys, "pair", "--model", out, "--pair", "color:0=style:3", "--out", tmp_path / "p.cbrn")
+        assert code == 0 and f"Color:0 -> Style:3{'inf':>19} {THETA:>10.4f}\n" in stdout
+        assert max(map(len, stdout.splitlines()[:-1])) <= 80  # the table, above the summary that names the file
         for argv in (("recall", "--ball", "color", "--pattern", red_pbm),
                      ("associate", "--from", "color", "--to", "style", "--pattern", red_pbm),
                      ("report", "--figure", "3"), ("report", "--figure", "4")):
@@ -274,7 +291,8 @@ class TestTrain:
         (("--threshold", "100"), "theta = 100 > threshold = 100 > 0"),
     ])
     def test_setting_under_which_nothing_trained_fires_writes_no_model(self, capsys, tmp_path, argv, message):
-        # train takes no such setting, and a model whose header carries one is refused and left as it was
+        # train takes no such setting, and a model whose header carries one is refused and left as it was: theta
+        # and D are the model's constants, so the line is refused as text, before any `message` check could run
         out = tmp_path / "m.cbrn"
         code, stdout, stderr = run(capsys, "train", "--out", out, *argv)
         assert (code, stdout) == (2, "") and f"unrecognized arguments: {' '.join(argv)}" in stderr
@@ -282,8 +300,8 @@ class TestTrain:
         model = with_header_line(toy_model(tmp_path), argv[0][2:], argv[1])
         before = model.read_bytes()
         code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:1=B:2")
-        assert (code, stdout) == (3, "")
-        assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
+        assert (code, stdout) == (3, "") and message not in stderr
+        assert stderr == f"error: {model}: {header_refusal(argv[0][2:], argv[1])}\n"
         assert model.read_bytes() == before
 
     @pytest.mark.parametrize("source", ["flag", "config file", "environment"])
@@ -366,20 +384,23 @@ class TestPair:
         ]
 
     def test_a_link_loaded_far_below_theta_lands_on_theta(self, capsys, tmp_path):
-        # -1e20 + (100 + 1e20) would round to 0.0, which is no link
-        system = MemorySystem(SystemConfig(dim=4))
-        system.add_ball("A", ["a0"])
-        system.add_ball("B", ["b0"])
-        system._link_array("A", "B")[0, 0] = -1e20
-        model = tmp_path / "far.cbrn"
-        store.save(system, model)
-        code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:0=B:0")
-        assert (code, stderr) == (0, "")
-        assert stdout.splitlines()[1:] == [
-            f"{'A:0 -> B:0':<24} {'5e+39':>12} {'100.0000':>10}",
-            f"{'B:0 -> A:0':<24} {'5000':>12} {'100.0000':>10}",
-            f"2 directed links -> {model}",
-        ]
+        # -1e20 + (100 + 1e20) would round to 0.0, which is no link; at -1.7e308 the error's
+        # square passes the float range, so eta_before reads inf, and the link still lands on theta
+        for weight, eta_before in ((-1e20, "5e+39"), (-1.7e308, "inf")):
+            system = MemorySystem(SystemConfig(dim=4))
+            system.add_ball("A", ["a0"])
+            system.add_ball("B", ["b0"])
+            system._link_array("A", "B")[0, 0] = weight
+            model = tmp_path / "far.cbrn"
+            store.save(system, model)
+            code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:0=B:0")
+            assert (code, stderr) == (0, "")
+            assert stdout.splitlines()[1:] == [
+                f"{'A:0 -> B:0':<24} {eta_before:>12} {'100.0000':>10}",
+                f"{'B:0 -> A:0':<24} {'5000':>12} {'100.0000':>10}",
+                f"2 directed links -> {model}",
+            ]
+            assert store.load(model).trained_links() == [("A", 0, "B", 0, THETA), ("B", 0, "A", 0, THETA)]
 
     def test_spaces_around_a_ball_name_are_stripped(self, capsys, tmp_path):
         # as int() strips the index, so the ball name is stripped: "A:1 = B:2" pairs A:1 with B:2
@@ -671,18 +692,17 @@ class TestReport:
         assert best[2] == "2"
 
     def test_a_query_threshold_reproduces_figure3_at_another_threshold(self, capsys, tmp_path, red_pbm):
-        # figure 3 of a model stored at D = 80 is `recall --threshold 80` on a trained model: one probe, one q
+        # figure 3 at D = 80 is `recall --threshold 80` on the stored pattern: one probe, one q, fired where q >= 80
         def q_and_fired(*argv):
             code, stdout, _ = run(capsys, *argv, "--format", "csv")
             assert code == 0
             return [(row["q"], row["fired"]) for row in csv.DictReader(io.StringIO(stdout))]
 
-        figure = q_and_fired("report", "--model", library_model(tmp_path / "d80.cbrn", threshold=80.0),
-                             "--figure", "3", "--probe", "color:0")
         trained = tmp_path / "demo.cbrn"
         assert run(capsys, "train", "--out", trained)[0] == 0
+        figure = q_and_fired("report", "--model", trained, "--figure", "3", "--probe", "color:0")
         query = q_and_fired("recall", "--model", trained, "--ball", "color", "--pattern", red_pbm, "--threshold", "80")
-        assert len(figure) == 7 and query == figure
+        assert len(figure) == 7 and query == [(q, str(int(float(q) >= 80))) for q, _ in figure]
 
     def test_figure4_one_hit_per_direction(self, capsys, model_path):
         code, stdout, _ = run(capsys, "report", "--model", model_path, "--figure", "4",
@@ -698,12 +718,16 @@ class TestReport:
         assert ("Volume", "6", "Color", "1") in hits
 
     def test_figure4_shows_links_at_theta(self, capsys, tmp_path):
-        # a link trained once sits at theta, and the grid is all figure 4 prints
-        model = library_model(tmp_path / "m.cbrn", theta=90.0)
+        # a link trained once sits at theta, in both directions and nowhere else, and the grid is all figure 4 prints
+        model = tmp_path / "m.cbrn"
+        assert run(capsys, "train", "--out", model)[0] == 0
         assert run(capsys, "pair", "--model", model, "--pair", "color:0=style:3")[0] == 0
         code, stdout, _ = run(capsys, "report", "--model", model, "--figure", "4")
         assert code == 0
-        assert "   90.00" in stdout and "  100.00" not in stdout
+        grids = {block.split(" (", 1)[0]: block for block in stdout.split("\n\n")}
+        assert grids["Color -> Style"].splitlines()[2] == f"   0 {'0.00':>8} {'0.00':>8} {'0.00':>8} {THETA:>8.2f}" + (
+            f" {'0.00':>8}" * 3)
+        assert stdout.count(f" {THETA:>8.2f}") == 2 and f" {THETA:>8.2f}" in grids["Style -> Color"]
         assert stdout.endswith("\n\n") and "note" not in stdout
 
     def test_untrained_model_reports_zeros(self, capsys, tmp_path):
@@ -883,6 +907,11 @@ class TestOptionTable:
         flags = {word.strip("[],") for word in stdout.split() if word.startswith(("--", "[--"))}
         assert flags == {"--help", "--out", "--catalog"}
 
+    @pytest.mark.parametrize("command", ["recall", "associate"])
+    def test_threshold_help_names_the_models_constant(self, capsys, command):
+        code, stdout, _ = run(capsys, command, "--help")
+        assert code == 0 and f"(default: the model's, {THRESHOLD:g})" in " ".join(stdout.split())
+
     @pytest.mark.parametrize("flag", ["--theta", "--threshold"])
     def test_non_finite_constant_writes_no_model(self, capsys, tmp_path, flag):
         # train takes no such flag, and a model whose header holds a non-finite constant is refused and left as it was
@@ -893,8 +922,7 @@ class TestOptionTable:
         model = with_header_line(toy_model(tmp_path), flag[2:], "inf")
         before = model.read_bytes()
         code, stdout, stderr = run(capsys, "pair", "--model", model, "--pair", "A:1=B:2")
-        assert (code, stdout) == (3, "")
-        assert stderr.startswith("error: ") and f"{flag[2:]} 'inf' is not finite" in stderr
+        assert (code, stdout, stderr) == (3, "", f"error: {model}: {header_refusal(flag[2:], 'inf')}\n")
         assert model.read_bytes() == before
 
     @pytest.mark.parametrize("argv", [
@@ -1187,7 +1215,8 @@ class TestExitCodeByErrorClass:
                                           f"error: {cls.__name__} from encode\n")
 
 
-# weights a model file may hold: the ends of the float range, values far from theta, subnormals, signed zeros
+# weights a model file may hold: the ends of the float range, values far from theta, subnormals, signed zeros;
+# they span the levels a model stored toward any learning value would hold
 FUZZ_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e20, -1e20, 5e-324, -5e-324, 100.0]),
                          st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False))
 FUZZ_BALLS = ("A", "a", "B", "Color", "COLOR", "color")  # ids that collide case-insensitively
@@ -1196,8 +1225,7 @@ FUZZ_BALLS = ("A", "a", "B", "Color", "COLOR", "color")  # ids that collide case
 @st.composite
 def fuzz_models(draw) -> MemorySystem:
     """A model of 1 to 3 balls of 1 to 3 neurons at dim 1 to 16, with any finite weights and links."""
-    theta, threshold = draw(st.sampled_from([(100.0, 72.0), (1e308, 1.0), (1.0, 0.5), (3e4, 5e-324)]))
-    system = MemorySystem(SystemConfig(dim=draw(st.integers(1, 16)), theta=theta, threshold=threshold))
+    system = MemorySystem(SystemConfig(dim=draw(st.integers(1, 16))))
     for ball_id in draw(st.lists(st.sampled_from(FUZZ_BALLS), min_size=1, max_size=3, unique=True)):
         ball = system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(draw(st.integers(1, 3)))])
         ball.w[:] = draw(arrays(np.float64, ball.w.shape, elements=FUZZ_WEIGHTS))
@@ -1211,6 +1239,9 @@ def fuzz_models(draw) -> MemorySystem:
 
 
 FUZZ_NAMES = FUZZ_BALLS + ("b", "X", " a ", "")
+# a header line's value: the writer's spelling (first), other finite values, other spellings of the same number, nan
+FUZZ_HEADER = {"theta": ["100.0", "90.0", "1e308", "1.0", "1e2", "100", "nan"],
+               "threshold": ["72.0", "5e-324", "1.0", "100.0", "7.2e1", "72", "nan"]}
 
 
 @st.composite
@@ -1293,12 +1324,21 @@ class TestExitContractFuzz:
     def test_model_commands(self, work, data, system):
         model, pbm = work / "model.cbrn", work / "probe.pbm"
         store.save(system, model)
+        edits = [(key, value) for key, values in FUZZ_HEADER.items()  # the writer's lines half the time each
+                 if (value := data.draw(st.sampled_from(values[:1] * (len(values) - 1) + values[1:]))) != values[0]]
+        for key, value in edits:
+            with_header_line(model, key, value)
+        before = model.read_bytes()
         side = st.just(math.isqrt(system.config.dim)) | st.integers(1, 4)  # the model's own bitmap size, or another
         write_pbm(pbm, data.draw(arrays(np.uint8, st.tuples(side, side), elements=st.sampled_from([1, 0]))))
         argv = data.draw(fuzz_argv(system, str(model), str(pbm), str(work / "out")))
         code, _, lines = self.main_in_contract(argv)
         if code == 0:  # at most the notice of a CSV query's --out
             assert all(line.startswith("wrote recalled pattern") for line in lines)
+        if edits:  # refused as it loads, at its first line this program does not write; usage errors come first
+            assert code != 0 and model.read_bytes() == before
+            if code == 3:
+                assert lines == [f"error: {model}: {header_refusal(*edits[0])}"]
 
     @settings(max_examples=60, deadline=None)
     @given(catalog=fuzz_catalogs())

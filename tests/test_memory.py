@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from cbrn.errors import (
     UnknownBall,
 )
 from cbrn.memory import (
+    THETA,
+    THRESHOLD,
     MemorySystem,
     SystemConfig,
 )
@@ -29,18 +32,19 @@ unit_pairs = st.sampled_from(
 )
 
 
-def small_system(dim=2, **kw):
-    kw.setdefault("dim", dim)
-    system = MemorySystem(SystemConfig(**kw))
+def small_system(dim=2):
+    system = MemorySystem(SystemConfig(dim=dim))
     system.add_ball("A", ["a0", "a1", "a2"])
     system.add_ball("B", ["b0", "b1", "b2"])
     return system
 
 
 class TestConfig:
+    """`dim` is the one setting; theta and the threshold D are the model's constants, so no value of either is one."""
+
     def test_defaults(self):
-        cfg = SystemConfig()
-        assert cfg.dim == 13_456 and cfg.theta == 100.0 and cfg.threshold == 72.0
+        assert [field.name for field in fields(SystemConfig)] == ["dim"]
+        assert SystemConfig().dim == 13_456 and (THETA, THRESHOLD) == (100.0, 72.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -55,13 +59,17 @@ class TestConfig:
         ],
     )
     def test_invalid_rejected(self, kw):
-        with pytest.raises(ValueError):
-            SystemConfig(**kw)
+        if kw.keys() == {"dim"}:
+            with pytest.raises(ValueError, match="^dim must be positive$"):
+                SystemConfig(**kw)
+        else:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(kw))}'"):
+                SystemConfig(**kw)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("field", ["theta", "threshold"])
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
             SystemConfig(**{field: value})
 
 
@@ -393,7 +401,10 @@ class TestRepeatedStore:
 
 class TestOverflow:
     def test_huge_theta_reports_inf_error_and_stores_finite_row(self):
-        system = small_system(theta=1e308, threshold=1.0)
+        # a loaded cue row whose response to the stored pattern is -1e308 puts q as far below theta
+        # as a huge theta was above a zero row: the error theta - q is finite and its square is not
+        system = small_system()
+        system.balls["A"].set_cue_row(0, [-6e307, -8e307])
         with pytest.warns(RuntimeWarning, match="overflow"):
             _, v_report = system.store("A", 0, [0.6, 0.8])
         assert v_report.error == math.inf
@@ -431,20 +442,22 @@ class TestOverflow:
         assert system.balls["A"].w[0].view(np.uint64).tolist() == row.view(np.uint64).tolist()
 
     def test_huge_theta_cross_step_warns_and_stores_theta(self):
-        # the error theta is finite but its square is not
-        system = small_system(theta=1e308, threshold=1.0)
+        # loaded links far below theta: the error theta - u is finite but its square is not
+        system = small_system()
+        system._link_array("A", "B")[1, 2] = system._link_array("B", "A")[2, 1] = -1e308
         with pytest.warns(RuntimeWarning, match="overflow"):
             forward, backward = system.learn_cross_weights("A", 1, "B", 2)
         assert forward == backward and (forward.error, forward.max_delta) == (math.inf, 1e308)
-        assert system.links["A", "B"][1, 2] == system.links["B", "A"][2, 1] == 1e308
+        assert system.links["A", "B"][1, 2] == system.links["B", "A"][2, 1] == THETA
 
     def test_overflowing_cross_step_raises_and_keeps_both_links(self):
-        # a loaded link far below a large theta: the error theta - u overflows
-        system = small_system(theta=1e308, threshold=1.0)
-        system._link_array("A", "B")[1, 2] = -1.7e308
+        # theta - u is finite for every finite u, so only a link the library holds at -inf, which no
+        # model file can, gives an error past the float range
+        system = small_system()
+        system._link_array("A", "B")[1, 2] = -math.inf
         with pytest.raises(NonFiniteWeight, match="link A:1->B:2 left a non-finite weight$"):
             system.learn_cross_weights("A", 1, "B", 2)
-        assert system.links["A", "B"][1, 2] == -1.7e308 and not system.links["B", "A"].any()
+        assert system.links["A", "B"][1, 2] == -math.inf and not system.links["B", "A"].any()
 
 
 
@@ -452,7 +465,7 @@ class TestStepMessages:
     """A learning step formats its NonFiniteWeight message only when it raises."""
 
     @staticmethod
-    def counting_system(**config):
+    def counting_system():
         """A two-ball system whose ball ids count every `__format__` and `__str__` call."""
         class Id(str):
             formatted = 0
@@ -465,7 +478,7 @@ class TestStepMessages:
                 Id.formatted += 1
                 return str.__str__(self)
 
-        system = MemorySystem(SystemConfig(dim=2, **config))
+        system = MemorySystem(SystemConfig(dim=2))
         for name in "AB":
             system.add_ball(Id(name), [f"{name.lower()}{i}" for i in range(3)])
         return system, Id
@@ -486,8 +499,9 @@ class TestStepMessages:
         assert str(raised.value) == "learning w row A:0 left a non-finite weight" and ids.formatted > 0
 
     def test_a_failing_link_step_names_its_link(self):
-        system, ids = self.counting_system(theta=1e308, threshold=1.0)
-        system._link_array("B", "A")[2, 1] = -1.7e308  # the backward step fails; the forward one's error squares to inf
+        system, ids = self.counting_system()
+        system._link_array("A", "B")[1, 2] = -1e308  # the forward step's error squares to inf
+        system._link_array("B", "A")[2, 1] = -math.inf  # and the backward step fails
         with pytest.raises(NonFiniteWeight) as raised, pytest.warns(RuntimeWarning, match="overflow"):
             system.learn_cross_weights("A", 1, "B", 2)
         assert str(raised.value) == "learning link B:2->A:1 left a non-finite weight" and ids.formatted > 0
@@ -526,8 +540,8 @@ class TestLearningStepArithmetic:
     """
 
     @staticmethod
-    def system(theta):
-        system = MemorySystem(SystemConfig(dim=DIM, theta=theta, threshold=theta / 2))
+    def system():
+        system = MemorySystem(SystemConfig(dim=DIM))
         system.add_ball("A", ["a0", "a1"])
         system.add_ball("B", ["b0", "b1"])
         return system
@@ -542,7 +556,7 @@ class TestLearningStepArithmetic:
     @given(start=arrays(np.float64, DIM, elements=components), target=arrays(np.float64, DIM, elements=components),
            zero=st.booleans(), repeats=st.integers(1, 2))
     def test_recall_rule(self, start, target, zero, repeats):
-        system = self.system(100.0)
+        system = self.system()
         system.balls["A"].w[1] = 0.0 if zero else start
         for _ in range(repeats):
             expected = target_step(system.balls["A"].w[1].copy(), target)
@@ -551,25 +565,24 @@ class TestLearningStepArithmetic:
 
     @settings(max_examples=150, deadline=None)
     @given(start=arrays(np.float64, DIM, elements=components), stored=arrays(np.float64, DIM, elements=components),
-           zero=st.booleans(), theta=st.sampled_from([100.0, 1.0, 0.37, 3e4]), repeats=st.integers(1, 2))
-    def test_cue_rule(self, start, stored, zero, theta, repeats):
-        system = self.system(theta)
+           zero=st.booleans(), repeats=st.integers(1, 2))
+    def test_cue_rule(self, start, stored, zero, repeats):
+        system = self.system()
         system.balls["A"].w[0] = stored / 1e3  # products of two components stay far from overflow
         system.balls["A"].set_cue_row(0, np.zeros(DIM) if zero else start)
         yv = system.balls["A"].w[0].copy()
         for _ in range(repeats):
-            expected = reference_step(system.balls["A"].v[0].copy(), theta, lambda row: float(row @ yv), yv)
+            expected = reference_step(system.balls["A"].v[0].copy(), THETA, lambda row: float(row @ yv), yv)
             report = system.learn_cue_weights("A", 0)
             self.assert_same(report, system.balls["A"].v[0], expected)
 
     @settings(max_examples=150, deadline=None)
-    @given(forward=components, backward=components, theta=st.sampled_from([100.0, 1.0, 0.37, 3e4]),
-           repeats=st.integers(1, 2))
-    def test_cross_rule(self, forward, backward, theta, repeats):
-        system = self.system(theta)
+    @given(forward=components, backward=components, repeats=st.integers(1, 2))
+    def test_cross_rule(self, forward, backward, repeats):
+        system = self.system()
         system._link_array("A", "B")[1, 0], system._link_array("B", "A")[0, 1] = forward, backward
         for _ in range(repeats):
-            expected = [target_step(system.links[pair].item(k, l), theta)
+            expected = [target_step(system.links[pair].item(k, l), THETA)
                         for pair, k, l in ((("A", "B"), 1, 0), (("B", "A"), 0, 1))]
             reports = system.learn_cross_weights("A", 1, "B", 0)
             self.assert_same(reports[0], system.links["A", "B"][1, 0], expected[0])
@@ -600,17 +613,18 @@ class TestStepFromAnyWeight:
     """A step with input 1 stores its target bit for bit, however far the loaded weight is from it."""
 
     @settings(max_examples=100, deadline=None)
-    @given(forward=far, backward=far, theta=st.sampled_from([100.0, 0.37, 3e4, 1e300]))
-    @example(forward=-1e20, backward=0.0, theta=100.0)  # -1e20 + (100 + 1e20) would be 0.0, no link
-    def test_both_links_read_theta(self, forward, backward, theta):
-        system = MemorySystem(SystemConfig(dim=2, theta=theta, threshold=theta / 2))
+    @given(forward=far, backward=far)
+    @example(forward=-1e20, backward=0.0)  # -1e20 + (100 + 1e20) would be 0.0, no link
+    @example(forward=-1e300, backward=1e300)  # errors whose half squares pass the float range
+    def test_both_links_read_theta(self, forward, backward):
+        system = MemorySystem(SystemConfig(dim=2))
         system.add_ball("A", ["a0", "a1"])
         system.add_ball("B", ["b0"])
         system._link_array("A", "B")[1, 0], system._link_array("B", "A")[0, 1] = forward, backward
         with np.errstate(over="ignore"):  # a half square past the float range reports inf
             reports = system.learn_cross_weights("A", 1, "B", 0)
-        assert bits(system.links["A", "B"][1, 0]) == bits(system.links["B", "A"][0, 1]) == bits(theta)
-        assert [r.max_delta for r in reports] == [abs(theta - u) for u in (forward, backward)]
+        assert bits(system.links["A", "B"][1, 0]) == bits(system.links["B", "A"][0, 1]) == bits(THETA)
+        assert [r.max_delta for r in reports] == [abs(THETA - u) for u in (forward, backward)]
 
     @settings(max_examples=100, deadline=None)
     @given(start=arrays(np.float64, 5, elements=far), target=arrays(np.float64, 4, elements=far))
@@ -628,41 +642,45 @@ class TestStepFromAnyWeight:
 
 
 class TestEveryAcceptedSettingFires:
-    """A setting SystemConfig accepts trains probes and links that fire, however often a pair is learned."""
+    """A query threshold below theta fires every stored probe and trained link, however often a pair is learned."""
 
+    # the query threshold as a share of theta, the trained value of a probe and a link, across theta
     @settings(max_examples=200, deadline=None)
-    @given(theta=st.floats(1e-3, 1e9),
-           # the threshold as a share of theta, the trained value of a probe and a link, across the refusal boundary
-           share=st.one_of(st.sampled_from([1.0, 1 - 1e-12, 1 - 1e-10, 1 + 1e-12]), st.floats(0.3, 1.7)),
+    @given(share=st.one_of(st.sampled_from([1.0, 1 - 1e-12, 1 - 1e-10, 1 + 1e-12, 0.0, -1.0]), st.floats(0.3, 1.7)),
            repeats=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-    def test_refused_or_every_stored_probe_and_trained_link_fires(self, theta, share, repeats, seed):
-        dim = 24
-        config = dict(theta=theta, threshold=share * theta)
-        try:
-            SystemConfig(dim=dim, **config)
-        except ValueError:
-            # refused only at a threshold at or near theta
-            assert share > 1 - 1e-6
-            return
+    def test_refused_or_every_stored_probe_and_trained_link_fires(self, share, repeats, seed):
+        dim, threshold = 24, share * THETA
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, size=(2, 3, dim))
         bits[:, :, 0] = 1  # no empty pattern
         stored = {ball: [patterns.normalize(patterns.BinaryPattern(row.reshape(1, -1))) for row in rows]
                   for ball, rows in zip("AB", bits)}
-        system = make_toy_system(stored, dim=dim, **config)
+        system = make_toy_system(stored, dim=dim)
         k, l = rng.integers(0, 3, size=2)
+        if threshold <= 0:  # refused, since an untrained link (q = 0) would fire
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                system.cue_response("A", stored["A"][k], threshold)
+            return
         for _ in range(repeats):
             system.learn_cross_weights("A", k, "B", l)
-            for ball, vectors in stored.items():
-                for i, vector in enumerate(vectors):
-                    assert i in system.cue_response(ball, vector).fired
-            assert l in system.cross_response("A", k, "B").fired
-            assert k in system.cross_response("B", l, "A").fired
+            links = [system.cross_response("A", k, "B", threshold), system.cross_response("B", l, "A", threshold)]
+            # one step from zero puts a link at theta and a stored probe's q within 1.05e-12 of it
+            if THETA > threshold * (1 + 1e-9):
+                for ball, vectors in stored.items():
+                    for i, vector in enumerate(vectors):
+                        assert i in system.cue_response(ball, vector, threshold).fired
+                assert l in links[0].fired and k in links[1].fired
+            elif threshold > THETA:
+                assert links[0].fired == links[1].fired == ()
             system.store("A", k, stored["A"][k])  # a repeated store may only raise the own q
 
 
 class TestThetaOnlyRescales:
-    """Stored from zero, every cue row is theta times its pattern, so q scales with theta and only D / theta counts."""
+    """q scales with the cue rows' level, theta times each pattern when stored from zero, and only D over it counts.
+
+    Rows of another level c are written as loaded rows are, c times each pattern:
+    what one step from zero toward a learning value c leaves, bit for bit.
+    """
 
     @pytest.fixture(scope="class")
     def probes(self, label_bitmaps):
@@ -678,17 +696,24 @@ class TestThetaOnlyRescales:
         return [(ball, patterns.normalize(pattern)) for ball, pattern in clean + noisy]
 
     @staticmethod
-    def outcomes(catalog, label_bitmaps, probes, theta, threshold):
-        system = MemorySystem.from_catalog(catalog, SystemConfig(theta=theta, threshold=threshold))
+    def outcomes(catalog, label_bitmaps, probes, level=None, threshold=None):
+        """Fired sets and argmax of the stored catalog, its cue rows rewritten at `level` times each pattern if given."""
+        system = MemorySystem.from_catalog(catalog)
         for (ball, index), pattern in label_bitmaps.items():
             system.store(ball, index, patterns.normalize(pattern))
+            if level is not None:
+                system.balls[ball].set_cue_row(index, level * system.balls[ball].w[index])
         return [(response.fired, response.argmax)
-                for response in (system.cue_response(ball, probe) for ball, probe in probes)]
+                for response in (system.cue_response(ball, probe, threshold) for ball, probe in probes)]
 
     @pytest.mark.parametrize("theta", [1.0, 50.0, 1e6])
     def test_fired_sets_and_argmax_match_the_default_model(self, catalog, label_bitmaps, probes, theta):
-        found = self.outcomes(catalog, label_bitmaps, probes, theta, 0.72 * theta)
-        assert len(found) == 126 and found == self.outcomes(catalog, label_bitmaps, probes, 100.0, 72.0)
+        found = self.outcomes(catalog, label_bitmaps, probes, theta, THRESHOLD / THETA * theta)
+        assert len(found) == 126 and found == self.outcomes(catalog, label_bitmaps, probes)
+
+    def test_a_stored_row_is_theta_times_its_pattern(self, trained_system):
+        for ball in trained_system.balls.values():
+            assert ball.v.view(np.uint64).tolist() == (THETA * ball.w).view(np.uint64).tolist()
 
 
 class TestAddBall:
@@ -777,8 +802,7 @@ def cue_calls(monkeypatch):
 def index_cases(draw):
     """A two-ball system whose ball A holds new, duplicate, nested, zero and two-level rows, and a probe and threshold for it."""
     dim = draw(st.integers(1, 70))  # across a 64-bit word boundary
-    theta, threshold = draw(st.sampled_from([(100.0, 72.0), (1.0, 0.5), (3e4, 5e-324), (1e200, 1e100)]))
-    system = MemorySystem(SystemConfig(dim=dim, theta=theta, threshold=threshold))
+    system = MemorySystem(SystemConfig(dim=dim))
     masks = []
     for ball_id, n in (("A", draw(st.integers(1, 5))), ("B", draw(st.integers(1, 3)))):
         system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(n)])
@@ -793,14 +817,20 @@ def index_cases(draw):
             if kind == "two-level" and mask.any():
                 row[mask.argmax()] *= 2.0
             for _ in range(draw(st.integers(1, 2))):
-                with np.errstate(over="ignore"):  # theta 1e200 reports an error of inf
-                    system.store(ball_id, i, row)
+                system.store(ball_id, i, row)
             if ball_id == "A":
                 masks.append(mask)
     for _ in range(draw(st.integers(0, 3))):
         k, l = draw(st.integers(0, system.balls["A"].n - 1)), draw(st.integers(0, system.balls["B"].n - 1))
-        with np.errstate(over="ignore"):
-            system.learn_cross_weights("A", k, "B", l)
+        system.learn_cross_weights("A", k, "B", l)
+    # every cue row and link rewritten at `scale` times its trained value, as loaded weights of another level are
+    scale = draw(st.sampled_from([1.0, 0.01, 300.0, 1e198]))
+    if scale != 1.0:
+        for ball in system.balls.values():
+            for i in range(ball.n):
+                ball.set_cue_row(i, scale * ball.v[i])
+        for u in system.links.values():
+            u *= scale
     mask = draw(st.sampled_from(masks)).copy() if masks and draw(st.booleans()) else draw(arrays(np.bool_, dim))
     mask ^= draw(arrays(np.bool_, dim, elements=st.sampled_from([False] * 7 + [True])))  # flip about 1 in 8
     level = draw(st.sampled_from([1 / math.sqrt(max(1, mask.sum())), 1.0, -0.5, 1e-310, 1e300]))
@@ -814,7 +844,8 @@ def index_cases(draw):
         q = system.cue_response("A", probe).q
     exact = [float(x) for x in q if 0 < x < math.inf]  # a threshold a q equals exactly
     threshold = draw(st.one_of(st.none(), st.sampled_from(exact) if exact else st.none(),
-                               st.floats(1e-3, 1e3), st.sampled_from([0.0, -1.0, math.nan, math.inf])))
+                               st.floats(1e-3, 1e3), st.sampled_from([THRESHOLD * scale, 5e-324]),
+                               st.sampled_from([0.0, -1.0, math.nan, math.inf])))
     return system, probe, threshold
 
 
@@ -881,14 +912,15 @@ class TestRecognitionIndex:
         (1.0, 3.5953862697246315e307, 5),  # a sum the product may round past the float range, with a warning
     ], ids=["subnormal", "overflow", "near-overflow"])
     def test_terms_outside_the_normal_range_take_the_product(self, level, d, count, cue_calls):
-        system = MemorySystem(SystemConfig(dim=64, theta=3e4, threshold=5e-324))
+        system = MemorySystem(SystemConfig(dim=64))
         system.add_ball("A", ["a0"]).set_cue_row(0, np.where(np.arange(64) < count, level, 0.0))
         system.add_ball("B", ["b0"])
         system.learn_cross_weights("A", 0, "B", 0)
         probe = np.where(np.arange(64) < count, d, 0.0)
-        assert_associates_like_the_reference(system, "A", probe, "B")
+        threshold = 5e-324  # the least there is, so even the subnormal q fires
+        assert_associates_like_the_reference(system, "A", probe, "B", threshold)
         cue_calls.clear()
-        outcome(lambda: system.associate("A", probe, "B"))
+        outcome(lambda: system.associate("A", probe, "B", threshold))
         assert cue_calls == ["A"]
 
     def test_a_write_after_the_index_exists_is_answered(self):
@@ -908,6 +940,21 @@ class TestRecognitionIndex:
         loaded.add_ball("A", ["a0"]).set_cue_row(0, [0.0, 3.0, 3.0, 0.0])
         levels, words = loaded.balls["A"].cue_index()
         assert levels.tolist() == [3.0] and words.tolist() == [[0b0110]]
+
+    def test_a_second_pattern_stored_on_a_neuron_sends_every_associate_to_the_product(self, cue_calls):
+        # the cue rule adds its step to the neuron's old row, [100, 0, 0, 0] + 40 * [0.6, 0.8, 0, 0]: two levels
+        system = make_toy_system({"A": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "B": [[0.0, 0.0, 0.6, 0.8]]},
+                                 dim=4)
+        system.learn_cross_weights("A", 0, "B", 0)
+        probe = [1.0, 0.0, 0.0, 0.0]
+        cue_calls.clear()
+        assert system.associate("A", probe, "B").source_neuron == 0 and cue_calls == []  # taken from the index
+        system.store("A", 0, [0.6, 0.8, 0.0, 0.0])
+        assert system.balls["A"].v[0].tolist() == [124.0, 32.0, 0.0, 0.0]
+        assert system.balls["A"].cue_index() is None
+        expected = system.cue_response("A", probe).argmax
+        cue_calls.clear()
+        assert system.associate("A", probe, "B").source_neuron == expected == 0 and cue_calls == ["A"]
 
     def test_a_write_to_a_negative_neuron_after_the_index_exists_is_answered(self, cue_calls):
         system = make_toy_system({"B": [[0.0, 0.0, 0.6, 0.8]]}, dim=4)

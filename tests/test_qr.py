@@ -212,22 +212,41 @@ def penalty_oracle(grid) -> int:
     return score
 
 
+def checkerboard() -> np.ndarray:
+    """A symbol-sized grid that no rule scores: no runs, no blocks, no finder window, 421 of 841 modules dark."""
+    return (np.indices((qr.SIZE, qr.SIZE)).sum(axis=0) % 2 == 0).astype(np.uint8)
+
+
+# pieces of a line that the run and finder rules score, and single modules between them
+MOTIFS = st.sampled_from(["1011101", "0000", "11111", "00000", "0", "1", "10"])
+
+
+@st.composite
+def motif_grids(draw) -> np.ndarray:
+    """Symbol-sized grids whose rows are drawn from `MOTIFS`, so runs and finder lookalikes are common."""
+    rows = [draw(st.lists(MOTIFS, min_size=29, max_size=29).map("".join))[:qr.SIZE] for _ in range(qr.SIZE)]
+    grid = np.array([[int(c) for c in row] for row in rows], dtype=np.uint8)
+    return grid.T if draw(st.booleans()) else grid  # and the same along columns
+
+
 class TestPenalty:
     def test_all_dark_4x4(self):
-        # rule 2 on nine 2x2 blocks plus maximal imbalance
-        assert penalty(np.ones((4, 4), dtype=np.uint8)) == 9 * 3 + 100
+        # an all-dark 4x4 corner on the checkerboard: rule 2 on its nine 2x2 blocks, and rule 1 on rows 0
+        # and 2 and columns 0 and 2, which the checkerboard extends to runs of five, 3 each
+        grid = checkerboard()
+        grid[:4, :4] = 1
+        assert penalty(grid) == penalty_oracle(grid) == 9 * 3 + 4 * 3
 
     def test_checkerboard_is_free(self):
-        grid = np.indices((6, 6)).sum(axis=0) % 2
-        assert penalty(grid.astype(np.uint8)) == 0
+        assert penalty(checkerboard()) == 0
 
     def test_long_run_scoring(self):
-        grid = np.indices((6, 6)).sum(axis=0) % 2
-        grid[0, :] = 1  # one all-dark row: run of 6 -> 4 points, plus 2x2 blocks
-        assert penalty(grid.astype(np.uint8)) == penalty_oracle(grid)
+        grid = checkerboard()
+        grid[0, :] = 1  # one all-dark row: a run of 29 -> 27 points, plus 2x2 blocks
+        assert penalty(grid) == penalty_oracle(grid)
 
-    @given(arrays(np.uint8, (13, 13), elements=st.integers(0, 1)))
-    @settings(max_examples=40)
+    @given(motif_grids())
+    @settings(max_examples=40, deadline=None)
     def test_matches_line_oracle(self, grid):
         assert penalty(grid) == penalty_oracle(grid)
 
@@ -236,19 +255,13 @@ class TestPenalty:
     def test_matches_line_oracle_at_symbol_size(self, grid):
         assert penalty(grid) == penalty_oracle(grid)
 
-    @given(st.integers(1, 34).flatmap(
-        lambda n: arrays(np.uint8, (3, n, n), elements=st.integers(0, 1))))
+    @given(arrays(np.uint8, (3, 29, 29), elements=st.integers(0, 1)))
     @settings(max_examples=40, deadline=None)
     def test_batched_scores_equal_per_grid_scores(self, stack):
         scores = qr.penalties(stack)
         assert scores.shape == (3,)
         assert list(scores) == [penalty(grid) for grid in stack]
         assert list(scores) == [penalty_oracle(grid) for grid in stack]
-
-    def test_stack_wider_than_64_modules_refused(self):
-        assert list(qr.penalties(np.zeros((2, 64, 64), dtype=np.uint8))) == [penalty_oracle(np.zeros((64, 64)))] * 2
-        with pytest.raises(ValueError, match="65 modules"):
-            qr.penalties(np.zeros((1, 65, 65), dtype=np.uint8))
 
     def test_mask_choice_matches_oracle(self):
         labels = [label for group in patterns.default_catalog() for label in group.labels]

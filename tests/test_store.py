@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -18,7 +19,7 @@ from cbrn.errors import (
     NonFiniteWeight,
     UnsupportedVersion,
 )
-from cbrn.memory import MemorySystem, SystemConfig
+from cbrn.memory import THETA, THRESHOLD, MemorySystem, SystemConfig
 from conftest import CLASSIC_PAIRS, make_toy_system, pair_classic, train_full_system
 
 
@@ -131,13 +132,15 @@ class TestRoundTrip:
         assert (tmp_path / "m.cbrn").read_bytes() == store.dumps(system).encode("utf-8")
 
     def test_link_left_zero_by_a_failed_pair_is_not_saved(self):
-        # the forward step overflows after both link arrays are made, so the backward entry stays 0
-        system = MemorySystem(SystemConfig(dim=2, theta=1e308, threshold=1.0))
+        # the forward step fails after both link arrays are made, so the backward entry stays 0; with theta
+        # fixed only a non-finite link, which the library may hold and no file can, fails a step
+        system = MemorySystem(SystemConfig(dim=2))
         system.add_ball("A", ["a"])
         system.add_ball("B", ["b"])
-        system._link_array("A", "B")[0, 0] = -1.7e308
+        system._link_array("A", "B")[0, 0] = -math.inf
         with pytest.raises(NonFiniteWeight):
             system.learn_cross_weights("A", 0, "B", 0)
+        system.links["A", "B"][0, 0] = -1.7e308  # finite again, so the text loads
         assert system.links["B", "A"][0, 0] == 0.0 and system.trained_links() == [("A", 0, "B", 0, -1.7e308)]
         text = store.dumps(system)
         assert "link B" not in text
@@ -164,13 +167,14 @@ class TestRoundTrip:
 
 class TestHeader:
     # every field off its default
-    CONFIG = SystemConfig(dim=6, theta=90.5, threshold=61.25)
-    # the fields in order, then the constant lines
-    KEYS = [field.name for field in fields(SystemConfig)] + ["eps_w", "eps_v", "lambda_cb", "epochs", "normalized"]
+    CONFIG = SystemConfig(dim=6)
+    # the fields in order, then the constant lines: theta and the threshold D, then the learning step's
+    KEYS = [field.name for field in fields(SystemConfig)] + ["theta", "threshold", "eps_w", "eps_v", "lambda_cb",
+                                                             "epochs", "normalized"]
 
     def test_every_field_is_written_in_field_order_and_reads_back(self):
         text = store.dumps(MemorySystem(self.CONFIG))
-        assert text.splitlines() == ["CBRN1", "dim 6", "theta 90.5", "threshold 61.25", "eps_w 1.0",
+        assert text.splitlines() == ["CBRN1", "dim 6", f"theta {THETA!r}", f"threshold {THRESHOLD!r}", "eps_w 1.0",
                                      "eps_v 1.0", "lambda_cb 1.0", "epochs 1", "normalized true", "end"]
         assert [line.split()[0] for line in text.splitlines()[1:-1]] == self.KEYS
         assert store.loads(text).config == self.CONFIG
@@ -345,9 +349,9 @@ class TestRejects:
             store.loads(store.dumps(toy()) + "ball C 1\n")
 
     def test_inconsistent_header_values(self):
-        text = store.dumps(toy()).replace("theta 100.0", "theta 50.0")
-        with pytest.raises(ModelFormatError, match="header"):
-            store.loads(text)  # theta must exceed the threshold
+        text = store.dumps(toy()).replace("dim 6\n", "dim 0\n")
+        with pytest.raises(ModelFormatError, match="^inconsistent header: dim must be positive$"):
+            store.loads(text)
 
     @pytest.mark.parametrize("old, new, message", [
         ("epochs 1", "epochs 3", r"^line 8: epochs 3: this program writes only 'epochs 1'; retrain the model$"),
@@ -358,7 +362,16 @@ class TestRejects:
          r"^line 7: lambda_cb 1.5: this program writes only 'lambda_cb 1.0'; retrain the model$"),
         ("lambda_cb 1.0", "lambda_cb 1",
          r"^line 7: lambda_cb 1: this program writes only 'lambda_cb 1.0'; retrain the model$"),
-    ], ids=["epochs 3", "normalized false", "eps_v 0.5", "lambda_cb 1.5", "lambda_cb 1"])
+        # theta and D are the model's constants: any other value or spelling is another model
+        ("theta 100.0", "theta 90.0", r"^line 3: theta 90.0: this program writes only 'theta 100.0'; retrain the model$"),
+        ("theta 100.0", "theta 1e2", r"^line 3: theta 1e2: this program writes only 'theta 100.0'; retrain the model$"),
+        ("theta 100.0", "theta 50.0", r"^line 3: theta 50.0: this program writes only 'theta 100.0'; retrain the model$"),
+        ("threshold 72.0", "threshold 72",
+         r"^line 4: threshold 72: this program writes only 'threshold 72.0'; retrain the model$"),
+        ("threshold 72.0", "threshold nan",
+         r"^line 4: threshold nan: this program writes only 'threshold 72.0'; retrain the model$"),
+    ], ids=["epochs 3", "normalized false", "eps_v 0.5", "lambda_cb 1.5", "lambda_cb 1", "theta 90.0", "theta 1e2",
+            "theta 50.0", "threshold 72", "threshold nan"])
     def test_header_this_program_cannot_train_rejected(self, old, new, message):
         text = store.dumps(toy())
         with pytest.raises(ModelFormatError, match=message):
