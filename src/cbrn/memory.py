@@ -28,23 +28,23 @@ and the magnitudes in turn.  A float error (the cue and cross rules) is
 squared as a `np.float64`, the same IEEE product as `np.square`, so an
 overflow still warns.
 
-`associate` recognizes by popcount, as a binary associative memory does:
-a stored cue row is one level on its pattern's support, so the response
-of a row to a probe that is one level on its own support is the two
-levels times the popcount of the supports' overlap.  Each ball packs its
-rows' supports into a cue index (`Ball.cue_index`) at its first
-`associate`, and `MemorySystem._recognize` takes the recognized neuron
-from it wherever rounding cannot change the outcome; elsewhere the BLAS
-product `cue_response` decides, so every result and error, and every q a
-caller sees, is the product's.  A second `store` of a different pattern
-onto a used neuron adds a step of another level to its cue row, so that
-ball has no index, and every `associate` into it takes the product (about
-1 ms at 256 neurons).
+`cue_response` reads a ball as a binary associative memory does
+(Willshaw et al., 1969; Palm, 1980): a stored cue row is one level on its
+pattern's support, so the response of a row to a probe that is one level
+`d` on its own support is `(level * d) * popcount(support & probe)`, two
+correctly rounded products around an exact count, the same on every CPU
+and BLAS kernel.  Each ball packs its rows' levels and supports into a cue
+index (`Ball.cue_index`) at its first `cue_response`.  Where the index or
+that form does not apply (a row or a probe of two levels, a non-finite or
+all-zero probe, a subnormal or overflowing term or q), q is the BLAS
+product `v @ probe`.  A second `store` of a different pattern onto a used
+neuron adds a step of another level to its cue row, so that ball has no
+index, and every response in it is the product (about 1 ms at 256 neurons).
 
 A system instance is single-writer while learning.  `Ball.v` is
 read-only and changes only through `Ball.set_cue_row`, which drops the
-ball's index for the next `associate` to build again.  Other than the
-index a first `associate` builds, which concurrent first calls build
+ball's index for the next `cue_response` to build again.  Other than the
+index a first `cue_response` builds, which concurrent first calls build
 alike, response and recall calls never mutate state, so a trained system
 may be queried concurrently.
 """
@@ -115,6 +115,28 @@ def _bitmap_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return levels, _packed(support)
 
 
+def _bitmap_response(index: tuple[np.ndarray, np.ndarray] | None, p: np.ndarray) -> np.ndarray | None:
+    """`(levels * d) * popcount(words & probe)` per row of a cue index, +0.0 for a zero q as in the product.
+
+    None without an index, and None unless the probe is one finite level
+    `d` on its support, every nonzero level's term is normal and q finite.
+    """
+    if index is None:
+        return None
+    nonzero = p != 0
+    d = float(p[nonzero.argmax()])
+    if d == 0.0 or not math.isfinite(d) or not np.array_equal(p == d, nonzero):
+        return None
+    levels, words = index
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term or q returns None below
+        terms = levels * d
+        q = terms * np.bitwise_count(words & _packed(nonzero)).sum(axis=1) + 0.0
+    size = np.abs(terms)
+    if not np.array_equal((size >= _TINY) & (size <= _HUGE), levels != 0) or not np.isfinite(q).all():
+        return None
+    return q
+
+
 class Ball:
     """One Cue Ball: a cue neuron per stored pattern and its two weight rows.
 
@@ -148,7 +170,8 @@ class Ball:
         """(levels, words): row i of `v` is `levels[i]` on the support packed in `words[i]`.
 
         None if a row holds two different nonzero values.  Built at the first
-        call after a write; concurrent first calls build equal indexes.
+        call after a write, which is a ball's first `cue_response`;
+        concurrent first calls build equal indexes.
         """
         if self._index is None:
             blocks = [_bitmap_rows(self.v[i:i + _INDEX_ROWS]) for i in range(0, self.n, _INDEX_ROWS)]
@@ -313,9 +336,11 @@ class MemorySystem:
     # -- cue path -----------------------------------------------------------
 
     def cue_response(self, ball_id: str, probe, threshold: float | None = None) -> CueResponse:
-        """Pre-threshold outputs of every neuron in a ball for a probe vector."""
+        """Pre-threshold outputs of every neuron in a ball for a probe: the popcount form where it applies, else `v @ probe`."""
         ball = self.ball(ball_id)
-        return self._response(ball.v @ _check_vector(probe, self.config.dim), threshold)
+        p = _check_vector(probe, self.config.dim)
+        q = _bitmap_response(ball.cue_index(), p)
+        return self._response(ball.v @ p if q is None else q, threshold)
 
     def learn_cue_weights(self, ball_id: str, neuron: int) -> UpdateReport:
         """Delta-rule update of a neuron's cue row toward output `THETA`.
@@ -397,23 +422,18 @@ class MemorySystem:
         Both balls are looked up before the probe is, and a ball has no
         links to itself, so an unknown ball raises UnknownBall and
         `from_ball == to_ball` raises IntraBallLink, whatever the probe.
-        The source neuron is `cue_response`'s argmax, found from the cue
-        index when that is certain (`_recognize`) and from `cue_response`
-        otherwise, so the result and every error are the same either way.
+        The source neuron is `cue_response`'s argmax, and the target
+        neuron `cross_response`'s.
         """
-        src = self.ball(from_ball)
-        if src is self.ball(to_ball):
+        if self.ball(from_ball) is self.ball(to_ball):
             raise IntraBallLink("cue neurons within one ball are not connected")
-        p = _check_vector(probe, self.config.dim)
-        k = self._recognize(src, p, threshold)
-        if k is None:
-            response = self.cue_response(from_ball, p, threshold)
-            if not response.fired:
-                raise NoRecognition(
-                    f"no neuron in {from_ball!r} reached threshold "
-                    f"{response.threshold} (max q = {response.q.max():.6g})"
-                )
-            k = response.argmax
+        response = self.cue_response(from_ball, probe, threshold)
+        if not response.fired:
+            raise NoRecognition(
+                f"no neuron in {from_ball!r} reached threshold "
+                f"{response.threshold} (max q = {response.q.max():.6g})"
+            )
+        k = response.argmax
         cross = self.cross_response(from_ball, k, to_ball, threshold)
         if not cross.fired:
             raise NoAssociation(
@@ -424,46 +444,3 @@ class MemorySystem:
         return AssociationResult(
             source_neuron=k, target_neuron=l, q=float(cross.q[l]), recalled=recalled
         )
-
-    def _recognize(self, ball: Ball, p: np.ndarray, threshold: float | None) -> int | None:
-        """`cue_response`'s argmax, taken from the ball's cue index; None unless it is certain to fire and be that.
-
-        For a probe whose nonzero components all equal one finite `d`, row j
-        of the product `v @ p` sums `|support_j & probe|` equal terms
-        `levels[j] * d`, so its exact value is that popcount times the
-        term, and `q` below is it to within rounding.  Where each term is a
-        normal float, the BLAS sum and `q` each lie within
-        `(gamma_dim + gamma_2) * max|q|`, about `delta / 2`, of the exact
-        value (`delta` keeps room for the rounding of the comparisons), so
-        within `delta` of each other.  A top `q` more than `2 * delta` above
-        the next and `delta` above the threshold is then the BLAS argmax,
-        and fires.  Below 2**1023 the BLAS sum cannot overflow, so
-        `cue_response` would have warned of nothing before it checks the
-        threshold, and neither does this.
-        """
-        index = ball.cue_index()
-        if index is None:
-            return None
-        nonzero = p != 0
-        d = float(p[nonzero.argmax()])
-        if d == 0.0 or not math.isfinite(d):  # an all-zero probe fires nothing
-            return None
-        bits = p == d
-        if not np.array_equal(bits, nonzero):
-            return None
-        levels, words = index
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term falls back below
-            terms = levels * d
-            q = terms * np.bitwise_count(words & _packed(bits)).sum(axis=1)
-        size = np.abs(terms)
-        if not np.array_equal((size >= _TINY) & (size <= _HUGE), levels != 0):  # a subnormal or overflowed term
-            return None
-        scale = float(np.abs(q).max())
-        if not scale < 2.0**1023:
-            return None
-        thr = self._threshold(threshold)
-        top = int(q.argmax())
-        second = np.partition(q, -2)[-2] if len(q) > 1 else -math.inf
-        delta = (self.config.dim + 3) * 2.0**-52 * scale
-        return top if q[top] - second > 2 * delta and q[top] - thr > delta else None
-

@@ -445,12 +445,13 @@ class TestRecall:
         assert fired("10") >= fired("72")
 
     @pytest.mark.parametrize("label, own_row", [
-        ("orange", ["Color", "1", "orange", "100.00000000000045", "1"]),
-        ("red", ["Color", "0", "red", "99.99999999999966", "0"]),
-    ], ids=["above theta", "below theta"])
+        ("yellow", ["Color", "2", "yellow", "100.00000000000001", "1"]),
+        ("orange", ["Color", "1", "orange", "100.0", "1"]),
+        ("red", ["Color", "0", "red", "99.99999999999999", "0"]),
+    ], ids=["above theta", "at theta", "below theta"])
     def test_threshold_at_theta_fires_a_label_whose_own_q_rounds_above_it(self, capsys, model_path, tmp_path,
                                                                            label, own_row):
-        # a stored pattern answers itself at theta to within rounding: 12 bundled labels land above, 9 below
+        # a stored pattern answers itself at theta to within rounding: 7 bundled labels land above, 5 on it, 9 below
         probe = tmp_path / f"{label}.pbm"
         patterns.save_pbm(qr.render(qr.encode_label(label)), probe)
         code, stdout, stderr = run(capsys, "recall", "--model", model_path, "--ball", "color", "--pattern", probe,
@@ -1086,13 +1087,18 @@ class TestBlasThreads:
 
 
 class TestOutputAcrossBlas:
-    """`train`, `pair` and `associate` print the same stdout and write the same files on any BLAS thread count or kernel."""
+    """Every command prints the same stdout and writes the same files on any BLAS thread count or kernel.
+
+    A query's q on a bitmap model is the popcount form, which involves no BLAS
+    sum, so even the full-precision q of `recall` and `report --figure 3` in
+    CSV is the same on every kernel.
+    """
 
     # an unknown core type is harmless off x86-64: stderr, where OpenBLAS may say so, is not compared
     SETTINGS = ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
                 {"OPENBLAS_CORETYPE": "Sandybridge"}, {"OPENBLAS_CORETYPE": "Haswell"})
 
-    def test_train_and_pair_print_and_write_the_same_bytes(self, tmp_path):
+    def test_train_and_pair_print_and_write_the_same_bytes(self, tmp_path):  # and the queries print the same bytes
         env = {name: value for name, value in package_env().items()
                if not name.endswith("_NUM_THREADS") and name != "OPENBLAS_CORETYPE"}
         pairs = [f"--pair={p}" for p in ("color:0=style:3", "style:3=volume:6", "volume:6=color:1")]
@@ -1104,7 +1110,12 @@ class TestOutputAcrossBlas:
             stdout = []
             for argv, code in ((("encode", "--label", "red", "--out", "red.pbm"), 0), (("train", "--out", "demo.cbrn"), 0),
                                (("pair", "--model", "demo.cbrn", *pairs), 0), ((*query, "--out", "rectangle.pbm"), 0),
-                               ((*query, "--format", "csv"), 0), ((*query, "--threshold", "100.5"), 3)):
+                               ((*query, "--format", "csv"), 0), ((*query, "--threshold", "100.5"), 3),
+                               (("recall", "--model", "demo.cbrn", "--ball", "color", "--pattern", "red.pbm",
+                                 "--format", "csv"), 0),
+                               (("report", "--model", "demo.cbrn", "--figure", "3", "--format", "csv"), 0),
+                               (("report", "--model", "demo.cbrn", "--figure", "3", "--probe", "style:1",
+                                 "--format", "csv"), 0)):
                 done = subprocess.run([sys.executable, "-m", "cbrn.cli", *argv], cwd=work, env=dict(env, **setting),
                                       capture_output=True, timeout=120)
                 assert done.returncode == code, done.stderr
@@ -1429,14 +1440,15 @@ class TestDemoSessionGolden:
 
 
 def test_ci_smoke_step_pins_the_demo_session_bytes():
-    """The workflow's console-script smoke step checks the digests `TestDemoSessionGolden` pins."""
+    """The workflow's console-script smoke step checks the digests `TestDemoSessionGolden` pins, and the recall CSV's."""
     workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     step = workflow.split("- name: Console-script smoke test\n", 1)[1].split("- name:", 1)[0]
     lines = step.split("sha256sum -c - <<'EOF'\n", 1)[1].splitlines()
     pins = dict(reversed(line.split()) for line in itertools.takewhile(lambda line: line.strip() != "EOF", lines))
     assert pins == {"red.pbm": TestDemoSessionGolden.RED_SHA256,
                     "train.txt": TestDemoSessionGolden.TRAIN_STDOUT_SHA256,
-                    "rectangle.pbm": TestDemoSessionGolden.RECTANGLE_SHA256}
+                    "rectangle.pbm": TestDemoSessionGolden.RECTANGLE_SHA256,
+                    "recall.csv": TestQueryOutputGolden.STDOUT_SHA256["recall", "csv"]}
 
 
 def test_ci_tier1_step_names_a_failing_property_test(tmp_path):
@@ -1464,9 +1476,9 @@ class TestQueryOutputGolden:
         ("associate", "table"): "16a0f7527060fe917a60b4ab0ce0dd4e669c49735fb5b6eab74ba44a17457702",
         ("figure3", "table"): "81c7fbaa3b00ef582097eb44252150bb16c42cf7d9610301772bab541da53926",
         ("figure4", "table"): "d058456306aba4ae862be1bf5fde876463e77feb2a8326ea617a548c9996cfa0",
-        ("recall", "csv"): "53aeafb13b58d411e1fddd48ee3ce877555deeca853479167f0b385689856147",
+        ("recall", "csv"): "96e3835ff89db217c1e761261cfbd19235b893592ab4b274075aeb0860775996",
         ("associate", "csv"): "ca1201081062cf8324c146698e0b655a54386230c694acef17c533bec86db5d1",
-        ("figure3", "csv"): "59dbe6b429d16afa928a8711fef286fa8cf2537f64a105d71606aa6e7aa05995",
+        ("figure3", "csv"): "066486bf39aaec786401a367255256f0d70134f325500865c2b9f9338d961912",
         ("figure4", "csv"): "de930c8a61af21281730a72fa383de7b996b329ce046f876d3bda5fe992a94f3",
     }
     QUERIES = {

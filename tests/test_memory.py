@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbrn import patterns
+from cbrn import memory, patterns
 from cbrn.errors import (
     DimensionMismatch,
     IntraBallLink,
@@ -785,30 +785,65 @@ def assert_associates_like_the_reference(system, from_ball, probe, to_ball, thre
 
 
 @pytest.fixture
-def cue_calls(monkeypatch):
-    """The ball ids `cue_response` is called with."""
+def product_calls(monkeypatch):
+    """The probes for which `cue_response` takes the BLAS product, because the popcount form returned None."""
     calls = []
-    cue_response = MemorySystem.cue_response
+    bitmap_response = memory._bitmap_response
 
-    def counted(system, ball_id, *args, **kwargs):
-        calls.append(ball_id)
-        return cue_response(system, ball_id, *args, **kwargs)
+    def counted(index, p):
+        q = bitmap_response(index, p)
+        if q is None:
+            calls.append(p)
+        return q
 
-    monkeypatch.setattr(MemorySystem, "cue_response", counted)
+    monkeypatch.setattr(memory, "_bitmap_response", counted)
     return calls
+
+
+def with_warnings(call):
+    """The IEEE bits of each value a call returned, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = [bits(x) for x in call()]
+    return values, [(w.category, str(w.message)) for w in caught]
+
+
+def popcount_q(v, p):
+    """Row j's `(level_j * d) * |support_j & probe|`, one IEEE product at a time, a zero q +0.0; None unless it applies.
+
+    It applies where every row of `v` and the probe are one level on their
+    support, the probe's level `d` is finite, every term of a nonzero level
+    is a normal float and every q is finite.
+    """
+    d = np.unique(p[p != 0])
+    if len(d) != 1 or not math.isfinite(d[0]):
+        return None
+    q = []
+    for row in v:
+        level = np.unique(row[row != 0])
+        if len(level) > 1:
+            return None
+        term = float(level[0]) * float(d[0]) if len(level) else 0.0
+        if len(level) and not np.finfo(np.float64).tiny <= abs(term) <= np.finfo(np.float64).max:
+            return None
+        q.append(term * int(np.count_nonzero((row != 0) & (p != 0))) + 0.0)
+    return np.array(q) if all(math.isfinite(x) for x in q) else None
 
 
 @st.composite
 def index_cases(draw):
-    """A two-ball system whose ball A holds new, duplicate, nested, zero and two-level rows, and a probe and threshold for it."""
+    """A two-ball system whose ball A holds new, duplicate, nested, zero, -0.0 and two-level rows, and a probe and threshold for it."""
     dim = draw(st.integers(1, 70))  # across a 64-bit word boundary
     system = MemorySystem(SystemConfig(dim=dim))
     masks = []
     for ball_id, n in (("A", draw(st.integers(1, 5))), ("B", draw(st.integers(1, 3)))):
         system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(n)])
         for i in range(n):
-            kind = draw(st.sampled_from(["new", "duplicate", "nested", "zero", "two-level"] if masks else ["new", "zero"]))
-            if kind == "zero":
+            kinds = ["new", "duplicate", "nested", "zero", "-0.0", "two-level"] if masks else ["new", "zero", "-0.0"]
+            kind = draw(st.sampled_from(kinds))
+            if kind == "-0.0":  # a zero row spelled -0.0, as a loaded model may hold one
+                system.balls[ball_id].set_cue_row(i, np.full(dim, -0.0))
+            if kind in ("zero", "-0.0"):
                 continue
             mask = draw(arrays(np.bool_, dim)) if kind in ("new", "two-level") else draw(st.sampled_from(masks)).copy()
             if kind == "nested":
@@ -850,7 +885,7 @@ def index_cases(draw):
 
 
 class TestRecognitionIndex:
-    """`associate` recognizes from the packed cue index when that is certain, and answers as the BLAS product does."""
+    """q is the popcount form of the packed cue index where it applies, else the BLAS product; `associate` takes its argmax."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=index_cases())
@@ -858,7 +893,23 @@ class TestRecognitionIndex:
         system, probe, threshold = case
         assert_associates_like_the_reference(system, "A", probe, "B", threshold)
 
-    def test_the_demo_probes_and_their_noisy_versions_take_the_index(self, label_bitmaps, cue_calls):
+    @settings(max_examples=300, deadline=None)
+    @given(case=index_cases())
+    def test_q_is_the_popcount_form_or_else_the_product(self, case):
+        system, probe, _ = case
+        v = system.balls["A"].v
+        expected = popcount_q(v, probe)
+        found = with_warnings(lambda: system.cue_response("A", probe).q)
+        if expected is None:
+            assert found == with_warnings(lambda: v @ probe)
+        else:
+            assert found == ([bits(x) for x in expected], [])
+            # the product sums the same terms in its own order, so it lands within rounding of the popcount form
+            with np.errstate(all="ignore"):
+                product = v @ probe
+            assert np.abs(product - expected).max() <= (len(probe) + 3) * 2.0**-52 * np.abs(expected).max()
+
+    def test_the_demo_probes_and_their_noisy_versions_take_the_index(self, label_bitmaps, product_calls):
         system = pair_classic(train_full_system())
         rng = np.random.default_rng(7)
         cases = []
@@ -869,28 +920,13 @@ class TestRecognitionIndex:
                 probe = patterns.normalize(patterns.BinaryPattern(bits_))
                 target = {"Color": "Style", "Style": "Volume", "Volume": "Color"}[ball]
                 cases.append((ball, index, probe, target, outcome(lambda: reference_associate(system, ball, probe, target))))
-        cue_calls.clear()
         for ball, index, probe, target, expected in cases:
             assert outcome(lambda: system.associate(ball, probe, target)) == expected
             assert expected[0][0] == index or expected[0][0] is NoAssociation
-        assert len(cases) == 42 and cue_calls == []
-
-    def test_a_near_tie_takes_the_product(self, cue_calls):
-        # two neurons store one pattern, so their q tie, and the product's argmax, the lower index, decides
-        bits_ = np.array([1.0, 1.0, 0.0, 1.0]) / math.sqrt(3)
-        system = make_toy_system({"A": [[0.0, 0.0, 1.0, 0.0], bits_, bits_], "B": [[1.0, 0.0, 0.0, 0.0]]}, dim=4)
-        system.learn_cross_weights("A", 1, "B", 0)
-        system.learn_cross_weights("A", 0, "B", 0)
-        assert assert_associates_like_the_reference(system, "A", bits_, "B")[:2] == (1, 0)
-        cue_calls.clear()
-        system.associate("A", bits_, "B")
-        assert cue_calls == ["A"]
-        cue_calls.clear()
-        system.associate("A", [0.0, 0.0, 1.0, 0.0], "B", threshold=1e-3)  # clear of the rest: no product
-        assert cue_calls == []
+        assert len(cases) == 42 and product_calls == []
 
     def test_thresholds_at_each_q_of_nested_patterns(self):
-        # the product rounds its sum of equal terms, so its q sits a few ulps either side of the popcount q
+        # row j answers prefix probe i with (level_j * d_i) * (min(i, j) + 1), which a threshold up to it fires
         dim = 256
         system = MemorySystem(SystemConfig(dim=dim))
         system.add_ball("A", [f"a{c}" for c in range(1, dim + 1)])
@@ -899,29 +935,38 @@ class TestRecognitionIndex:
         for i, prefix in enumerate(prefixes):
             system.store("A", i, prefix / math.sqrt(i + 1))
             system.learn_cross_weights("A", i, "B", 0)
+        levels = system.balls["A"].v[:, 0].tolist()
         for i, prefix in enumerate(prefixes):
             probe = prefix / math.sqrt(i + 1)
-            q = system.cue_response("A", probe).q[i]
-            for threshold in (np.nextafter(q, -math.inf), q, np.nextafter(q, math.inf)):
+            q = system.cue_response("A", probe).q
+            assert [bits(x) for x in q] == [bits(level * probe[0] * (min(i, j) + 1)) for j, level in enumerate(levels)]
+            for threshold in (np.nextafter(q[i], -math.inf), q[i], np.nextafter(q[i], math.inf)):
                 found = assert_associates_like_the_reference(system, "A", probe, "B", threshold)
-                assert found[0] in ((i, NoAssociation) if threshold <= q else (NoRecognition,))  # a link is 100
+                assert found[0] in ((i, NoAssociation) if threshold <= q[i] else (NoRecognition,))  # a link is 100
 
     @pytest.mark.parametrize("level, d, count", [
         (3e4, 1e-315, 2),  # subnormal terms
         (3e4, 1e305, 2),  # terms past the float range
-        (1.0, 3.5953862697246315e307, 5),  # a sum the product may round past the float range, with a warning
+        (1.0, 3.5953862697246315e307, 6),  # normal terms whose q is past the float range, where the product warns
     ], ids=["subnormal", "overflow", "near-overflow"])
-    def test_terms_outside_the_normal_range_take_the_product(self, level, d, count, cue_calls):
+    def test_terms_outside_the_normal_range_take_the_product(self, level, d, count, product_calls):
         system = MemorySystem(SystemConfig(dim=64))
         system.add_ball("A", ["a0"]).set_cue_row(0, np.where(np.arange(64) < count, level, 0.0))
         system.add_ball("B", ["b0"])
         system.learn_cross_weights("A", 0, "B", 0)
         probe = np.where(np.arange(64) < count, d, 0.0)
+        found = with_warnings(lambda: system.cue_response("A", probe).q)
+        assert found == with_warnings(lambda: system.balls["A"].v @ probe) and len(product_calls) == 1
         threshold = 5e-324  # the least there is, so even the subnormal q fires
         assert_associates_like_the_reference(system, "A", probe, "B", threshold)
-        cue_calls.clear()
-        outcome(lambda: system.associate("A", probe, "B", threshold))
-        assert cue_calls == ["A"]
+
+    def test_a_q_at_the_largest_float_is_the_popcount_form(self, product_calls):
+        # five terms of a fifth of the largest float: the popcount form rounds to it, where a sum may round past it
+        system = MemorySystem(SystemConfig(dim=64))
+        system.add_ball("A", ["a0"]).set_cue_row(0, np.where(np.arange(64) < 5, 1.0, 0.0))
+        probe = np.where(np.arange(64) < 5, 3.5953862697246315e307, 0.0)
+        assert with_warnings(lambda: system.cue_response("A", probe).q) == ([bits(np.finfo(np.float64).max)], [])
+        assert product_calls == []
 
     def test_a_write_after_the_index_exists_is_answered(self):
         system = make_toy_system({"B": [[0.0, 0.0, 0.6, 0.8]]}, dim=4)
@@ -941,22 +986,20 @@ class TestRecognitionIndex:
         levels, words = loaded.balls["A"].cue_index()
         assert levels.tolist() == [3.0] and words.tolist() == [[0b0110]]
 
-    def test_a_second_pattern_stored_on_a_neuron_sends_every_associate_to_the_product(self, cue_calls):
+    def test_a_second_pattern_stored_on_a_neuron_sends_every_associate_to_the_product(self, product_calls):
         # the cue rule adds its step to the neuron's old row, [100, 0, 0, 0] + 40 * [0.6, 0.8, 0, 0]: two levels
         system = make_toy_system({"A": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], "B": [[0.0, 0.0, 0.6, 0.8]]},
                                  dim=4)
         system.learn_cross_weights("A", 0, "B", 0)
         probe = [1.0, 0.0, 0.0, 0.0]
-        cue_calls.clear()
-        assert system.associate("A", probe, "B").source_neuron == 0 and cue_calls == []  # taken from the index
+        assert system.associate("A", probe, "B").source_neuron == 0 and product_calls == []  # taken from the index
         system.store("A", 0, [0.6, 0.8, 0.0, 0.0])
         assert system.balls["A"].v[0].tolist() == [124.0, 32.0, 0.0, 0.0]
         assert system.balls["A"].cue_index() is None
-        expected = system.cue_response("A", probe).argmax
-        cue_calls.clear()
-        assert system.associate("A", probe, "B").source_neuron == expected == 0 and cue_calls == ["A"]
+        assert system.associate("A", probe, "B").source_neuron == 0 and len(product_calls) == 1
+        assert system.cue_response("A", probe).q.tolist() == [124.0, 0.0]
 
-    def test_a_write_to_a_negative_neuron_after_the_index_exists_is_answered(self, cue_calls):
+    def test_a_write_to_a_negative_neuron_after_the_index_exists_is_answered(self, product_calls):
         system = make_toy_system({"B": [[0.0, 0.0, 0.6, 0.8]]}, dim=4)
         ball = system.add_ball("C", ["c0", "c1"])
         ball.set_cue_row(0, [100.0, 0.0, 0.0, 0.0])
@@ -965,13 +1008,11 @@ class TestRecognitionIndex:
         assert assert_associates_like_the_reference(system, "C", probe, "B")[0] is NoAssociation  # c0 is unlinked
         with pytest.raises(NeuronIndexError, match=r"^neuron -1 out of range for ball 'C' \(n=2\)$"):
             ball.set_cue_row(-1, [200.0, 0.0, 0.0, 0.0])  # refused: it writes nothing and keeps the index
-        cue_calls.clear()
-        assert outcome(lambda: system.associate("C", probe, "B"))[0][0] is NoAssociation and cue_calls == []
+        assert outcome(lambda: system.associate("C", probe, "B"))[0][0] is NoAssociation
         ball.set_cue_row(1, [200.0, 0.0, 0.0, 0.0])  # c1 now outbids c0
-        cue_calls.clear()
         result = system.associate("C", probe, "B")
-        assert (result.source_neuron, result.target_neuron) == (1, 0) and cue_calls == []  # decided from the rebuilt index
-        assert assert_associates_like_the_reference(system, "C", probe, "B")[:2] == (1, 0)
+        assert (result.source_neuron, result.target_neuron) == (1, 0)  # decided from the rebuilt index
+        assert assert_associates_like_the_reference(system, "C", probe, "B")[:2] == (1, 0) and product_calls == []
 
     def test_cue_rows_are_written_only_by_the_writer(self):
         ball = small_system().balls["A"]
