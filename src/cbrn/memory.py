@@ -3,13 +3,13 @@
 Each Cue Ball (`Ball`) is a group of cue neurons, one per stored pattern,
 with two weight rows per neuron.  Recall weights `w` (cue to recall) hold
 the presentation vector a neuron replays into the Recall Net; cue weights
-`v` (recall to cue) drive the matching neuron's pre-threshold output to the
-learning value `THETA`, and a neuron fires at `THRESHOLD` unless a query
-sets its own threshold; both are the model's constants.  Cross weights
-couple cue neurons across balls, one dense array per ordered ball pair, so
-a recognized pattern in one ball recalls its linked pattern in another.  A
-pair's array is made when the pair is first trained or loaded; until then
-the pair reads as all zeros, and reading it adds nothing.
+(recall to cue, a model file's `v` rows) drive the matching neuron's
+pre-threshold output to the learning value `THETA`, and a neuron fires at
+`THRESHOLD` unless a query sets its own threshold; both are the model's
+constants.  Cross weights couple cue neurons across balls, one dense array
+per ordered ball pair, so a recognized pattern in one ball recalls its
+linked pattern in another.  A pair's array is made when the pair is first
+trained or loaded; until then the pair reads as all zeros.
 
 All three learning rules are one Widrow-Hoff step at rate 1,
 `delta = (target - output) * input`: the recall rule targets the pattern
@@ -19,12 +19,12 @@ is `target - weight`, so from any weight the new weight is the target itself:
 the recall and cross rules store their targets in a single update, and a
 repeat is an exact no-op.  The cue rule adds its step and lands within
 rounding of its target: a repeat on the bundled labels' QR rows moves each
-`v` row by 5.2e-16 to 3.0e-15 and changes no fired set.
+cue row by 5.2e-16 to 3.0e-15 and changes no fired set.
 `MemorySystem._delta_rule` is the step, called once per rule with its
 weight, target and input; it reports the error it found before the step,
 never a residue after it.  A row step goes through two row-sized buffers:
-the error or step, and one spare row, passed by position, for the squares
-and the magnitudes in turn.  A float error (the cue and cross rules) is
+the recall rule's error and a spare row, or the cue rule's current row,
+which takes the sum, and its step.  A float error (the cue and cross rules) is
 squared as a `np.float64`, the same IEEE product as `np.square`, so an
 overflow still warns.
 
@@ -33,20 +33,19 @@ overflow still warns.
 pattern's support, so the response of a row to a probe that is one level
 `d` on its own support is `(level * d) * popcount(support & probe)`, two
 correctly rounded products around an exact count, the same on every CPU
-and BLAS kernel.  Each ball packs its rows' levels and supports into a cue
-index (`Ball.cue_index`) at its first `cue_response`.  Where the index or
-that form does not apply (a row or a probe of two levels, a non-finite or
-all-zero probe, a subnormal or overflowing term or q), q is the BLAS
-product `v @ probe`.  A second `store` of a different pattern onto a used
-neuron adds a step of another level to its cue row, so that ball has no
-index, and every response in it is the product (about 1 ms at 256 neurons).
+and BLAS kernel.  A ball stores its cue rows as these levels and packed
+supports (`Ball.cue_index`), 1.7 KB a neuron at the default dimension
+against 105 KB for a dense row.  Where that form does not apply (a row or
+a probe of two levels, a non-finite or all-zero probe, a subnormal or
+overflowing term or q), q is the BLAS product of the dense cue rows and the
+probe, which a packed ball builds for the query (3.8 ms at 256
+neurons, 1 ms of it the product).  A second `store` of a different pattern
+onto a used neuron adds a step of another level to its cue row, which
+turns that ball dense for good.
 
-A system instance is single-writer while learning.  `Ball.v` is
-read-only and changes only through `Ball.set_cue_row`, which drops the
-ball's index for the next `cue_response` to build again.  Other than the
-index a first `cue_response` builds, which concurrent first calls build
-alike, response and recall calls never mutate state, so a trained system
-may be queried concurrently.
+A system instance is single-writer while learning; `Ball.set_cue_row` is
+the one writer of the cue rows.  Response and recall calls never mutate
+state, so a trained system may be queried concurrently.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class SystemConfig:
             raise ValueError("dim must be positive")
 
 
-_INDEX_ROWS = 16  # rows of `v` per step of an index build, so no temporary is the size of `v`
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 
@@ -92,6 +90,13 @@ def _packed(mask: np.ndarray) -> np.ndarray:
     out = np.zeros(mask.shape[:-1] + (-(-packed.shape[-1] // 8) * 8,), np.uint8)
     out[..., :packed.shape[-1]] = packed
     return out.view(np.uint64)
+
+
+def _unpacked(words: np.ndarray, level_bits, dim: int) -> np.ndarray:
+    """Rows of `dim` values, each its level on its packed support, built by bit pattern so a zero is +0.0 at any level."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=dim, bitorder="little").astype(np.uint64)
+    bits *= level_bits
+    return bits.view(np.float64)
 
 
 def _check_neuron(ball: Ball, neuron: int) -> None:
@@ -104,15 +109,6 @@ def _check_vector(vector, dim: int) -> np.ndarray:
     if v.size != dim:
         raise DimensionMismatch(f"vector has {v.size} components, system dimension is {dim}")
     return v
-
-
-def _bitmap_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each row's one nonzero value (0 for a zero row) and its packed support; None if a row holds two."""
-    support = rows != 0
-    levels = rows[np.arange(len(rows)), support.argmax(axis=1)]
-    if not ((rows == levels[:, None]) | ~support).all():
-        return None
-    return levels, _packed(support)
 
 
 def _bitmap_response(index: tuple[np.ndarray, np.ndarray] | None, p: np.ndarray) -> np.ndarray | None:
@@ -130,7 +126,7 @@ def _bitmap_response(index: tuple[np.ndarray, np.ndarray] | None, p: np.ndarray)
     levels, words = index
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term or q returns None below
         terms = levels * d
-        q = terms * np.bitwise_count(words & _packed(nonzero)).sum(axis=1) + 0.0
+        q = terms * np.bitwise_count(words & _packed(nonzero)).sum(axis=1, dtype=np.uint32) + 0.0
     size = np.abs(terms)
     if not np.array_equal((size >= _TINY) & (size <= _HUGE), levels != 0) or not np.isfinite(q).all():
         return None
@@ -141,9 +137,8 @@ class Ball:
     """One Cue Ball: a cue neuron per stored pattern and its two weight rows.
 
     Row i of `w` (recall weights) is the pattern neuron i replays into the
-    Recall Net; row i of `v` (cue weights) maps the Recall Net onto neuron
-    i's pre-threshold output.  `v` is read-only: `set_cue_row` writes it and
-    drops the cue index.
+    Recall Net; cue row i maps it onto neuron i's pre-threshold output.  Cue
+    rows are packed while every row written is one level, then dense for good.
     """
 
     def __init__(self, ball_id: str, labels, dim: int) -> None:
@@ -151,32 +146,48 @@ class Ball:
         self.labels = list(labels)
         self.n = len(self.labels)
         self.w = np.zeros((self.n, dim))
-        self.v = np.zeros((self.n, dim))
-        self.v.flags.writeable = False
-        self._index: tuple | None = None  # None until `cue_index` builds it; () if `v` has a two-level row
+        self._levels = np.zeros(self.n)
+        self._words = np.zeros((self.n, -(-dim // 64)), np.uint64)
+        self._dense: np.ndarray | None = None  # the cue rows, once a row that is not one level is written
 
     def set_cue_row(self, neuron: int, row) -> None:
-        """Write row `neuron` of `v`, checked as every writer checks, and drop the cue index."""
+        """Write cue row `neuron`, checked as every writer checks; the one writer of the cue rows."""
         _check_neuron(self, neuron)
-        row = _check_vector(row, self.v.shape[1])
-        self.v.flags.writeable = True
-        try:
-            self.v[neuron] = row
-        finally:
-            self.v.flags.writeable = False
-        self._index = None
+        row = _check_vector(row, self.w.shape[1])
+        if self._dense is None:
+            support, bits = row != 0, row.view(np.uint64)
+            level_bits, count = bits[support.argmax()], np.count_nonzero(support)
+            # one level: each component's bits are +0.0's or the first nonzero value's (a -0.0 is nonzero in bits only)
+            if np.count_nonzero(bits) == count and (not count or np.count_nonzero(bits == level_bits) == count):
+                self._levels.view(np.uint64)[neuron] = level_bits
+                self._words[neuron].view(np.uint8)[:-(-len(row) // 8)] = np.packbits(support, bitorder="little")
+                return
+            self._dense = self.cue_rows()
+            self._levels = self._words = None
+        self._dense[neuron] = row
+
+    def cue_row(self, neuron: int) -> np.ndarray:
+        """Cue row `neuron` as a fresh dense array."""
+        _check_neuron(self, neuron)
+        if self._dense is not None:
+            return self._dense[neuron].copy()
+        if not self._levels[neuron]:
+            return np.zeros(self.w.shape[1])
+        return _unpacked(self._words[neuron], self._levels.view(np.uint64)[neuron], self.w.shape[1])
+
+    def cue_rows(self) -> np.ndarray:
+        """Every cue row as a fresh C-contiguous `(n, dim)` array."""
+        if self._dense is not None:
+            return self._dense.copy()
+        return _unpacked(self._words, self._levels.view(np.uint64)[:, None], self.w.shape[1])
+
+    def cue_product(self, p: np.ndarray) -> np.ndarray:
+        """The BLAS product `cue_rows() @ p`, on a dense ball's own rows."""
+        return (self.cue_rows() if self._dense is None else self._dense) @ p
 
     def cue_index(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(levels, words): row i of `v` is `levels[i]` on the support packed in `words[i]`.
-
-        None if a row holds two different nonzero values.  Built at the first
-        call after a write, which is a ball's first `cue_response`;
-        concurrent first calls build equal indexes.
-        """
-        if self._index is None:
-            blocks = [_bitmap_rows(self.v[i:i + _INDEX_ROWS]) for i in range(0, self.n, _INDEX_ROWS)]
-            self._index = () if any(b is None for b in blocks) else tuple(map(np.concatenate, zip(*blocks)))
-        return self._index or None
+        """The ball's storage (levels, words): cue row i is `levels[i]` on the support in `words[i]`; None if dense."""
+        return None if self._dense is not None else (self._levels, self._words)
 
 
 @dataclass(frozen=True)
@@ -286,24 +297,27 @@ class MemorySystem:
     def _delta_rule(self, weight, target, x, *where):
         """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
-        `weight` is a row or a float and is not modified; with input 1 the new
-        weight is `target` itself.  Returns the new weight and the report of
-        the error before the step: its half square and the step's largest term.
-        Raises NonFiniteWeight if the error or the new weight is not finite,
-        so the caller stores nothing; only then is its message formatted, from
-        the format string and arguments `where`.
+        `weight` is a row or a float.  With input 1 it is not modified and the
+        new weight is `target` itself; else the step is added to it in place,
+        so the caller passes a row of its own.  Returns the new weight and the
+        report of the error before the step: its half square and the step's
+        largest term.  Raises NonFiniteWeight if the error or the new weight is
+        not finite, so the caller stores nothing; only then is its message
+        formatted, from the format string and arguments `where`.
         """
         err = target - (weight if x is None else float(weight @ x))
         step = err if x is None else err * x
-        spare = np.empty_like(step) if isinstance(step, np.ndarray) else None
+        # the cue rule's step takes its own magnitudes once its sum is taken; a recall row error needs a spare row
+        spare = step if x is not None else np.empty_like(err) if isinstance(err, np.ndarray) else None
         error = _half_square(err, spare)
+        if x is not None:
+            weight += step
         max_delta = abs(step) if spare is None else float(np.maximum.reduce(np.abs(step, out=spare), axis=None))
         if x is None:  # the exact sum weight + (target - weight), which floats may miss
             # a non-finite target or weight makes the error inf or nan, so only then is `err` scanned
             new, finite = target, math.isfinite(error) or np.isfinite(err).all()
         else:  # a non-finite error spreads to the sum, and a finite one may overflow it
-            step += weight  # so the sum lands in the step, not in the caller's row
-            new, finite = step, np.isfinite(step).all()
+            new, finite = weight, np.isfinite(weight).all()
         if not finite:
             raise NonFiniteWeight(f"learning {where[0] % where[1:]} left a non-finite weight")
         return new, UpdateReport(error, max_delta)
@@ -336,11 +350,11 @@ class MemorySystem:
     # -- cue path -----------------------------------------------------------
 
     def cue_response(self, ball_id: str, probe, threshold: float | None = None) -> CueResponse:
-        """Pre-threshold outputs of every neuron in a ball for a probe: the popcount form where it applies, else `v @ probe`."""
+        """Pre-threshold outputs of every neuron in a ball for a probe: the popcount form where it applies, else the product."""
         ball = self.ball(ball_id)
         p = _check_vector(probe, self.config.dim)
         q = _bitmap_response(ball.cue_index(), p)
-        return self._response(ball.v @ p if q is None else q, threshold)
+        return self._response(ball.cue_product(p) if q is None else q, threshold)
 
     def learn_cue_weights(self, ball_id: str, neuron: int) -> UpdateReport:
         """Delta-rule update of a neuron's cue row toward output `THETA`.
@@ -352,7 +366,7 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         _check_neuron(ball, neuron)
-        row, report = self._delta_rule(ball.v[neuron], THETA, ball.w[neuron], "v row %s:%s", ball.id, neuron)
+        row, report = self._delta_rule(ball.cue_row(neuron), THETA, ball.w[neuron], "v row %s:%s", ball.id, neuron)
         ball.set_cue_row(neuron, row)
         return report
 

@@ -91,9 +91,10 @@ def _lines(system: MemorySystem):
         yield f"ball {ball.id} {ball.n}\n"
         for i, label in enumerate(ball.labels):
             yield f"label {i} {label}\n"
-        for kind, rows in (("w", ball.w), ("v", ball.v)):
-            for i, row in enumerate(rows):
-                yield f"{kind} {i} {_fmt_row(row)}\n"
+        for i, row in enumerate(ball.w):
+            yield f"w {i} {_fmt_row(row)}\n"
+        for i in range(ball.n):
+            yield f"v {i} {_fmt_row(ball.cue_row(i))}\n"
     for a, k, b, l, u in system.trained_links():
         yield f"link {a} {k} {b} {l} {_fmt(u)}\n"
     yield "end\n"

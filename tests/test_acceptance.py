@@ -107,7 +107,7 @@ class TestAcceptance:
                 toy = MemorySystem(SystemConfig(dim=dim))
                 toy.add_ball("X", ["x0"])
                 toy.store("X", 0, y)
-                q_impl = float(toy.balls["X"].v[0] @ y)
+                q_impl = float(toy.balls["X"].cue_row(0) @ y)
 
                 v_oracle = [0.0] * dim
                 q0 = sum(v_oracle[j] * y[j] for j in range(dim))

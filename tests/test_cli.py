@@ -267,7 +267,7 @@ class TestTrain:
         # cue rows at 1e308 times their patterns, where one step toward a learning value of 1e308 would
         # put them, are finite, load and recall
         out = scaled_model(tmp_path / "m.cbrn", 1e308)
-        assert all(np.isfinite(ball.v).all() for ball in store.load(out).balls.values())
+        assert all(np.isfinite(ball.cue_rows()).all() for ball in store.load(out).balls.values())
         code, stdout, stderr = run(capsys, "recall", "--model", out, "--ball", "color", "--pattern", red_pbm)
         assert (code, stderr) == (0, "") and "argmax: 0" in stdout
 
@@ -1240,7 +1240,7 @@ def fuzz_models(draw) -> MemorySystem:
     for ball_id in draw(st.lists(st.sampled_from(FUZZ_BALLS), min_size=1, max_size=3, unique=True)):
         ball = system.add_ball(ball_id, [f"{ball_id}{i}" for i in range(draw(st.integers(1, 3)))])
         ball.w[:] = draw(arrays(np.float64, ball.w.shape, elements=FUZZ_WEIGHTS))
-        for i, row in enumerate(draw(arrays(np.float64, ball.v.shape, elements=FUZZ_WEIGHTS))):
+        for i, row in enumerate(draw(arrays(np.float64, ball.w.shape, elements=FUZZ_WEIGHTS))):
             ball.set_cue_row(i, row)
     directions = list(itertools.permutations(system.balls, 2))
     for a, b in draw(st.lists(st.sampled_from(directions), max_size=3, unique=True)) if directions else ():
@@ -1399,7 +1399,8 @@ def test_a_query_holds_the_weights_not_the_model_text(capsys, tmp_path):
     model, probe = tmp_path / "m.cbrn", tmp_path / "die.pbm"
     assert run(capsys, "train", "--catalog", catalog, "--out", model)[0] == 0
     assert run(capsys, "encode", "--label", labels["b"][7], "--out", probe)[0] == 0
-    weight_bytes = sum(ball.w.nbytes + ball.v.nbytes for ball in store.load(model).balls.values())
+    # the recall rows and the cue rows as the balls hold them: one level and a packed support a row
+    weight_bytes = sum(ball.w.nbytes + sum(part.nbytes for part in ball.cue_index()) for ball in store.load(model).balls.values())
     query = peak_rss_kib("-m", "cbrn.cli", "recall", "--model", model, "--ball", "b", "--pattern", probe)
     assert (query - peak_rss_kib("-c", "import cbrn.cli")) * 1024 < 2 * weight_bytes
 
@@ -1440,13 +1441,17 @@ class TestDemoSessionGolden:
 
 
 def test_ci_smoke_step_pins_the_demo_session_bytes():
-    """The workflow's console-script smoke step checks the digests `TestDemoSessionGolden` pins, and the recall CSV's."""
+    """The workflow's console-script smoke step pairs the README's three pairs and checks the digests `TestDemoSessionGolden` pins, and the recall CSV's."""
     workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     step = workflow.split("- name: Console-script smoke test\n", 1)[1].split("- name:", 1)[0]
+    pair = next(line.split() for line in step.splitlines() if line.split()[:2] == ["cbrn", "pair"])
+    assert pair == ["cbrn", "pair", "--model", "demo.cbrn", "--pair", "color:0=style:3", "--pair", "style:3=volume:6",
+                    "--pair", "volume:6=color:1"]
     lines = step.split("sha256sum -c - <<'EOF'\n", 1)[1].splitlines()
     pins = dict(reversed(line.split()) for line in itertools.takewhile(lambda line: line.strip() != "EOF", lines))
     assert pins == {"red.pbm": TestDemoSessionGolden.RED_SHA256,
                     "train.txt": TestDemoSessionGolden.TRAIN_STDOUT_SHA256,
+                    "demo.cbrn": TestDemoSessionGolden.MODEL_SHA256,
                     "rectangle.pbm": TestDemoSessionGolden.RECTANGLE_SHA256,
                     "recall.csv": TestQueryOutputGolden.STDOUT_SHA256["recall", "csv"]}
 

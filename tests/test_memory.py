@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cbrn import memory, patterns
+from cbrn import memory, patterns, store
 from cbrn.errors import (
     DimensionMismatch,
     IntraBallLink,
@@ -129,7 +129,7 @@ class TestCuePath:
     def test_cue_row_after_one_step(self):
         system = small_system()
         system.store("A", 0, [0.6, 0.8])
-        np.testing.assert_array_equal(system.balls["A"].v[0], [60.0, 80.0])
+        np.testing.assert_array_equal(system.balls["A"].cue_row(0), [60.0, 80.0])
 
     def test_orthogonal_probe_is_silent(self):
         system = small_system()
@@ -147,7 +147,7 @@ class TestCuePath:
         assert abs(response.q[0] - 50.0) < 1e-12
         assert 0 not in response.fired  # 50 < 72
         # explicit dot product oracle
-        manual = sum(v * p for v, p in zip(system.balls["A"].v[0], probe))
+        manual = sum(v * p for v, p in zip(system.balls["A"].cue_row(0), probe))
         assert response.q[0] == manual
 
     def test_fixed_point_is_exact(self):
@@ -163,7 +163,7 @@ class TestCuePath:
         y = np.array([math.sqrt(0.7265), 0.0])
         system.learn_recall_weights("A", 0, y)
         system.learn_cue_weights("A", 0)
-        q = float(system.balls["A"].v[0] @ y)
+        q = float(system.balls["A"].cue_row(0) @ y)
         manual = 100.0 * float(y @ y)
         assert abs(q - 72.65) < 1e-9
         assert abs(q - manual) < 1e-12
@@ -408,7 +408,7 @@ class TestOverflow:
         with pytest.warns(RuntimeWarning, match="overflow"):
             _, v_report = system.store("A", 0, [0.6, 0.8])
         assert v_report.error == math.inf
-        assert np.isfinite(system.balls["A"].v[0]).all()
+        assert np.isfinite(system.balls["A"].cue_row(0)).all()
 
     def test_overflowing_cue_step_raises_and_keeps_the_row(self):
         # a huge stored row: the first cue step leaves a finite row whose
@@ -417,11 +417,11 @@ class TestOverflow:
         with pytest.warns(RuntimeWarning, match="overflow"):
             system.learn_recall_weights("A", 0, [1e300, 1e300])
             system.learn_cue_weights("A", 0)
-        row = system.balls["A"].v[0].copy()
+        row = system.balls["A"].cue_row(0)
         assert np.isfinite(row).all()
         with pytest.raises(NonFiniteWeight, match="v row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
             system.learn_cue_weights("A", 0)
-        np.testing.assert_array_equal(system.balls["A"].v[0], row)
+        np.testing.assert_array_equal(system.balls["A"].cue_row(0), row)
 
     def test_a_cue_step_past_the_float_range_from_a_finite_error_raises(self):
         # the error theta - q is 1e200, finite; the step (theta - q) * row is not
@@ -430,7 +430,7 @@ class TestOverflow:
         system.balls["A"].set_cue_row(0, [-1.0, 0.0])
         with pytest.raises(NonFiniteWeight, match="v row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
             system.learn_cue_weights("A", 0)
-        assert system.balls["A"].v[0].tolist() == [-1.0, 0.0]
+        assert system.balls["A"].cue_row(0).tolist() == [-1.0, 0.0]
 
     def test_overflowing_recall_step_raises_and_keeps_the_row(self):
         # a loaded row far below the target: target - row overflows to inf
@@ -572,9 +572,9 @@ class TestLearningStepArithmetic:
         system.balls["A"].set_cue_row(0, np.zeros(DIM) if zero else start)
         yv = system.balls["A"].w[0].copy()
         for _ in range(repeats):
-            expected = reference_step(system.balls["A"].v[0].copy(), THETA, lambda row: float(row @ yv), yv)
+            expected = reference_step(system.balls["A"].cue_row(0), THETA, lambda row: float(row @ yv), yv)
             report = system.learn_cue_weights("A", 0)
-            self.assert_same(report, system.balls["A"].v[0], expected)
+            self.assert_same(report, system.balls["A"].cue_row(0), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(forward=components, backward=components, repeats=st.integers(1, 2))
@@ -589,19 +589,21 @@ class TestLearningStepArithmetic:
             self.assert_same(reports[1], system.links["B", "A"][0, 1], expected[1])
 
     def test_a_row_step_peaks_at_two_rows(self):
-        # the step and one spare row; a third row-sized temporary would show here
-        system = MemorySystem()
-        system.add_ball("A", ["a0"])
-        target = np.random.default_rng(0).random(system.config.dim)
-        system.store("A", 0, target / 2)
-        for learn in (lambda: system.learn_recall_weights("A", 0, target), lambda: system.learn_cue_weights("A", 0)):
-            tracemalloc.start()
-            try:
-                learn()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2.5 * target.nbytes
+        # the error and a spare row, or the current cue row and the step; a third row-sized temporary would show here
+        rng = np.random.default_rng(0)
+        for target in (rng.random(SystemConfig().dim), rng.integers(0, 2, SystemConfig().dim) / 100.0):  # dense, packed
+            system = MemorySystem()
+            system.add_ball("A", ["a0"])
+            system.store("A", 0, target / 2)
+            for learn in (lambda: system.learn_recall_weights("A", 0, target), lambda: system.learn_cue_weights("A", 0)):
+                tracemalloc.start()
+                try:
+                    learn()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2.5 * target.nbytes
+            assert (system.balls["A"].cue_index() is None) == (len(np.unique(target)) > 2)
 
 
 # finite loaded weights far from any target: up to +-1e300, subnormals and signed zeros
@@ -713,7 +715,7 @@ class TestThetaOnlyRescales:
 
     def test_a_stored_row_is_theta_times_its_pattern(self, trained_system):
         for ball in trained_system.balls.values():
-            assert ball.v.view(np.uint64).tolist() == (THETA * ball.w).view(np.uint64).tolist()
+            assert ball.cue_rows().view(np.uint64).tolist() == (THETA * ball.w).view(np.uint64).tolist()
 
 
 class TestAddBall:
@@ -812,8 +814,8 @@ def popcount_q(v, p):
     """Row j's `(level_j * d) * |support_j & probe|`, one IEEE product at a time, a zero q +0.0; None unless it applies.
 
     It applies where every row of `v` and the probe are one level on their
-    support, the probe's level `d` is finite, every term of a nonzero level
-    is a normal float and every q is finite.
+    support, no row holds a -0.0, the probe's level `d` is finite, every term
+    of a nonzero level is a normal float and every q is finite.
     """
     d = np.unique(p[p != 0])
     if len(d) != 1 or not math.isfinite(d[0]):
@@ -821,7 +823,7 @@ def popcount_q(v, p):
     q = []
     for row in v:
         level = np.unique(row[row != 0])
-        if len(level) > 1:
+        if len(level) > 1 or np.signbit(row[row == 0]).any():
             return None
         term = float(level[0]) * float(d[0]) if len(level) else 0.0
         if len(level) and not np.finfo(np.float64).tiny <= abs(term) <= np.finfo(np.float64).max:
@@ -863,7 +865,7 @@ def index_cases(draw):
     if scale != 1.0:
         for ball in system.balls.values():
             for i in range(ball.n):
-                ball.set_cue_row(i, scale * ball.v[i])
+                ball.set_cue_row(i, scale * ball.cue_row(i))
         for u in system.links.values():
             u *= scale
     mask = draw(st.sampled_from(masks)).copy() if masks and draw(st.booleans()) else draw(arrays(np.bool_, dim))
@@ -897,7 +899,7 @@ class TestRecognitionIndex:
     @given(case=index_cases())
     def test_q_is_the_popcount_form_or_else_the_product(self, case):
         system, probe, _ = case
-        v = system.balls["A"].v
+        v = system.balls["A"].cue_rows()
         expected = popcount_q(v, probe)
         found = with_warnings(lambda: system.cue_response("A", probe).q)
         if expected is None:
@@ -935,7 +937,7 @@ class TestRecognitionIndex:
         for i, prefix in enumerate(prefixes):
             system.store("A", i, prefix / math.sqrt(i + 1))
             system.learn_cross_weights("A", i, "B", 0)
-        levels = system.balls["A"].v[:, 0].tolist()
+        levels = system.balls["A"].cue_rows()[:, 0].tolist()
         for i, prefix in enumerate(prefixes):
             probe = prefix / math.sqrt(i + 1)
             q = system.cue_response("A", probe).q
@@ -956,7 +958,7 @@ class TestRecognitionIndex:
         system.learn_cross_weights("A", 0, "B", 0)
         probe = np.where(np.arange(64) < count, d, 0.0)
         found = with_warnings(lambda: system.cue_response("A", probe).q)
-        assert found == with_warnings(lambda: system.balls["A"].v @ probe) and len(product_calls) == 1
+        assert found == with_warnings(lambda: system.balls["A"].cue_rows() @ probe) and len(product_calls) == 1
         threshold = 5e-324  # the least there is, so even the subnormal q fires
         assert_associates_like_the_reference(system, "A", probe, "B", threshold)
 
@@ -994,7 +996,7 @@ class TestRecognitionIndex:
         probe = [1.0, 0.0, 0.0, 0.0]
         assert system.associate("A", probe, "B").source_neuron == 0 and product_calls == []  # taken from the index
         system.store("A", 0, [0.6, 0.8, 0.0, 0.0])
-        assert system.balls["A"].v[0].tolist() == [124.0, 32.0, 0.0, 0.0]
+        assert system.balls["A"].cue_row(0).tolist() == [124.0, 32.0, 0.0, 0.0]
         assert system.balls["A"].cue_index() is None
         assert system.associate("A", probe, "B").source_neuron == 0 and len(product_calls) == 1
         assert system.cue_response("A", probe).q.tolist() == [124.0, 0.0]
@@ -1015,22 +1017,93 @@ class TestRecognitionIndex:
         assert assert_associates_like_the_reference(system, "C", probe, "B")[:2] == (1, 0) and product_calls == []
 
     def test_cue_rows_are_written_only_by_the_writer(self):
-        ball = small_system().balls["A"]
-        with pytest.raises(ValueError, match="read-only"):
-            ball.v[0] = [1.0, 0.0]
-        ball.set_cue_row(0, [1.0, 0.0])
-        assert ball.v[0].tolist() == [1.0, 0.0] and not ball.v.flags.writeable
+        # a packed ball and a dense one both hand out copies, so a write to one does not reach the ball
+        for row, dense in (([1.0, 0.0], False), ([1.0, 2.0], True)):
+            ball = small_system().balls["A"]
+            ball.set_cue_row(0, row)
+            ball.cue_rows()[0] = [5.0, 5.0]
+            ball.cue_row(0)[:] = 7.0
+            assert ball.cue_rows().tolist() == [row, [0.0, 0.0], [0.0, 0.0]] and (ball.cue_index() is None) == dense
 
     @pytest.mark.parametrize("neuron, row, error, message", [
         (-1, [1.0, 0.0], NeuronIndexError, r"neuron -1 out of range for ball 'A' \(n=3\)"),
-        (3, [1.0, 0.0], NeuronIndexError, r"neuron 3 out of range for ball 'A' \(n=3\)"),
+        (3, [1.0, 2.0], NeuronIndexError, r"neuron 3 out of range for ball 'A' \(n=3\)"),  # two levels: not dense
         (0, [1.0, 0.0, 0.0, 0.0], DimensionMismatch, "vector has 4 components, system dimension is 2"),
         (0, 1.0, DimensionMismatch, "vector has 1 components, system dimension is 2"),
     ])
     def test_the_writer_refuses_a_bad_neuron_or_row_and_writes_nothing(self, neuron, row, error, message):
         ball = small_system().balls["A"]
         ball.set_cue_row(2, [0.0, 3.0])
-        index = ball.cue_index()
         with pytest.raises(error, match=f"^{message}$"):
             ball.set_cue_row(neuron, row)
-        assert ball.v.tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 3.0]] and ball.cue_index() is index
+        levels, words = ball.cue_index()
+        assert ball.cue_rows().tolist() == [[0.0, 0.0], [0.0, 0.0], [0.0, 3.0]]
+        assert (levels.tolist(), words.tolist()) == ([0.0, 0.0, 3.0], [[0], [0], [0b10]])
+
+
+# levels a written cue row may hold: of both signs, subnormal, past the normal range, infinite and nan of two payloads
+PACKED_LEVELS = st.sampled_from([1.0, -0.5, 100.0 / 3, 5e-324, -2.2250738585072014e-308, 1e308, math.inf, -math.inf,
+                                 math.nan, np.array(0xFFF8000000000001, np.uint64).view(np.float64).item()])
+
+
+def one_level(row) -> bool:
+    """No -0.0 component, and at most one bit pattern among the nonzero ones."""
+    return not np.signbit(row[row == 0]).any() and len(np.unique(row.view(np.uint64)[row != 0])) <= 1
+
+
+@st.composite
+def cue_writes(draw):
+    """A dimension, a ball size, a probe, and writes of one-level, zero, -0.0 and two-level cue rows."""
+    dim, n = draw(st.integers(1, 70)), draw(st.integers(1, 4))
+    writes = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = np.where(draw(arrays(np.bool_, dim)), draw(PACKED_LEVELS), 0.0)
+        kind = draw(st.sampled_from(["one level", "zero", "-0.0", "two-level"]))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind != "one level":
+            row[draw(st.integers(0, dim - 1))] = -0.0 if kind == "-0.0" else draw(PACKED_LEVELS)
+        writes.append((draw(st.integers(0, n - 1)), row))
+    probe = np.where(draw(arrays(np.bool_, dim)), draw(st.sampled_from([1.0, -3.0, 1e-310, 1e300])), 0.0)
+    return dim, n, probe, writes
+
+
+class TestPackedRows:
+    """A ball holds its cue rows as levels and packed supports until a row that is not one level is written."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=cue_writes())
+    def test_rows_read_back_bit_for_bit_and_a_dense_ball_takes_the_product(self, case):
+        dim, n, probe, writes = case
+        system = MemorySystem(SystemConfig(dim=dim))
+        ball = system.add_ball("A", [f"a{i}" for i in range(n)])
+        expected, dense = np.zeros((n, dim)), False
+        for neuron, row in writes:
+            ball.set_cue_row(neuron, row)
+            expected[neuron] = row
+            dense = dense or not one_level(row)
+            assert [bits(x) for x in ball.cue_row(neuron)] == [bits(x) for x in row]
+            assert ball.cue_rows().view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+            assert (ball.cue_index() is None) == dense
+            if dense:
+                assert with_warnings(lambda: system.cue_response("A", probe).q) == with_warnings(
+                    lambda: ball.cue_rows() @ probe)
+
+    def test_a_ball_of_bitmaps_holds_no_dense_cue_array(self):
+        system = MemorySystem()
+        ball = system.add_ball("A", [f"a{i}" for i in range(64)])
+        rng = np.random.default_rng(64)
+        for i in range(64):
+            system.store("A", i, patterns.normalize(patterns.BinaryPattern(rng.integers(0, 2, (116, 116), np.uint8))))
+        held = [value for value in vars(ball).values() if isinstance(value, np.ndarray) and value is not ball.w]
+        assert ball.cue_index() is not None and max(a.size for a in held) < ball.w.size
+        assert sum(a.nbytes for a in held) < 200_000  # where a dense (64, 13456) array of cue rows takes 6.9 MB
+
+    def test_a_load_packs_the_rows_a_dense_ball_saved(self):
+        system = MemorySystem(SystemConfig(dim=4))
+        ball = system.add_ball("A", ["a0", "a1"])
+        for neuron, row in ((0, [1.0, 2.0, 0.0, 0.0]), (0, [3.0, 3.0, 0.0, 0.0]), (1, [0.0, 0.0, 0.5, 0.0])):
+            ball.set_cue_row(neuron, row)
+        loaded = store.loads(store.dumps(system)).balls["A"]
+        assert ball.cue_index() is None and loaded.cue_index() is not None
+        assert loaded.cue_rows().tolist() == ball.cue_rows().tolist() == [[3.0, 3.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0]]

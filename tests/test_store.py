@@ -71,10 +71,10 @@ def assert_rows_round_trip(system: MemorySystem):
     """Rows are printed as the reference formatter prints them and load back bit for bit."""
     text = store.dumps(system)
     ball = system.balls["A"]
-    assert dumped_rows(text) == [f"w 0 {reference_row(ball.w[0])}", f"v 0 {reference_row(ball.v[0])}"]
+    assert dumped_rows(text) == [f"w 0 {reference_row(ball.w[0])}", f"v 0 {reference_row(ball.cue_row(0))}"]
     loaded = store.loads(text)
     assert_same_bits(loaded.balls["A"].w, ball.w)
-    assert_same_bits(loaded.balls["A"].v, ball.v)
+    assert_same_bits(loaded.balls["A"].cue_rows(), ball.cue_rows())
     assert store.dumps(loaded) == text
 
 
@@ -83,7 +83,7 @@ class TestRoundTrip:
         system = toy()
         loaded = store.loads(store.dumps(system))
         for ball_id, ball in system.balls.items():
-            assert_same_bits(loaded.balls[ball_id].v, ball.v)
+            assert_same_bits(loaded.balls[ball_id].cue_rows(), ball.cue_rows())
             assert_same_bits(loaded.balls[ball_id].w, ball.w)
             assert loaded.balls[ball_id].labels == ball.labels
         assert_same_links(loaded, system)
@@ -537,7 +537,7 @@ class TestRowFeeds:
             path.write_bytes(row_model(tokens, after_index))
             loaded = load_fed(path, feed)
             assert_same_bits(loaded.balls["A"].w[0], expected)
-            assert_same_bits(loaded.balls["A"].v[0], expected)
+            assert_same_bits(loaded.balls["A"].cue_row(0), expected)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from(SPELLINGS) | FINITE.map(repr), min_size=1, max_size=6).flatmap(
@@ -565,7 +565,7 @@ class TestRowFeeds:
         for ball_id, ball in paired_system.balls.items():
             assert loaded.balls[ball_id].labels == ball.labels
             assert_same_bits(loaded.balls[ball_id].w, ball.w)
-            assert_same_bits(loaded.balls[ball_id].v, ball.v)
+            assert_same_bits(loaded.balls[ball_id].cue_rows(), ball.cue_rows())
         assert_same_links(loaded, paired_system)
 
     def test_one_reader_reads_kept_and_decoded_rows_in_turn(self):
