@@ -22,9 +22,10 @@ rounding of its target: a repeat on the bundled labels' QR rows moves each
 cue row by 5.2e-16 to 3.0e-15 and changes no fired set.
 `MemorySystem._delta_rule` is the step, called once per rule with its
 weight, target and input; it reports the error it found before the step,
-never a residue after it.  A row step goes through two row-sized buffers:
-the recall rule's error and a spare row, or the cue rule's current row,
-which takes the sum, and its step.  A float error (the cue and cross rules) is
+never a residue after it.  A row step goes through two rows of its
+caller's own: the recall rule's current row, which takes the error, and a
+spare row, or the cue rule's current row, which takes the sum, and its
+input, which takes the step.  A float error (the cue and cross rules) is
 squared as a `np.float64`, the same IEEE product as `np.square`, so an
 overflow still warns.
 
@@ -33,19 +34,21 @@ overflow still warns.
 pattern's support, so the response of a row to a probe that is one level
 `d` on its own support is `(level * d) * popcount(support & probe)`, two
 correctly rounded products around an exact count, the same on every CPU
-and BLAS kernel.  A ball stores its cue rows as these levels and packed
-supports (`Ball.cue_index`), 1.7 KB a neuron at the default dimension
-against 105 KB for a dense row.  Where that form does not apply (a row or
-a probe of two levels, a non-finite or all-zero probe, a subnormal or
-overflowing term or q), q is the BLAS product of the dense cue rows and the
-probe, which a packed ball builds for the query (3.8 ms at 256
-neurons, 1 ms of it the product).  A second `store` of a different pattern
+and BLAS kernel.  A ball stores its recall rows and its cue rows as these
+levels and packed supports (`Ball.cue_index` for the cue rows), 3.4 KB a
+neuron at the default dimension against 211 KB for two dense rows.  Where
+that form does not apply (a row or a probe of two levels, a non-finite or
+all-zero probe, a subnormal or overflowing term or q), q is the BLAS
+product of the dense cue rows and the probe, which a packed ball builds for
+the query (3.8 ms at 256 neurons, 1 ms of it the product).  A second `store` of a different pattern
 onto a used neuron adds a step of another level to its cue row, which
-turns that ball dense for good.
+turns that ball's cue rows dense for good, as a recall target that is not
+one level does its recall rows.
 
-A system instance is single-writer while learning; `Ball.set_cue_row` is
-the one writer of the cue rows.  Response and recall calls never mutate
-state, so a trained system may be queried concurrently.
+A system instance is single-writer while learning; `Ball.set_recall_row`
+and `Ball.set_cue_row` are the one writers of a ball's rows.  Response and
+recall calls never mutate state, so a trained system may be queried
+concurrently.
 """
 
 from __future__ import annotations
@@ -133,61 +136,91 @@ def _bitmap_response(index: tuple[np.ndarray, np.ndarray] | None, p: np.ndarray)
     return q
 
 
+class _Rows:
+    """n rows of `dim` values, each a level on a packed support while every row written is one level, then dense."""
+
+    def __init__(self, n: int, dim: int) -> None:
+        self.dim = dim
+        self.levels = np.zeros(n)
+        self.words = np.zeros((n, -(-dim // 64)), np.uint64)
+        self.dense: np.ndarray | None = None  # every row, once a row that is not one level is written
+
+    def write(self, i: int, row: np.ndarray) -> None:
+        """Write row `i` from a checked vector."""
+        if self.dense is None:
+            support, bits = row != 0, row.view(np.uint64)
+            level_bits, count = bits[support.argmax()], np.count_nonzero(support)
+            # one level: each component's bits are +0.0's or the first nonzero value's (a -0.0 is nonzero in bits only)
+            if np.count_nonzero(bits) == count and (not count or np.count_nonzero(bits == level_bits) == count):
+                self.levels.view(np.uint64)[i] = level_bits
+                self.words[i].view(np.uint8)[:-(-self.dim // 8)] = np.packbits(support, bitorder="little")
+                return
+            self.dense = self.read_all()
+            self.levels = self.words = None
+        self.dense[i] = row
+
+    def read(self, i: int) -> np.ndarray:
+        """Row `i` as a fresh dense array."""
+        if self.dense is not None:
+            return self.dense[i].copy()
+        if not self.levels[i]:
+            return np.zeros(self.dim)
+        return _unpacked(self.words[i], self.levels.view(np.uint64)[i], self.dim)
+
+    def read_all(self) -> np.ndarray:
+        """Every row as a fresh C-contiguous `(n, dim)` array."""
+        if self.dense is not None:
+            return self.dense.copy()
+        return _unpacked(self.words, self.levels.view(np.uint64)[:, None], self.dim)
+
+
 class Ball:
     """One Cue Ball: a cue neuron per stored pattern and its two weight rows.
 
-    Row i of `w` (recall weights) is the pattern neuron i replays into the
-    Recall Net; cue row i maps it onto neuron i's pre-threshold output.  Cue
-    rows are packed while every row written is one level, then dense for good.
+    Recall row i (a model file's `w` row) is the pattern neuron i replays
+    into the Recall Net; cue row i (its `v` row) maps that pattern onto
+    neuron i's pre-threshold output.  Each kind of row is packed while every
+    row of that kind written is one level, then dense for good.
     """
 
     def __init__(self, ball_id: str, labels, dim: int) -> None:
         self.id = ball_id
         self.labels = list(labels)
         self.n = len(self.labels)
-        self.w = np.zeros((self.n, dim))
-        self._levels = np.zeros(self.n)
-        self._words = np.zeros((self.n, -(-dim // 64)), np.uint64)
-        self._dense: np.ndarray | None = None  # the cue rows, once a row that is not one level is written
+        self.dim = dim
+        self._recall, self._cue = _Rows(self.n, dim), _Rows(self.n, dim)
+
+    def set_recall_row(self, neuron: int, row) -> None:
+        """Write recall row `neuron`, checked as every writer checks; the one writer of the recall rows."""
+        _check_neuron(self, neuron)
+        self._recall.write(neuron, _check_vector(row, self.dim))
+
+    def recall_row(self, neuron: int) -> np.ndarray:
+        """Recall row `neuron` as a fresh dense array."""
+        _check_neuron(self, neuron)
+        return self._recall.read(neuron)
 
     def set_cue_row(self, neuron: int, row) -> None:
         """Write cue row `neuron`, checked as every writer checks; the one writer of the cue rows."""
         _check_neuron(self, neuron)
-        row = _check_vector(row, self.w.shape[1])
-        if self._dense is None:
-            support, bits = row != 0, row.view(np.uint64)
-            level_bits, count = bits[support.argmax()], np.count_nonzero(support)
-            # one level: each component's bits are +0.0's or the first nonzero value's (a -0.0 is nonzero in bits only)
-            if np.count_nonzero(bits) == count and (not count or np.count_nonzero(bits == level_bits) == count):
-                self._levels.view(np.uint64)[neuron] = level_bits
-                self._words[neuron].view(np.uint8)[:-(-len(row) // 8)] = np.packbits(support, bitorder="little")
-                return
-            self._dense = self.cue_rows()
-            self._levels = self._words = None
-        self._dense[neuron] = row
+        self._cue.write(neuron, _check_vector(row, self.dim))
 
     def cue_row(self, neuron: int) -> np.ndarray:
         """Cue row `neuron` as a fresh dense array."""
         _check_neuron(self, neuron)
-        if self._dense is not None:
-            return self._dense[neuron].copy()
-        if not self._levels[neuron]:
-            return np.zeros(self.w.shape[1])
-        return _unpacked(self._words[neuron], self._levels.view(np.uint64)[neuron], self.w.shape[1])
+        return self._cue.read(neuron)
 
     def cue_rows(self) -> np.ndarray:
         """Every cue row as a fresh C-contiguous `(n, dim)` array."""
-        if self._dense is not None:
-            return self._dense.copy()
-        return _unpacked(self._words, self._levels.view(np.uint64)[:, None], self.w.shape[1])
+        return self._cue.read_all()
 
     def cue_product(self, p: np.ndarray) -> np.ndarray:
         """The BLAS product `cue_rows() @ p`, on a dense ball's own rows."""
-        return (self.cue_rows() if self._dense is None else self._dense) @ p
+        return (self._cue.read_all() if self._cue.dense is None else self._cue.dense) @ p
 
     def cue_index(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The ball's storage (levels, words): cue row i is `levels[i]` on the support in `words[i]`; None if dense."""
-        return None if self._dense is not None else (self._levels, self._words)
+        return None if self._cue.dense is not None else (self._cue.levels, self._cue.words)
 
 
 @dataclass(frozen=True)
@@ -297,16 +330,21 @@ class MemorySystem:
     def _delta_rule(self, weight, target, x, *where):
         """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
-        `weight` is a row or a float.  With input 1 it is not modified and the
-        new weight is `target` itself; else the step is added to it in place,
-        so the caller passes a row of its own.  Returns the new weight and the
-        report of the error before the step: its half square and the step's
-        largest term.  Raises NonFiniteWeight if the error or the new weight is
-        not finite, so the caller stores nothing; only then is its message
-        formatted, from the format string and arguments `where`.
+        `weight` is a row or a float, and a row `weight` and `x` are rows of
+        the caller's own, which the step overwrites.  With input 1 the new
+        weight is `target` itself and a row's error is formed in `weight`;
+        else the step is formed in `x` and added to `weight` in place.
+        Returns the new weight and the report of the error before the step:
+        its half square and the step's largest term.  Raises NonFiniteWeight
+        if the error or the new weight is not finite, so the caller stores
+        nothing; only then is its message formatted, from the format string
+        and arguments `where`.
         """
-        err = target - (weight if x is None else float(weight @ x))
-        step = err if x is None else err * x
+        if x is None:
+            err = np.subtract(target, weight, out=weight) if isinstance(weight, np.ndarray) else target - weight
+        else:
+            err = target - float(weight @ x)
+        step = err if x is None else np.multiply(x, err, out=x)
         # the cue rule's step takes its own magnitudes once its sum is taken; a recall row error needs a spare row
         spare = step if x is not None else np.empty_like(err) if isinstance(err, np.ndarray) else None
         error = _half_square(err, spare)
@@ -330,9 +368,7 @@ class MemorySystem:
         Only that neuron's own weight row contributes; there is no summation
         over the other cue neurons.
         """
-        ball = self.ball(ball_id)
-        _check_neuron(ball, neuron)
-        return ball.w[neuron].copy()
+        return self.ball(ball_id).recall_row(neuron)
 
     def learn_recall_weights(self, ball_id: str, neuron: int, target) -> UpdateReport:
         """Delta-rule update of a neuron's recall row toward the target vector.
@@ -344,7 +380,8 @@ class MemorySystem:
         ball = self.ball(ball_id)
         _check_neuron(ball, neuron)
         t = _check_vector(target, self.config.dim)
-        ball.w[neuron], report = self._delta_rule(ball.w[neuron], t, None, "w row %s:%s", ball.id, neuron)
+        row, report = self._delta_rule(ball.recall_row(neuron), t, None, "w row %s:%s", ball.id, neuron)
+        ball.set_recall_row(neuron, row)
         return report
 
     # -- cue path -----------------------------------------------------------
@@ -366,7 +403,11 @@ class MemorySystem:
         """
         ball = self.ball(ball_id)
         _check_neuron(ball, neuron)
-        row, report = self._delta_rule(ball.cue_row(neuron), THETA, ball.w[neuron], "v row %s:%s", ball.id, neuron)
+        return self._learn_cue(ball, neuron, ball.recall_row(neuron))
+
+    def _learn_cue(self, ball: Ball, neuron: int, y: np.ndarray) -> UpdateReport:
+        """The cue rule with input `y`, a C-contiguous copy of the neuron's recall row, which takes the step."""
+        row, report = self._delta_rule(ball.cue_row(neuron), THETA, y, "v row %s:%s", ball.id, neuron)
         ball.set_cue_row(neuron, row)
         return report
 
@@ -423,10 +464,14 @@ class MemorySystem:
     # -- composite operations -----------------------------------------------
 
     def store(self, ball_id: str, neuron: int, target) -> tuple[UpdateReport, UpdateReport]:
-        """Memorize one pattern: learn the recall row, then the cue row from it."""
+        """Memorize one pattern: learn the recall row, then the cue row from it.
+
+        The recall row is the target itself, bit for bit, so the cue rule takes
+        a copy of the target, not an unpacked row; a copy is C-contiguous, and
+        a dot product with a strided input may round to other bits.
+        """
         w_report = self.learn_recall_weights(ball_id, neuron, target)
-        v_report = self.learn_cue_weights(ball_id, neuron)
-        return w_report, v_report
+        return w_report, self._learn_cue(self.balls[ball_id], neuron, np.array(_check_vector(target, self.config.dim)))
 
     def associate(
         self, from_ball: str, probe, to_ball: str, threshold: float | None = None

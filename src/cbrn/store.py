@@ -91,8 +91,8 @@ def _lines(system: MemorySystem):
         yield f"ball {ball.id} {ball.n}\n"
         for i, label in enumerate(ball.labels):
             yield f"label {i} {label}\n"
-        for i, row in enumerate(ball.w):
-            yield f"w {i} {_fmt_row(row)}\n"
+        for i in range(ball.n):
+            yield f"w {i} {_fmt_row(ball.recall_row(i))}\n"
         for i in range(ball.n):
             yield f"v {i} {_fmt_row(ball.cue_row(i))}\n"
     for a, k, b, l, u in system.trained_links():
@@ -320,12 +320,12 @@ def _load_ball(system: MemorySystem, records, reader: _RowReader, lineno: int, r
         number, _, label = rest.partition(" ")
         _check_index(number, i, "label", lineno)
         labels.append(label)
-    # the first row is checked against the header dim before (n, dim) arrays exist
+    # the first row is checked against the header dim before the ball's rows are allocated
     first = reader.take(records, "w", 0)
     ball = system.add_ball(ball_id, labels)
-    ball.w[0] = first
+    ball.set_recall_row(0, first)
     for i in range(1, n):
-        ball.w[i] = reader.take(records, "w", i)
+        ball.set_recall_row(i, reader.take(records, "w", i))
     for i in range(n):
         ball.set_cue_row(i, reader.take(records, "v", i))
 

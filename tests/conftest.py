@@ -23,6 +23,20 @@ def pair_classic(system: MemorySystem) -> MemorySystem:
     return system
 
 
+def recall_rows(ball) -> np.ndarray:
+    """Every recall row of a ball as one `(n, dim)` array."""
+    return np.array([ball.recall_row(i) for i in range(ball.n)])
+
+
+def held_arrays(holder):
+    """The NumPy arrays an object holds in its attributes, and in theirs."""
+    for value in vars(holder).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif hasattr(value, "__dict__"):
+            yield from held_arrays(value)
+
+
 def make_toy_system(stored: dict[str, list[np.ndarray]], dim: int) -> MemorySystem:
     """System over small vectors: one ball per key, one neuron per vector."""
     system = MemorySystem(SystemConfig(dim=dim))

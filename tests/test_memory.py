@@ -25,7 +25,7 @@ from cbrn.memory import (
     MemorySystem,
     SystemConfig,
 )
-from conftest import make_toy_system, pair_classic, train_full_system
+from conftest import held_arrays, make_toy_system, pair_classic, recall_rows, train_full_system
 
 unit_pairs = st.sampled_from(
     [(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.28, 0.96), (0.8, 0.6)]
@@ -85,7 +85,7 @@ class TestRecallPath:
 
     def test_row_is_returned_as_given(self):
         system = small_system()
-        system.balls["A"].w[0] = [0.6, 0.8]
+        system.balls["A"].set_recall_row(0, [0.6, 0.8])
         np.testing.assert_array_equal(system.recall_forward("A", 0), [0.6, 0.8])
 
     def test_learning_report(self):
@@ -104,7 +104,7 @@ class TestRecallPath:
     def test_neighbor_rows_do_not_leak(self):
         system = small_system()
         system.learn_recall_weights("A", 0, [0.6, 0.8])
-        system.balls["A"].w[1] = [9.0, 9.0]  # perturb another neuron
+        system.balls["A"].set_recall_row(1, [9.0, 9.0])  # perturb another neuron
         np.testing.assert_array_equal(system.recall_forward("A", 0), [0.6, 0.8])
 
     def test_index_and_dim_validation(self):
@@ -426,7 +426,7 @@ class TestOverflow:
     def test_a_cue_step_past_the_float_range_from_a_finite_error_raises(self):
         # the error theta - q is 1e200, finite; the step (theta - q) * row is not
         system = small_system()
-        system.balls["A"].w[0] = [1e200, 0.0]
+        system.balls["A"].set_recall_row(0, [1e200, 0.0])
         system.balls["A"].set_cue_row(0, [-1.0, 0.0])
         with pytest.raises(NonFiniteWeight, match="v row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
             system.learn_cue_weights("A", 0)
@@ -435,11 +435,11 @@ class TestOverflow:
     def test_overflowing_recall_step_raises_and_keeps_the_row(self):
         # a loaded row far below the target: target - row overflows to inf
         system = small_system()
-        system.balls["A"].w[0] = [-1.7e308, 0.5]
-        row = system.balls["A"].w[0].copy()
+        system.balls["A"].set_recall_row(0, [-1.7e308, 0.5])
+        row = system.balls["A"].recall_row(0)
         with pytest.raises(NonFiniteWeight, match="w row A:0 left a non-finite weight$"), pytest.warns(RuntimeWarning):
             system.learn_recall_weights("A", 0, [1.7e308, 0.5])
-        assert system.balls["A"].w[0].view(np.uint64).tolist() == row.view(np.uint64).tolist()
+        assert system.balls["A"].recall_row(0).view(np.uint64).tolist() == row.view(np.uint64).tolist()
 
     def test_huge_theta_cross_step_warns_and_stores_theta(self):
         # loaded links far below theta: the error theta - u is finite but its square is not
@@ -493,7 +493,7 @@ class TestStepMessages:
 
     def test_a_failing_row_step_names_its_row(self):
         system, ids = self.counting_system()
-        system.balls["A"].w[0] = [-1.7e308, 0.5]
+        system.balls["A"].set_recall_row(0, [-1.7e308, 0.5])
         with pytest.raises(NonFiniteWeight) as raised, pytest.warns(RuntimeWarning):
             system.learn_recall_weights("A", 0, [1.7e308, 0.5])
         assert str(raised.value) == "learning w row A:0 left a non-finite weight" and ids.formatted > 0
@@ -557,20 +557,20 @@ class TestLearningStepArithmetic:
            zero=st.booleans(), repeats=st.integers(1, 2))
     def test_recall_rule(self, start, target, zero, repeats):
         system = self.system()
-        system.balls["A"].w[1] = 0.0 if zero else start
+        system.balls["A"].set_recall_row(1, np.zeros(DIM) if zero else start)
         for _ in range(repeats):
-            expected = target_step(system.balls["A"].w[1].copy(), target)
+            expected = target_step(system.balls["A"].recall_row(1), target)
             report = system.learn_recall_weights("A", 1, target)
-            self.assert_same(report, system.balls["A"].w[1], expected)
+            self.assert_same(report, system.balls["A"].recall_row(1), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(start=arrays(np.float64, DIM, elements=components), stored=arrays(np.float64, DIM, elements=components),
            zero=st.booleans(), repeats=st.integers(1, 2))
     def test_cue_rule(self, start, stored, zero, repeats):
         system = self.system()
-        system.balls["A"].w[0] = stored / 1e3  # products of two components stay far from overflow
+        system.balls["A"].set_recall_row(0, stored / 1e3)  # products of two components stay far from overflow
         system.balls["A"].set_cue_row(0, np.zeros(DIM) if zero else start)
-        yv = system.balls["A"].w[0].copy()
+        yv = system.balls["A"].recall_row(0)
         for _ in range(repeats):
             expected = reference_step(system.balls["A"].cue_row(0), THETA, lambda row: float(row @ yv), yv)
             report = system.learn_cue_weights("A", 0)
@@ -605,6 +605,22 @@ class TestLearningStepArithmetic:
                 assert peak < 2.5 * target.nbytes
             assert (system.balls["A"].cue_index() is None) == (len(np.unique(target)) > 2)
 
+    def test_a_store_of_a_strided_target_is_a_store_of_its_contiguous_copy(self):
+        # a dot product with a strided input may round to other bits than with a contiguous one; the second
+        # store's cue step dots the first one's cue row with the target
+        big = np.random.default_rng(7).random((SystemConfig().dim, 3))
+        column, before = big[:, 0], big[:, 0].copy()
+        reports, balls = [], []
+        for target in (column, before.copy()):
+            system = MemorySystem()
+            system.add_ball("A", ["a0"])
+            system.store("A", 0, big[:, 1].copy())
+            reports.append(system.store("A", 0, target))
+            balls.append(system.balls["A"])
+        assert reports[0] == reports[1] and column.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+        for read in (lambda ball: ball.recall_row(0), lambda ball: ball.cue_row(0)):
+            assert read(balls[0]).view(np.uint64).tolist() == read(balls[1]).view(np.uint64).tolist()
+
 
 # finite loaded weights far from any target: up to +-1e300, subnormals and signed zeros
 far = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e20, -1e20, 1e300, -1e300]),
@@ -635,10 +651,10 @@ class TestStepFromAnyWeight:
         target = np.append(target, -0.0)  # stored as -0.0, where a zero row's sum 0.0 + (-0.0 - 0.0) is 0.0
         system = MemorySystem(SystemConfig(dim=5))
         system.add_ball("A", ["a0"])
-        system.balls["A"].w[0] = start
+        system.balls["A"].set_recall_row(0, start)
         with np.errstate(over="ignore"):
             report = system.learn_recall_weights("A", 0, target)
-        for row in (system.balls["A"].w[0], system.recall_forward("A", 0)):
+        for row in (system.balls["A"].recall_row(0), system.recall_forward("A", 0)):
             assert row.view(np.uint64).tolist() == target.view(np.uint64).tolist()
         assert report.max_delta == float(np.abs(target - start).max())
 
@@ -704,7 +720,7 @@ class TestThetaOnlyRescales:
         for (ball, index), pattern in label_bitmaps.items():
             system.store(ball, index, patterns.normalize(pattern))
             if level is not None:
-                system.balls[ball].set_cue_row(index, level * system.balls[ball].w[index])
+                system.balls[ball].set_cue_row(index, level * system.balls[ball].recall_row(index))
         return [(response.fired, response.argmax)
                 for response in (system.cue_response(ball, probe, threshold) for ball, probe in probes)]
 
@@ -715,7 +731,7 @@ class TestThetaOnlyRescales:
 
     def test_a_stored_row_is_theta_times_its_pattern(self, trained_system):
         for ball in trained_system.balls.values():
-            assert ball.cue_rows().view(np.uint64).tolist() == (THETA * ball.w).view(np.uint64).tolist()
+            assert ball.cue_rows().view(np.uint64).tolist() == (THETA * recall_rows(ball)).view(np.uint64).tolist()
 
 
 class TestAddBall:
@@ -1052,8 +1068,8 @@ def one_level(row) -> bool:
 
 
 @st.composite
-def cue_writes(draw):
-    """A dimension, a ball size, a probe, and writes of one-level, zero, -0.0 and two-level cue rows."""
+def row_writes(draw):
+    """A dimension, a ball size, a probe, and writes of one-level, zero, -0.0 and two-level recall and cue rows."""
     dim, n = draw(st.integers(1, 70)), draw(st.integers(1, 4))
     writes = []
     for _ in range(draw(st.integers(1, 8))):
@@ -1063,29 +1079,36 @@ def cue_writes(draw):
             row[:] = 0.0
         elif kind != "one level":
             row[draw(st.integers(0, dim - 1))] = -0.0 if kind == "-0.0" else draw(PACKED_LEVELS)
-        writes.append((draw(st.integers(0, n - 1)), row))
+        writes.append((draw(st.sampled_from(["recall", "cue"])), draw(st.integers(0, n - 1)), row))
     probe = np.where(draw(arrays(np.bool_, dim)), draw(st.sampled_from([1.0, -3.0, 1e-310, 1e300])), 0.0)
     return dim, n, probe, writes
 
 
 class TestPackedRows:
-    """A ball holds its cue rows as levels and packed supports until a row that is not one level is written."""
+    """A ball holds each kind of row as levels and packed supports until a row of that kind that is not one level is written."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=cue_writes())
+    @given(case=row_writes())
     def test_rows_read_back_bit_for_bit_and_a_dense_ball_takes_the_product(self, case):
         dim, n, probe, writes = case
         system = MemorySystem(SystemConfig(dim=dim))
         ball = system.add_ball("A", [f"a{i}" for i in range(n)])
-        expected, dense = np.zeros((n, dim)), False
-        for neuron, row in writes:
-            ball.set_cue_row(neuron, row)
-            expected[neuron] = row
-            dense = dense or not one_level(row)
-            assert [bits(x) for x in ball.cue_row(neuron)] == [bits(x) for x in row]
-            assert ball.cue_rows().view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-            assert (ball.cue_index() is None) == dense
-            if dense:
+        expected, dense = {"recall": np.zeros((n, dim)), "cue": np.zeros((n, dim))}, {"recall": False, "cue": False}
+        for kind, neuron, row in writes:
+            (ball.set_recall_row if kind == "recall" else ball.set_cue_row)(neuron, row)
+            expected[kind][neuron] = row
+            dense[kind] = dense[kind] or not one_level(row)
+            assert [bits(x) for x in ball.cue_row(neuron)] == [bits(x) for x in expected["cue"][neuron]]
+            assert ball.cue_rows().view(np.uint64).tolist() == expected["cue"].view(np.uint64).tolist()
+            for i in range(n):
+                for read in (ball.recall_row(i), system.recall_forward("A", i)):
+                    assert read.view(np.uint64).tolist() == expected["recall"][i].view(np.uint64).tolist()
+            assert (ball.cue_index() is None, ball._recall.dense is not None) == (dense["cue"], dense["recall"])
+            for rows, name in ((ball._cue, "cue"), (ball._recall, "recall")):
+                if not dense[name]:  # a zero row is packed at level +0.0, whatever was written before it
+                    zero = ~expected[name].view(np.uint64).any(axis=1)
+                    assert rows.levels.view(np.uint64)[zero].tolist() == [0] * int(zero.sum())
+            if dense["cue"]:
                 assert with_warnings(lambda: system.cue_response("A", probe).q) == with_warnings(
                     lambda: ball.cue_rows() @ probe)
 
@@ -1095,9 +1118,9 @@ class TestPackedRows:
         rng = np.random.default_rng(64)
         for i in range(64):
             system.store("A", i, patterns.normalize(patterns.BinaryPattern(rng.integers(0, 2, (116, 116), np.uint8))))
-        held = [value for value in vars(ball).values() if isinstance(value, np.ndarray) and value is not ball.w]
-        assert ball.cue_index() is not None and max(a.size for a in held) < ball.w.size
-        assert sum(a.nbytes for a in held) < 200_000  # where a dense (64, 13456) array of cue rows takes 6.9 MB
+        held = list(held_arrays(ball))
+        assert ball.cue_index() is not None and max(a.size for a in held) < ball.n * ball.dim
+        assert sum(a.nbytes for a in held) < 400_000  # where a dense (64, 13456) array of either kind takes 6.9 MB
 
     def test_a_load_packs_the_rows_a_dense_ball_saved(self):
         system = MemorySystem(SystemConfig(dim=4))

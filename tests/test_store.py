@@ -20,7 +20,7 @@ from cbrn.errors import (
     UnsupportedVersion,
 )
 from cbrn.memory import THETA, THRESHOLD, MemorySystem, SystemConfig
-from conftest import CLASSIC_PAIRS, make_toy_system, pair_classic, train_full_system
+from conftest import CLASSIC_PAIRS, make_toy_system, pair_classic, recall_rows, train_full_system
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def dumped_rows(text: str) -> list[str]:
 def one_row_system(w_row, v_row) -> MemorySystem:
     system = MemorySystem(SystemConfig(dim=len(w_row)))
     system.add_ball("A", ["x"])
-    system.balls["A"].w[0] = w_row
+    system.balls["A"].set_recall_row(0, w_row)
     system.balls["A"].set_cue_row(0, v_row)
     return system
 
@@ -71,9 +71,9 @@ def assert_rows_round_trip(system: MemorySystem):
     """Rows are printed as the reference formatter prints them and load back bit for bit."""
     text = store.dumps(system)
     ball = system.balls["A"]
-    assert dumped_rows(text) == [f"w 0 {reference_row(ball.w[0])}", f"v 0 {reference_row(ball.cue_row(0))}"]
+    assert dumped_rows(text) == [f"w 0 {reference_row(ball.recall_row(0))}", f"v 0 {reference_row(ball.cue_row(0))}"]
     loaded = store.loads(text)
-    assert_same_bits(loaded.balls["A"].w, ball.w)
+    assert_same_bits(recall_rows(loaded.balls["A"]), recall_rows(ball))
     assert_same_bits(loaded.balls["A"].cue_rows(), ball.cue_rows())
     assert store.dumps(loaded) == text
 
@@ -84,7 +84,7 @@ class TestRoundTrip:
         loaded = store.loads(store.dumps(system))
         for ball_id, ball in system.balls.items():
             assert_same_bits(loaded.balls[ball_id].cue_rows(), ball.cue_rows())
-            assert_same_bits(loaded.balls[ball_id].w, ball.w)
+            assert_same_bits(recall_rows(loaded.balls[ball_id]), recall_rows(ball))
             assert loaded.balls[ball_id].labels == ball.labels
         assert_same_links(loaded, system)
         assert loaded.config == system.config
@@ -536,7 +536,7 @@ class TestRowFeeds:
             path = tmp_path / "m.cbrn"
             path.write_bytes(row_model(tokens, after_index))
             loaded = load_fed(path, feed)
-            assert_same_bits(loaded.balls["A"].w[0], expected)
+            assert_same_bits(loaded.balls["A"].recall_row(0), expected)
             assert_same_bits(loaded.balls["A"].cue_row(0), expected)
 
     @settings(max_examples=100, deadline=None)
@@ -547,7 +547,7 @@ class TestRowFeeds:
         rows = []
         for after_index, feed in ((" ", memoryview), ("\t", str)):
             path.write_bytes(row_model(tokens, after_index))
-            rows.append(load_fed(path, feed).balls["A"].w[0].copy())
+            rows.append(load_fed(path, feed).balls["A"].recall_row(0))
         assert_same_bits(rows[0], rows[1])
         assert_same_bits(rows[0], [float(token) for token in tokens])
 
@@ -564,7 +564,7 @@ class TestRowFeeds:
         assert loaded.config == paired_system.config and loaded.balls.keys() == paired_system.balls.keys()
         for ball_id, ball in paired_system.balls.items():
             assert loaded.balls[ball_id].labels == ball.labels
-            assert_same_bits(loaded.balls[ball_id].w, ball.w)
+            assert_same_bits(recall_rows(loaded.balls[ball_id]), recall_rows(ball))
             assert_same_bits(loaded.balls[ball_id].cue_rows(), ball.cue_rows())
         assert_same_links(loaded, paired_system)
 
