@@ -20,6 +20,10 @@ the recall and cross rules store their targets in a single update, and a
 repeat is an exact no-op.  The cue rule adds its step and lands within
 rounding of its target: a repeat on the bundled labels' QR rows moves each
 cue row by 5.2e-16 to 3.0e-15 and changes no fired set.
+A `store` onto a blank neuron, both of whose rows are packed at +0.0 as
+`add_ball` leaves them, takes the two steps' closed form, bit for bit: the
+recall error is the target, and a one-level target `d` gives the cue row
+level `THETA * d + 0.0` on its support, from the level alone, with no product.
 `MemorySystem._delta_rule` is the step, called once per rule with its
 weight, target and input; it reports the error it found before the step,
 never a residue after it.  A row step goes through two rows of its
@@ -85,6 +89,7 @@ class SystemConfig:
 
 
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.uint64)
 
 
 def _packed(mask: np.ndarray) -> np.ndarray:
@@ -149,9 +154,11 @@ class _Rows:
         """Write row `i` from a checked vector."""
         if self.dense is None:
             support, bits = row != 0, row.view(np.uint64)
-            level_bits, count = bits[support.argmax()], np.count_nonzero(support)
-            # one level: each component's bits are +0.0's or the first nonzero value's (a -0.0 is nonzero in bits only)
-            if np.count_nonzero(bits) == count and (not count or np.count_nonzero(bits == level_bits) == count):
+            level_bits = bits[support.argmax()]  # the first nonzero value's, or component 0's in a row of zeros
+            if level_bits:
+                np.equal(bits, level_bits, out=support)
+            # one level: each component's bits are +0.0's or the level's, and the level is not -0.0's
+            if level_bits != _NEGATIVE_ZERO and np.count_nonzero(support) == np.count_nonzero(bits):
                 self.levels.view(np.uint64)[i] = level_bits
                 self.words[i].view(np.uint8)[:-(-self.dim // 8)] = np.packbits(support, bitorder="little")
                 return
@@ -331,9 +338,11 @@ class MemorySystem:
         """One Widrow-Hoff step `weight + (target - output) * x` at rate 1; `x` None is input 1.
 
         `weight` is a row or a float, and a row `weight` and `x` are rows of
-        the caller's own, which the step overwrites.  With input 1 the new
-        weight is `target` itself and a row's error is formed in `weight`;
-        else the step is formed in `x` and added to `weight` in place.
+        the caller's own, which the step overwrites; `weight` None is a +0.0
+        row, whose error from `target` at input 1 is `target` itself.  With
+        input 1 the new weight is `target` itself and a row's error is formed
+        in `weight`; else the step is formed in `x` and added to `weight` in
+        place.
         Returns the new weight and the report of the error before the step:
         its half square and the step's largest term.  Raises NonFiniteWeight
         if the error or the new weight is not finite, so the caller stores
@@ -341,7 +350,8 @@ class MemorySystem:
         and arguments `where`.
         """
         if x is None:
-            err = np.subtract(target, weight, out=weight) if isinstance(weight, np.ndarray) else target - weight
+            err = (target if weight is None else np.subtract(target, weight, out=weight)
+                   if isinstance(weight, np.ndarray) else target - weight)
         else:
             err = target - float(weight @ x)
         step = err if x is None else np.multiply(x, err, out=x)
@@ -468,10 +478,27 @@ class MemorySystem:
 
         The recall row is the target itself, bit for bit, so the cue rule takes
         a copy of the target, not an unpacked row; a copy is C-contiguous, and
-        a dot product with a strided input may round to other bits.
+        a dot product with a strided input may round to other bits.  On a blank
+        neuron the recall error is the target itself, and a one-level target
+        `d` takes no copy: its cue row is the rule's step from +0.0, level
+        `THETA * d + 0.0` on the target's support, with no product.
         """
-        w_report = self.learn_recall_weights(ball_id, neuron, target)
-        return w_report, self._learn_cue(self.balls[ball_id], neuron, np.array(_check_vector(target, self.config.dim)))
+        ball = self.ball(ball_id)
+        _check_neuron(ball, neuron)
+        t = _check_vector(target, self.config.dim)
+        recall, cue = ball._recall, ball._cue
+        if recall.dense is None and cue.dense is None and recall.levels[neuron] == cue.levels[neuron] == 0:
+            w_report = self._delta_rule(None, t, None, "w row %s:%s", ball.id, neuron)[1]
+            ball.set_recall_row(neuron, t)
+            if recall.dense is None:  # a one-level target: the step on its level warns on overflow as on the row
+                (level,) = np.multiply(recall.levels[neuron:neuron + 1], THETA) + 0.0
+                if not math.isfinite(level):
+                    raise NonFiniteWeight(f"learning v row {ball.id}:{neuron} left a non-finite weight")
+                cue.levels[neuron], cue.words[neuron] = level, recall.words[neuron]
+                return w_report, UpdateReport(_half_square(THETA), abs(float(level)))
+        else:
+            w_report = self.learn_recall_weights(ball_id, neuron, t)
+        return w_report, self._learn_cue(ball, neuron, np.array(t))
 
     def associate(
         self, from_ball: str, probe, to_ball: str, threshold: float | None = None

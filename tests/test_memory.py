@@ -605,6 +605,23 @@ class TestLearningStepArithmetic:
                 assert peak < 2.5 * target.nbytes
             assert (system.balls["A"].cue_index() is None) == (len(np.unique(target)) > 2)
 
+    def test_a_blank_store_of_a_one_level_target_peaks_below_one_and_a_half_rows(self, monkeypatch):
+        # the recall step's spare row and the packing of the target; the cue row is the level's step from +0.0 and a
+        # copy of the recall row's support words, with no cue rule and so no BLAS product
+        target = np.random.default_rng(1).integers(0, 2, SystemConfig().dim) / 100.0
+        system = MemorySystem()
+        ball = system.add_ball("A", ["a0"])
+        monkeypatch.setattr(MemorySystem, "_learn_cue", None)
+        tracemalloc.start()
+        try:
+            system.store("A", 0, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * target.nbytes
+        assert ball._recall.dense is None and ball.cue_index() is not None
+        assert ball._cue.words.tolist() == ball._recall.words.tolist() and ball._cue.levels[0] == THETA / 100.0
+
     def test_a_store_of_a_strided_target_is_a_store_of_its_contiguous_copy(self):
         # a dot product with a strided input may round to other bits than with a contiguous one; the second
         # store's cue step dots the first one's cue row with the target
@@ -620,6 +637,77 @@ class TestLearningStepArithmetic:
         assert reports[0] == reports[1] and column.view(np.uint64).tolist() == before.view(np.uint64).tolist()
         for read in (lambda ball: ball.recall_row(0), lambda ball: ball.cue_row(0)):
             assert read(balls[0]).view(np.uint64).tolist() == read(balls[1]).view(np.uint64).tolist()
+
+
+# levels of a stored target: both signs, subnormal, unit size, near 1.8e306 where THETA times it overflows, non-finite
+BLANK_LEVELS = st.one_of(st.sampled_from([1.0, -0.5, 0.01, 5e-324, -1e-310, -2.2250738585072014e-308, 1.7e306,
+                                          -1.8e306, 1e308, math.inf, -math.inf, math.nan]),
+                         st.floats(5e-324, 2.2e-308), st.floats(-1.8e306, -1.79e306), st.floats(1.79e306, 1.8e306),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def blank_targets(draw):
+    """A target of one level, all zeros, or dense: two levels, a -0.0, or any floats, non-finite ones included."""
+    dim = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["one level", "zero", "two levels", "-0.0", "any"]))
+    if kind == "any":
+        return draw(arrays(np.float64, dim, elements=st.floats(width=64)))
+    target = np.where(draw(arrays(np.bool_, dim)), draw(BLANK_LEVELS), 0.0) if kind != "zero" else np.zeros(dim)
+    if kind in ("two levels", "-0.0"):
+        target[draw(st.integers(0, dim - 1))] = -0.0 if kind == "-0.0" else draw(BLANK_LEVELS)
+    return target
+
+
+class TestBlankStore:
+    """A store onto a blank neuron, both rows packed at +0.0, is the recall rule then the cue rule from +0.0 rows.
+
+    Rows and reports are the rules', bit for bit, and so are the error raised, the row kept and the warnings given;
+    a neuron with either row written takes the rules themselves.
+    """
+
+    # blank starts: a fresh neuron, and one written one level and then zero rows, as a load of zero rows writes them;
+    # and two that are not blank, one row kind written one level
+    STARTS = {"fresh": [], "zeroed": [("recall", 0.5), ("cue", 0.5), ("recall", 0.0), ("cue", 0.0)],
+              "cue written": [("cue", 0.5)], "recall written": [("recall", 0.5)]}
+
+    @classmethod
+    def outcome(cls, learn, dim, target, action, start):
+        """The reports' and rows' bits, the error raised and the warnings given by a learning call on neuron 0."""
+        system = MemorySystem(SystemConfig(dim=dim))
+        ball = system.add_ball("A", ["a0", "a1"])
+        ball.set_recall_row(1, np.ones(dim))  # a neighbour the calls must not touch
+        for kind, level in cls.STARTS[start]:
+            (ball.set_recall_row if kind == "recall" else ball.set_cue_row)(0, np.full(dim, level))
+        reports, raised = None, None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            try:
+                reports = [bits(field) for report in learn(system, target) for field in (report.error, report.max_delta)]
+            except (NonFiniteWeight, RuntimeWarning) as error:
+                raised = type(error), str(error)
+        rows = [[bits(x) for x in read(i)] for read in (ball.recall_row, ball.cue_row) for i in (0, 1)]
+        return reports, raised, rows, [(w.category, str(w.message)) for w in caught]
+
+    @settings(max_examples=400, deadline=None)
+    @given(target=blank_targets(), action=st.sampled_from(["always", "error"]), start=st.sampled_from(sorted(STARTS)))
+    @example(target=np.array([1.8e306, 0.0]), action="always", start="fresh")  # the cue level overflows; w is kept
+    @example(target=np.array([1.8e306, 0.0]), action="error", start="fresh")
+    @example(target=np.array([0.0, 5e-324, 5e-324]), action="always", start="zeroed")
+    @example(target=np.array([math.nan, 1.0]), action="always", start="fresh")
+    @example(target=np.array([0.25, 0.0]), action="always", start="cue written")  # the cue rule adds to the 0.5s
+    def test_rows_reports_and_errors_are_the_general_rules(self, target, action, start):
+        dim = target.size
+        stored = self.outcome(lambda system, t: system.store("A", 0, t), dim, target, action, start)
+        general = self.outcome(lambda system, t: (system.learn_recall_weights("A", 0, t),
+                                                  system.learn_cue_weights("A", 0)), dim, target, action, start)
+        assert stored == general
+        if stored[1] is None and start in ("fresh", "zeroed"):
+            with np.errstate(all="ignore"):
+                new_w, w_fields = target_step(np.zeros(dim), target)
+                new_v, v_fields = reference_step(np.zeros(dim), THETA, lambda row: float(row @ target), target.copy())
+            assert stored[0] == [bits(field) for field in w_fields + v_fields]
+            assert stored[2][0::2] == [[bits(x) for x in new_w], [bits(x) for x in new_v]]
 
 
 # finite loaded weights far from any target: up to +-1e300, subnormals and signed zeros
