@@ -7,10 +7,12 @@ one.  Exit codes are stable: 0 on success; 2 for argparse's refusals and any
 this module keeps no list of error classes.
 
 Each command is a fresh process, so it imports only the modules it runs.
-This module loads NumPy and `errors`, which every command uses (`main`'s
-`np.errstate` and error classes); a command imports `memory`, `patterns`,
-`qr` and `store` itself, where it calls them.  So `encode` never loads
-`memory` or `store`, and the model commands never load `qr` or `galois`.
+This module loads `errors`, which every command uses; a command imports
+`memory`, `patterns`, `qr` and `store` itself, where it calls them.  So
+`encode` never loads `memory` or `store`, and the model commands never load
+`qr` or `galois`.  `encode` builds and writes its symbol as Python ints and
+bytes, so it loads no NumPy either; `main` loads NumPy, for its
+`np.errstate`, only before the other commands.
 Theta and the threshold D are the model's constants (`memory.THETA`,
 `memory.THRESHOLD`); `recall` and `associate --threshold` set a query's D.
 
@@ -23,6 +25,7 @@ them.  A user's own value wins, and `import cbrn` alone sets nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import itertools
@@ -33,8 +36,6 @@ import sys
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 for _variable in _BLAS_THREADS:
     os.environ.setdefault(_variable, "1")
-
-import numpy as np
 
 from .errors import CatalogError, CbrnError, DimensionMismatch, NoRecognition, UsageError
 
@@ -124,15 +125,13 @@ def _csv_writer(fmt: str, *header: str):
 
 def cmd_encode(args) -> int:
     from . import qr
-    from .patterns import save_pbm
+    from .patterns import write_pbm
 
     matrix = qr.encode_label(args.label)
-    pattern = qr.render(matrix)
-    save_pbm(pattern, args.out)
-    print(
-        f"wrote {args.out}: {pattern.width}x{pattern.height}, "
-        f"{pattern.popcount()} dark pixels, mask {matrix.mask}"
-    )
+    digits = qr.pixels(matrix)  # what `qr.render` draws, without NumPy
+    side = qr.SIZE * qr.DEFAULT_SCALE
+    write_pbm(args.out, side, digits)
+    print(f"wrote {args.out}: {side}x{side}, {digits.count(b'1')} dark pixels, mask {matrix.mask}")
     return 0
 
 
@@ -281,7 +280,7 @@ def cmd_report(args) -> int:
     for a, b in itertools.permutations(system.balls, 2):
         grid = system.link_weights(a, b)
         if writer:
-            writer.writerows((a, k, b, l, float(u)) for (k, l), u in np.ndenumerate(grid))
+            writer.writerows((a, k, b, l, float(u)) for k, row in enumerate(grid) for l, u in enumerate(row))
             continue
         print(f"{a} -> {b} (rows: source neuron, columns: target neuron)")
         print(f"{'':>4} " + " ".join(f"{l:>8}" for l in range(grid.shape[1])))
@@ -361,9 +360,14 @@ def main(argv=None) -> int:
         if any(value == [] or isinstance(value, list) and [] in value for value in vars(args).values()):
             # argparse before Python 3.12 parses `--opt=--` into an empty list, not the string "--"
             raise UsageError("'--' is not an option value")
-        # a learning step whose error squares past the float range reports an
-        # inf error (`pair` on a link near -1.8e308); NumPy's warning adds nothing
-        with np.errstate(over="ignore", invalid="ignore"):
+        quiet = contextlib.nullcontext()
+        if args.func is not cmd_encode:  # the one command without NumPy
+            import numpy as np
+
+            # a learning step whose error squares past the float range reports an
+            # inf error (`pair` on a link near -1.8e308); NumPy's warning adds nothing
+            quiet = np.errstate(over="ignore", invalid="ignore")
+        with quiet:
             code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not in the interpreter's exit flush
         return code

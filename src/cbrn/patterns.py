@@ -4,7 +4,8 @@ A pattern is a rectangular grid of dark (1) / light (0) pixels.  Before being
 presented to the Recall Net it is flattened row-major into a float vector
 scaled so its squared components sum to one (`normalize`).  Patterns
 round-trip to disk as plain PBM, and the catalog maps attribute groups to
-ordered label lists.
+ordered label lists.  NumPy loads only in the functions that make or read an
+array, so `write_pbm` and the catalog readers run without it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CatalogError,
@@ -23,6 +23,9 @@ from .errors import (
     DuplicateEntry,
     PbmFormatError,
 )
+
+if TYPE_CHECKING:  # the annotations name NumPy's array type, which loads only when needed
+    import numpy as np
 
 
 def utf8_lines(file, error, raw=lambda piece: False):
@@ -59,6 +62,8 @@ class BinaryPattern:
     """Dark/light pixel grid; dark pixels are 1."""
 
     def __init__(self, bits) -> None:
+        import numpy as np
+
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if bits.ndim != 2:
             raise DimensionMismatch(f"pattern bits must be 2-D, got {bits.ndim}-D")
@@ -83,14 +88,14 @@ class BinaryPattern:
 
     def popcount(self) -> int:
         """Number of dark pixels."""
+        import numpy as np
+
         return int(np.count_nonzero(self.bits))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryPattern):
             return NotImplemented
-        return self.bits.shape == other.bits.shape and bool(
-            np.array_equal(self.bits, other.bits)
-        )
+        return self.bits.shape == other.bits.shape and bool((self.bits == other.bits).all())
 
     __hash__ = None
 
@@ -104,6 +109,8 @@ def normalize(pattern: BinaryPattern) -> np.ndarray:
     The squared components then sum to one, which is what makes a single
     cue-weight update land exactly on the learning value.
     """
+    import numpy as np
+
     dark = pattern.popcount()
     if dark == 0:
         raise DegeneratePattern("cannot normalize an all-light pattern")
@@ -118,6 +125,8 @@ def to_pattern(vector: np.ndarray, width: int, height: int) -> BinaryPattern:
     Exact for one-shot-stored patterns, whose recalled components are either
     zero or a single positive level.
     """
+    import numpy as np
+
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
     if v.size != width * height:
         raise DimensionMismatch(
@@ -136,16 +145,24 @@ def to_pattern(vector: np.ndarray, width: int, height: int) -> BinaryPattern:
 # ---------------------------------------------------------------------------
 
 
+def write_pbm(path, width: int, digits: bytes) -> None:
+    """Write plain PBM from a raster's ASCII digits, row-major, b"1" dark: magic P1, dimensions, one pixel row per line."""
+    height = len(digits) // width
+    body = bytearray(b" ") * (2 * len(digits))
+    body[0::2] = digits  # each pixel's digit, then a space or the newline
+    body[2 * width - 1 :: 2 * width] = b"\n" * height
+    Path(path).write_bytes(b"P1\n%d %d\n" % (width, height) + body)
+
+
 def save_pbm(pattern: BinaryPattern, path) -> None:
-    """Write a pattern as plain PBM: magic P1, dimensions, one pixel row per line."""
-    body = np.full((pattern.height, 2 * pattern.width), ord(" "), dtype=np.uint8)
-    body[:, 0::2] = pattern.bits + ord("0")  # each pixel's digit, then a space or the newline
-    body[:, -1:] = ord("\n")
-    Path(path).write_bytes(f"P1\n{pattern.width} {pattern.height}\n".encode("ascii") + body.tobytes())
+    """Write a pattern as plain PBM (`write_pbm`)."""
+    write_pbm(path, pattern.width, (pattern.bits + ord("0")).tobytes())
 
 
 def load_pbm(path) -> BinaryPattern:
     """Read a plain PBM file."""
+    import numpy as np
+
     text = Path(path).read_text(encoding="ascii", errors="replace")  # a non-ASCII byte is harmless in a comment
     tokens = [token for _, body in records(text.splitlines()) for token in body.split()]
     if not tokens or tokens[0] != "P1":

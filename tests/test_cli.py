@@ -153,10 +153,10 @@ class TestEncode:
         ("", "error: out of memory\n"),
     ], ids=["numpy", "bare"])
     def test_allocation_failure_is_one_line_runtime_error(self, capsys, tmp_path, monkeypatch, message, stderr):
-        def render(*_):
+        def pixels(*_):
             raise MemoryError(message)
 
-        monkeypatch.setattr(qr, "render", render)
+        monkeypatch.setattr(qr, "pixels", pixels)
         out = tmp_path / "x.pbm"
         assert run(capsys, "encode", "--label", "red", "--out", out) == (3, "", stderr)
         assert not out.exists()
@@ -1005,14 +1005,15 @@ def cli_process(*argv) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=package_env(), timeout=120)
 
 
-# run as `python -c CODE + LIST_CBRN_MODULES`: prints the cbrn modules CODE left loaded, on the last line
+# run as `python -c CODE + LIST_CBRN_MODULES`: prints the cbrn modules CODE left loaded, and numpy if loaded, on the
+# last line
 LIST_CBRN_MODULES = """
 import sys
-print(*sorted(name for name in sys.modules if name.partition(".")[0] == "cbrn"))"""
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "cbrn" or name == "numpy"))"""
 
 
 def cbrn_modules_after(code: str) -> set[str]:
-    """The cbrn modules that a fresh interpreter holds after it runs `code`."""
+    """The cbrn modules, and numpy if loaded, that a fresh interpreter holds after it runs `code`."""
     done = subprocess.run([sys.executable, "-c", code + LIST_CBRN_MODULES], capture_output=True, text=True,
                           env=package_env(), timeout=120)
     assert done.returncode == 0, done.stderr
@@ -1020,13 +1021,19 @@ def cbrn_modules_after(code: str) -> set[str]:
 
 
 class TestImportContract:
-    """A fresh process loads the cbrn modules that it runs, and no other."""
+    """A fresh process loads the cbrn modules that it runs, and no other; only the model commands load NumPy."""
 
     def test_import_cbrn_loads_only_errors(self):
         assert cbrn_modules_after("import cbrn") == {"cbrn", "cbrn.errors"}
 
     def test_import_cli_loads_no_command_module(self):
         assert cbrn_modules_after("import cbrn.cli") == {"cbrn", "cbrn.cli", "cbrn.errors"}
+
+    @pytest.mark.parametrize("argv", [["encode", "--label", "red"], ["recall", "--model", "demo.cbrn"]],
+                             ids=["encode", "recall"])
+    def test_a_usage_error_loads_no_command_module(self, argv):
+        code = f"import cbrn.cli\nassert cbrn.cli.main({argv!r}) == 2"
+        assert cbrn_modules_after(code) == {"cbrn", "cbrn.cli", "cbrn.errors"}
 
     @pytest.mark.parametrize("command", ["encode", "pair", "recall", "associate", "report"])
     def test_a_command_loads_only_what_it_runs(self, tmp_path, model_path, red_pbm, command):
@@ -1041,9 +1048,9 @@ class TestImportContract:
         code = f"import cbrn.cli\nassert cbrn.cli.main({[str(arg) for arg in argv]!r}) == 0"
         loaded = cbrn_modules_after(code)
         if command == "encode":
-            assert not loaded & {"cbrn.memory", "cbrn.store"} and {"cbrn.qr", "cbrn.galois"} <= loaded
+            assert not loaded & {"cbrn.memory", "cbrn.store", "numpy"} and {"cbrn.qr", "cbrn.galois"} <= loaded
         else:
-            assert not loaded & {"cbrn.qr", "cbrn.galois"} and {"cbrn.memory", "cbrn.store"} <= loaded
+            assert not loaded & {"cbrn.qr", "cbrn.galois"} and {"cbrn.memory", "cbrn.store", "numpy"} <= loaded
 
 
 # run as `python -c CODE + PRINT_BLAS_THREADS`: prints each BLAS thread variable, or "-" if unset, on the last line
@@ -1061,18 +1068,25 @@ def blas_run(code: str, **settings: str) -> list[str]:
     return done.stdout.splitlines()
 
 
+def quiet_model_command(model) -> str:
+    """Code that runs `report --figure 4` on `model` through `cbrn.cli.main`, its stdout discarded: a command that loads NumPy."""
+    return ("import contextlib, io, cbrn.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cbrn.cli.main(['report', '--model', {str(model)!r}, '--figure', '4']) == 0\n")
+
+
 class TestBlasThreads:
     """A command runs NumPy's BLAS on one thread unless the user says otherwise; the library sets nothing."""
 
-    def test_the_cli_sets_one_thread_before_numpy_loads(self):
+    def test_the_cli_sets_one_thread_before_numpy_loads(self, model_path):
         watch = ("import os, sys\n"
                  "class Watch:\n"
                  "    def find_spec(self, name, path=None, target=None):\n"
                  "        if name == 'numpy':\n"
-                 "            print('numpy loads with', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-                 "sys.meta_path.insert(0, Watch())\n"
-                 "import cbrn.cli")
-        assert blas_run(watch) == ["numpy loads with 1", "1 1 1"]
+                 "            print('numpy loads with', *(os.environ.get(key, '-') for key in\n"
+                 "                  ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')), file=sys.__stdout__)\n"
+                 "sys.meta_path.insert(0, Watch())\n")
+        assert blas_run(watch + quiet_model_command(model_path)) == ["numpy loads with 1 1 1", "1 1 1"]
 
     def test_a_users_own_value_wins(self):
         assert blas_run("import cbrn.cli", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="3") == ["2 1 3"]
@@ -1082,8 +1096,9 @@ class TestBlasThreads:
         assert blas_run(code) == ["- - -"]
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through Linux's /proc")
-    def test_the_cli_process_starts_no_blas_worker(self):
-        assert blas_run("import os, cbrn.cli\nprint(len(os.listdir('/proc/self/task')))") == ["1", "1 1 1"]
+    def test_the_cli_process_starts_no_blas_worker(self, model_path):
+        code = quiet_model_command(model_path) + "import os, sys\nassert 'numpy' in sys.modules\n"
+        assert blas_run(code + "print(len(os.listdir('/proc/self/task')))") == ["1", "1 1 1"]
 
 
 class TestOutputAcrossBlas:

@@ -122,8 +122,9 @@ class TestStructure:
             assert data >> 3 == 0b01  # level L indicator
 
     def test_data_region_holds_70_codewords_plus_remainder(self):
-        rows, cols = qr._data_positions()
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size == 70 * 8 + 7
+        positions = qr._data_positions()
+        assert len(set(positions)) == len(positions) == 70 * 8 + 7
+        assert all(0 <= p < 29 * 29 for p in positions)
 
     def test_deterministic(self):
         a = qr.encode_label("red")
@@ -169,9 +170,14 @@ class TestCodewords:
             qr.encode_label("")
 
 
+def as_int(grid) -> int:
+    """A 29 x 29 grid as `qr.penalty` takes it: bit r * 29 + c set for a dark module."""
+    return int.from_bytes(np.packbits(np.asarray(grid, dtype=np.uint8), bitorder="little").tobytes(), "little")
+
+
 def penalty(grid) -> int:
-    """Score of one grid, from a stack of one."""
-    return int(qr.penalties(np.asarray(grid)[None])[0])
+    """`qr.penalty` of one 29 x 29 array."""
+    return qr.penalty(as_int(grid))
 
 
 class TestMaskChoice:
@@ -255,13 +261,23 @@ class TestPenalty:
     def test_matches_line_oracle_at_symbol_size(self, grid):
         assert penalty(grid) == penalty_oracle(grid)
 
-    @given(arrays(np.uint8, (3, 29, 29), elements=st.integers(0, 1)))
-    @settings(max_examples=40, deadline=None)
-    def test_batched_scores_equal_per_grid_scores(self, stack):
-        scores = qr.penalties(stack)
-        assert scores.shape == (3,)
-        assert list(scores) == [penalty(grid) for grid in stack]
-        assert list(scores) == [penalty_oracle(grid) for grid in stack]
+    def test_matches_line_oracle_on_seeded_random_grids(self):
+        # 1,000 grids, each of its own density between 0 and 1, then all-light and all-dark
+        rng = np.random.default_rng(18004)
+        grids = [(rng.random((29, 29)) < density).astype(np.uint8) for density in rng.random(1000)]
+        grids += [np.zeros((29, 29), np.uint8), np.ones((29, 29), np.uint8)]
+        for grid in grids:
+            assert penalty(grid) == penalty_oracle(grid)
+        assert penalty(grids[-1]) == 58 * 27 + 28 * 28 * 3 + 100  # runs of 29, every 2x2 block, all dark
+
+    def test_modules_are_the_grid_bits(self):
+        rng = np.random.default_rng(3)
+        for density in (0.0, 0.3, 0.7, 1.0):
+            grid = (rng.random((29, 29)) < density).astype(np.uint8)
+            modules = qr.QrMatrix(as_int(grid), 0).modules
+            np.testing.assert_array_equal(modules, grid, strict=True)
+            assert not modules.flags.writeable
+        assert repr(qr.QrMatrix(as_int(grid), 5)) == "QrMatrix(mask=5)"  # not the grid's ~250 digits
 
     def test_mask_choice_matches_oracle(self):
         labels = [label for group in patterns.default_catalog() for label in group.labels]
@@ -330,14 +346,17 @@ class TestRender:
 
     @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
     def test_equals_kronecker_product_with_a_dark_block(self, scale):
+        # and `pixels`, which draws the same bitmap without NumPy, spells it in digits
         for label in ("red", "label 8", "寿😀"):
             m = qr.encode_label(label)
             expected = np.kron(m.modules, np.ones((scale, scale), np.uint8))
             np.testing.assert_array_equal(qr.render(m, scale).bits, expected, strict=True)
+            assert qr.pixels(m, scale) == (expected + ord("0")).tobytes()
 
     def test_scale_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            qr.render(qr.encode_label("red"), 0)
+        for draw in (qr.render, qr.pixels):
+            with pytest.raises(ValueError):
+                draw(qr.encode_label("red"), 0)
 
 
 class TestProviders:
